@@ -185,7 +185,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # NumericError reports non-finite results; numpy's RuntimeWarnings
+        # would add extra stderr lines to the one-line error contract.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2

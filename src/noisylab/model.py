@@ -16,6 +16,13 @@ magic ``NLABCKP1``, a shape table (little-endian uint32: array count, then
 ndim + dims per array), then each array's row-major float64 payload in
 parameter order; a JSON sidecar ``<path>.json`` carries config, epoch, seed
 and the layer layout needed to rebuild the network.
+
+Parameter arena: a network holds all of its weights and biases as views
+into one contiguous float64 vector (``DualHeadNet.flat``), in
+:meth:`DualHeadNet.parameters` order, which is also the checkpoint payload
+order.  ``DualHeadNet.grad`` is a gradient vector with the same layout that
+:meth:`DualHeadNet.backward` fills in place, so an optimizer step is a few
+array operations and one finiteness check over each vector.
 """
 
 import json
@@ -88,6 +95,8 @@ class TrainConfig:
 class Layer:
     w: np.ndarray  # (fan_in, fan_out)
     b: np.ndarray  # (fan_out,)
+    gw: np.ndarray | None = None  # gradient of w, a view into the net's gradient arena
+    gb: np.ndarray | None = None  # gradient of b, likewise
 
 
 @dataclass
@@ -100,19 +109,49 @@ class ForwardResult:
     logits: np.ndarray         # (n, C)
     trunk_out: np.ndarray      # (n, hidden)
     trunk_inputs: list = field(default_factory=list)
-    trunk_derivs: list = field(default_factory=list)
+    trunk_derivs: list = field(default_factory=list)  # relu derivatives as bool masks
     det_inputs: list = field(default_factory=list)
     det_derivs: list = field(default_factory=list)  # tanh derivs of layers 0, 1
 
 
 class DualHeadNet:
-    """Shared relu trunk + linear classifier head + 3-layer tanh detection head."""
+    """Shared relu trunk + linear classifier head + 3-layer tanh detection head.
+
+    The constructor copies the given layers' values into a fresh parameter
+    arena (``flat``) and allocates a zeroed gradient arena (``grad``); every
+    ``Layer`` of the net holds views into both.
+    """
 
     def __init__(self, trunk, classifier, detection, temperature):
-        self.trunk = trunk
-        self.classifier = classifier
-        self.detection = detection
+        given = [*trunk, classifier, *detection]
+        self.flat = np.empty(sum(lay.w.size + lay.b.size for lay in given))
+        self.grad = np.zeros_like(self.flat)
+        off = 0
+
+        def carve(value):
+            nonlocal off
+            end = off + value.size
+            view = self.flat[off:end].reshape(value.shape)
+            view[...] = value
+            grad = self.grad[off:end].reshape(value.shape)
+            off = end
+            return view, grad
+
+        layers = []
+        for lay in given:
+            w, gw = carve(lay.w)
+            b, gb = carve(lay.b)
+            layers.append(Layer(w, b, gw, gb))
+        n_trunk = len(trunk)
+        self.trunk = layers[:n_trunk]
+        self.classifier = layers[n_trunk]
+        self.detection = layers[n_trunk + 1:]
         self.temperature = float(temperature)
+        self._params = [a for lay in layers for a in (lay.w, lay.b)]
+        self._grads = [a for lay in layers for a in (lay.gw, lay.gb)]
+        names = ([f"trunk[{i}]" for i in range(n_trunk)] + ["classifier"]
+                 + [f"detection[{i}]" for i in range(len(self.detection))])
+        self._names = [f"{name}.{part}" for name in names for part in "wb"]
 
     @classmethod
     def create(cls, input_dim: int, num_classes: int, code_bits: int,
@@ -150,14 +189,26 @@ class DualHeadNet:
         return self.detection[-1].w.shape[1]
 
     def parameters(self) -> list:
-        """All parameter arrays in a fixed order (trunk, classifier, detection)."""
-        out = []
-        for lay in self.trunk:
-            out.extend((lay.w, lay.b))
-        out.extend((self.classifier.w, self.classifier.b))
-        for lay in self.detection:
-            out.extend((lay.w, lay.b))
-        return out
+        """All parameter arrays in a fixed order (trunk, classifier, detection),
+        as views into ``flat``."""
+        return list(self._params)
+
+    def gradients(self) -> list:
+        """Views into ``grad`` aligned with :meth:`parameters`."""
+        return list(self._grads)
+
+    def parameter_names(self) -> list:
+        """Names aligned with :meth:`parameters`, e.g. ``detection[2].w``."""
+        return list(self._names)
+
+    def first_nonfinite(self, arrays) -> str | None:
+        """Name of the first of ``arrays`` (aligned with :meth:`parameters`)
+        that holds a non-finite entry, else None.  It scans array by array,
+        so it belongs on failure paths only."""
+        for name, arr in zip(self._names, arrays):
+            if not np.all(np.isfinite(arr)):
+                return name
+        return None
 
     def layout(self) -> dict:
         return {
@@ -170,9 +221,7 @@ class DualHeadNet:
         }
 
     def clone(self) -> "DualHeadNet":
-        cp = lambda lay: Layer(lay.w.copy(), lay.b.copy())
-        return DualHeadNet([cp(l) for l in self.trunk], cp(self.classifier),
-                           [cp(l) for l in self.detection], self.temperature)
+        return DualHeadNet(self.trunk, self.classifier, self.detection, self.temperature)
 
     def _trunk_forward(self, x, cache=None):
         a = np.asarray(x, dtype=np.float64)
@@ -182,11 +231,10 @@ class DualHeadNet:
             raise ShapeError(f"batch width {a.shape[1]} != trunk input width {self.input_dim}")
         for lay in self.trunk:
             pre = matmul(a, lay.w) + lay.b
-            val, deriv = activation("relu", pre)
             if cache is not None:
                 cache.trunk_inputs.append(a)
-                cache.trunk_derivs.append(deriv)
-            a = val
+                cache.trunk_derivs.append(pre > 0.0)
+            a = np.maximum(pre, 0.0)
         return a
 
     def forward(self, x) -> ForwardResult:
@@ -211,9 +259,15 @@ class DualHeadNet:
         return res
 
     def classify(self, x):
-        """Inference path: classification head only, detection head skipped."""
+        """Inference path: classification head only, detection head skipped.
+
+        Raises NumericError when the logits are non-finite."""
         a = self._trunk_forward(x)
         logits = matmul(a, self.classifier.w) + self.classifier.b
+        if not np.all(np.isfinite(logits)):
+            bad = self.first_nonfinite(self._params)
+            raise NumericError("non-finite logits in classify"
+                               + (f"; parameter {bad} is non-finite" if bad else ""))
         probs = softmax_with_temperature(logits, self.temperature)
         return probs, np.argmax(probs, axis=1)
 
@@ -223,39 +277,34 @@ class DualHeadNet:
 
         ``dlogits`` is the loss gradient w.r.t. the classifier logits;
         ``d_det_pre`` w.r.t. the pre-activation of the final detection
-        layer.  Returns gradients aligned with :meth:`parameters`.
+        layer.  The gradients are written in place into ``grad``; the
+        returned list holds views of it aligned with :meth:`parameters`,
+        which the next call overwrites.
         """
-        gw_c = matmul(res.trunk_out.T, dlogits)
-        gb_c = dlogits.sum(axis=0)
-        dtrunk = matmul(dlogits, self.classifier.w.T)
+        cls = self.classifier
+        matmul(res.trunk_out.T, dlogits, out=cls.gw)
+        dlogits.sum(axis=0, out=cls.gb)
+        dtrunk = matmul(dlogits, cls.w.T)
 
-        det_grads = []
         d = d_det_pre
         for i in range(len(self.detection) - 1, -1, -1):
             lay = self.detection[i]
-            det_grads.append((matmul(res.det_inputs[i].T, d), d.sum(axis=0)))
+            matmul(res.det_inputs[i].T, d, out=lay.gw)
+            d.sum(axis=0, out=lay.gb)
             back = matmul(d, lay.w.T)
             if i > 0:
                 d = back * res.det_derivs[i - 1]
             else:
                 dtrunk = dtrunk + back
-        det_grads.reverse()
 
-        trunk_grads = []
         d = dtrunk
         for i in range(len(self.trunk) - 1, -1, -1):
+            lay = self.trunk[i]
             dpre = d * res.trunk_derivs[i]
-            trunk_grads.append((matmul(res.trunk_inputs[i].T, dpre), dpre.sum(axis=0)))
-            d = matmul(dpre, self.trunk[i].w.T)
-        trunk_grads.reverse()
-
-        grads = []
-        for gw, gb in trunk_grads:
-            grads.extend((gw, gb))
-        grads.extend((gw_c, gb_c))
-        for gw, gb in det_grads:
-            grads.extend((gw, gb))
-        return grads
+            matmul(res.trunk_inputs[i].T, dpre, out=lay.gw)
+            dpre.sum(axis=0, out=lay.gb)
+            d = matmul(dpre, lay.w.T)
+        return self.gradients()
 
 
 def per_sample_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -346,18 +395,26 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
 
 def combined_loss_and_grads(net: DualHeadNet, x, labels, targets,
                             bce_weight: float = 1.0, mask=None):
-    """Forward + combined loss + gradients; the entry point gradient checks use."""
+    """Forward + combined loss + gradients; the entry point gradient checks use.
+
+    The gradients are copies, so a later call does not overwrite them."""
     res = net.forward(x)
     ce, bce, grads = losses_and_grads_from_forward(net, res, labels, targets,
                                                    bce_weight, mask)
-    return ce + bce_weight * bce, ce, bce, grads, res
+    return ce + bce_weight * bce, ce, bce, [g.copy() for g in grads], res
 
 
 class SgdState:
-    """Per-parameter velocity buffers for SGD with momentum."""
+    """Velocity buffers for SGD with momentum, one per parameter array (a
+    network's training loop passes its one flat arena)."""
 
     def __init__(self, params):
         self.velocities = [np.zeros_like(p) for p in params]
+
+
+# The update arithmetic runs over slices of at most this many leading-axis
+# entries, so its temporaries stay small however large a flat arena grows.
+STEP_BLOCK = 32768
 
 
 def sgd_step(params, grads, state: SgdState, lr: float, momentum: float,
@@ -365,7 +422,9 @@ def sgd_step(params, grads, state: SgdState, lr: float, momentum: float,
     """v <- momentum*v + g + weight_decay*theta;  theta <- theta - lr*v.
 
     Refuses the step (raising, nothing mutated) if any gradient is
-    non-finite; verifies parameters stay finite afterwards.
+    non-finite; verifies parameters stay finite afterwards.  Each check is
+    one scan per array, so passing a network's flat arenas makes it one
+    scan of all gradients and one of all parameters.
     """
     if len(params) != len(grads):
         raise ShapeError(f"{len(grads)} gradients for {len(params)} parameters")
@@ -375,9 +434,12 @@ def sgd_step(params, grads, state: SgdState, lr: float, momentum: float,
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in parameter {i}; step refused")
     for p, g, v in zip(params, grads, state.velocities):
-        v *= momentum
-        v += g + weight_decay * p
-        p -= lr * v
+        for lo in range(0, p.shape[0], STEP_BLOCK):
+            hi = lo + STEP_BLOCK
+            pb, vb = p[lo:hi], v[lo:hi]
+            vb *= momentum
+            vb += g[lo:hi] + weight_decay * pb
+            pb -= lr * vb
     for i, p in enumerate(params):
         if not np.all(np.isfinite(p)):
             raise NumericError(f"parameter {i} became non-finite after the step")

@@ -2,9 +2,17 @@
 
 Matrices throughout the package are plain 2-D C-contiguous numpy arrays of
 64-bit floats (row-major).  numpy supplies the storage and the BLAS-backed
-product; this module owns the contracts: shape validation, finiteness
-guarantees, and the central-difference oracle used to audit every analytic
-gradient in the model.
+product; this module owns the contracts: shape validation, input
+finiteness (:func:`as_matrix`), and the central-difference oracle used to
+audit every analytic gradient in the model.
+
+:func:`matmul` checks shapes only.  Finiteness of the training arithmetic
+is checked once per step instead of once per product: ``sgd_step`` scans
+the flat gradient before the step and the flat parameters after it, the
+training loop scans the forward outputs of a batch it skips, and
+``DualHeadNet.classify`` scans its logits.  NaN and Inf propagate into
+those arrays, and only when a check fails does the code scan parameter by
+parameter to name the offending layer.
 
 Randomness comes from :class:`RngStream`, a thin wrapper over numpy's PCG64
 generator.  PCG64 is a fixed, platform-independent algorithm, so a given
@@ -29,16 +37,16 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape and finiteness checks."""
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product with explicit shape checks, written into ``out`` when
+    given.  The result is not scanned for finiteness (see the module doc)."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"matmul produced non-finite entries ({a.shape} x {b.shape})")
-    return out
+    if out is not None and out.shape != (a.shape[0], b.shape[1]):
+        raise ShapeError(f"matmul output shape {out.shape} != {(a.shape[0], b.shape[1])}")
+    return np.matmul(a, b, out=out)
 
 
 def activation(kind: str, x: np.ndarray):
@@ -89,12 +97,14 @@ def finite_difference_check(loss_and_grad, params, epsilon: float = 1e-5,
     if not (1e-7 <= epsilon <= 1e-3):
         raise ConfigError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
     base_loss, grads = loss_and_grad()
+    # Copy: loss_and_grad may return views that its next call overwrites.
+    grads = [np.array(g, dtype=np.float64) for g in grads]
     if not np.isfinite(base_loss):
         raise NumericError("loss is non-finite at the base point")
     worst = 0.0
     for pi, (theta, g) in enumerate(zip(params, grads)):
         flat_t = theta.reshape(-1)
-        flat_g = np.asarray(g, dtype=np.float64).reshape(-1)
+        flat_g = g.reshape(-1)
         for j in range(flat_t.size):
             orig = flat_t[j]
             flat_t[j] = orig + epsilon

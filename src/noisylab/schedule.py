@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NoisyDataset
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .model import (DualHeadNet, SgdState, TrainConfig, cosine_lr,
                     losses_and_grads_from_forward, per_sample_cross_entropy,
                     sgd_step)
@@ -197,7 +197,7 @@ def build_run_state(data: NoisyDataset, targets: np.ndarray, nets: list,
     if np.asarray(targets).shape[0] != n:
         raise ShapeError(f"targets rows {np.asarray(targets).shape[0]} != dataset size {n}")
     table = IdentifierTable(n, jump_step) if sched_cfg.strategy == "jump_update" else None
-    opts = [SgdState(net.parameters()) for net in nets]
+    opts = [SgdState([net.flat]) for net in nets]
     return RunState(strategy=sched_cfg.strategy, data=data, targets=targets,
                     nets=nets, opts=opts, train_cfg=train_cfg, sel_cfg=sel_cfg,
                     sched_cfg=sched_cfg, shuffle_rng=shuffle_rng,
@@ -213,20 +213,44 @@ def _batches(state: RunState):
     return [order[i:i + bs] for i in range(0, order.size, bs)]
 
 
-def _update(state: RunState, which: int, res, idx, mask, lr: float):
+def _update(state: RunState, which: int, res, labels, targets, mask, lr: float):
     """One masked SGD step on net ``which``; returns (ce, bce, count) or
-    None when the mask selects nothing (the batch is skipped)."""
-    if mask is not None and not mask.any():
-        return None
-    labels = state.data.noisy_labels[idx]
-    targets = state.targets[idx]
+    None when the mask selects nothing (the batch is skipped).
+
+    The step runs over the net's flat arenas, so finiteness costs one scan
+    of the gradient before it and one of the parameters after it; a skipped
+    batch computes no gradient, so its forward outputs are scanned instead.
+    Only a failing check scans parameter by parameter, to name the layer.
+    """
     net = state.nets[which]
-    ce, bce, grads = losses_and_grads_from_forward(
+    count = labels.size if mask is None else int(np.count_nonzero(mask))
+    if count == 0:
+        if not (np.all(np.isfinite(res.logits)) and np.all(np.isfinite(res.z))):
+            bad = net.first_nonfinite(net.parameters())
+            raise NumericError("non-finite forward outputs on a skipped batch"
+                               + (f"; parameter {bad} is non-finite" if bad else ""))
+        return None
+    ce, bce, _ = losses_and_grads_from_forward(
         net, res, labels, targets, state.train_cfg.bce_weight, mask)
-    sgd_step(net.parameters(), grads, state.opts[which], lr,
-             state.train_cfg.momentum, state.train_cfg.weight_decay)
-    count = int(mask.sum()) if mask is not None else idx.size
+    try:
+        sgd_step([net.flat], [net.grad], state.opts[which], lr,
+                 state.train_cfg.momentum, state.train_cfg.weight_decay)
+    except NumericError:
+        raise NumericError(_step_failure(net)) from None
     return ce, bce, count
+
+
+def _step_failure(net: DualHeadNet) -> str:
+    """Name what made ``sgd_step`` fail.  A non-finite gradient means the
+    step was refused with nothing mutated, and a non-finite parameter, when
+    there is one, is its likely source; otherwise the step itself
+    overflowed a parameter."""
+    param = net.first_nonfinite(net.parameters())
+    grad = net.first_nonfinite(net.gradients())
+    if grad is None:
+        return f"parameter {param} became non-finite after the step"
+    cause = f"parameter {param} is non-finite" if param else f"gradient of {grad} is non-finite"
+    return f"{cause}; step refused"
 
 
 def _gate(state: RunState) -> bool:
@@ -253,9 +277,10 @@ def warmup_epoch(state: RunState, epoch: int) -> EpochStats:
     for idx in _batches(state):
         x = state.data.features[idx]
         labels = state.data.noisy_labels[idx]
+        targets = state.targets[idx]
         res = state.nets[0].forward(x)
         if jump:
-            flags = batch_flags(res.z, state.targets[idx], res.probs, labels, state.sel_cfg)
+            flags = batch_flags(res.z, targets, res.probs, labels, state.sel_cfg, res.preds)
             state.table.write(idx, flags.combined, state.global_iter)
             if state.trace is not None:
                 state.trace.writes.append((state.global_iter, idx.copy(), flags.combined.copy()))
@@ -268,7 +293,7 @@ def warmup_epoch(state: RunState, epoch: int) -> EpochStats:
         elif state.strategy in ("self_update", "cross_update"):
             losses = per_sample_cross_entropy(res.probs, labels)
             produced[idx] = small_loss_select(losses, state.sel_cfg.small_loss_keep_ratio)
-        out = _update(state, 0, res, idx, None, lr)
+        out = _update(state, 0, res, labels, targets, None, lr)
         ce_sum += out[0]
         bce_sum += out[1]
         trained += out[2]
@@ -277,7 +302,7 @@ def warmup_epoch(state: RunState, epoch: int) -> EpochStats:
             res_b = state.nets[1].forward(x)
             losses_b = per_sample_cross_entropy(res_b.probs, labels)
             produced_peer[idx] = small_loss_select(losses_b, state.sel_cfg.small_loss_keep_ratio)
-            out_b = _update(state, 1, res_b, idx, None, lr)
+            out_b = _update(state, 1, res_b, labels, targets, None, lr)
             ce_sum += out_b[0]
             bce_sum += out_b[1]
             updates += 1
@@ -305,7 +330,8 @@ def _standard_epoch(state: RunState, epoch: int) -> EpochStats:
     updates = trained = iterations = 0
     for idx in _batches(state):
         res = state.nets[0].forward(state.data.features[idx])
-        out = _update(state, 0, res, idx, None, lr)
+        out = _update(state, 0, res, state.data.noisy_labels[idx], state.targets[idx],
+                      None, lr)
         ce_sum += out[0]
         bce_sum += out[1]
         trained += out[2]
@@ -338,7 +364,7 @@ def _self_epoch(state: RunState, epoch: int) -> EpochStats:
         sel = small_loss_select(losses, state.sel_cfg.small_loss_keep_ratio)
         produced[idx] = sel
         gated = _gate(state)
-        out = _update(state, 0, res, idx, sel if gated else None, lr)
+        out = _update(state, 0, res, labels, state.targets[idx], sel if gated else None, lr)
         if out is None:
             skipped += 1
         else:
@@ -376,6 +402,7 @@ def _cross_epoch(state: RunState, epoch: int) -> EpochStats:
     for idx in _batches(state):
         x = state.data.features[idx]
         labels = state.data.noisy_labels[idx]
+        targets = state.targets[idx]
         res_a = state.nets[0].forward(x)
         res_b = state.nets[1].forward(x)
         sel_a = small_loss_select(per_sample_cross_entropy(res_a.probs, labels),
@@ -386,7 +413,7 @@ def _cross_epoch(state: RunState, epoch: int) -> EpochStats:
         produced_peer[idx] = sel_b
         gated = _gate(state)
         for which, res, mask in ((0, res_a, sel_b), (1, res_b, sel_a)):
-            out = _update(state, which, res, idx, mask if gated else None, lr)
+            out = _update(state, which, res, labels, targets, mask if gated else None, lr)
             if out is None:
                 skipped += 1
             else:
@@ -434,8 +461,9 @@ def jump_train_epoch(state: RunState, epoch: int) -> EpochStats:
     updates = trained = iterations = skipped = gate_on = 0
     for idx in _batches(state):
         labels = state.data.noisy_labels[idx]
+        targets = state.targets[idx]
         res = state.nets[0].forward(state.data.features[idx])
-        flags = batch_flags(res.z, state.targets[idx], res.probs, labels, state.sel_cfg)
+        flags = batch_flags(res.z, targets, res.probs, labels, state.sel_cfg, res.preds)
         table.write(idx, flags.combined, state.global_iter)
         variance[idx] = flags.variance
         if details:
@@ -450,13 +478,13 @@ def jump_train_epoch(state: RunState, epoch: int) -> EpochStats:
             prod_at = table.active_produced_at[idx]
             known = prod_at >= 0
             lag_sum += int((state.global_iter - prod_at[known]).sum())
-            lag_count += int(known.sum())
+            lag_count += int(np.count_nonzero(known))
             if state.trace is not None:
                 state.trace.applications.append(
                     (state.global_iter, state.post_iter, idx.copy(), mask.copy(), prod_at.copy()))
         else:
             mask = None
-        out = _update(state, 0, res, idx, mask, lr)
+        out = _update(state, 0, res, labels, targets, mask, lr)
         if out is None:
             skipped += 1
         else:

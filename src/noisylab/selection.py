@@ -12,7 +12,6 @@ Two identifiers are computed per sample and OR-combined:
 The small-loss ranking used by the baseline strategies also lives here.
 """
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,22 +77,29 @@ def combine_identifiers(det: bool, cls: bool) -> bool:
 
 
 def batch_flags(z: np.ndarray, targets: np.ndarray, probs: np.ndarray,
-                noisy_labels: np.ndarray, cfg: SelectionConfig) -> BatchFlags:
+                noisy_labels: np.ndarray, cfg: SelectionConfig,
+                preds: np.ndarray | None = None) -> BatchFlags:
     """Vectorized identifiers for a whole batch.
 
     Uses the same per-bit decomposition as the scalar helpers, so any row of
     the result agrees bit-for-bit with calling those helpers on that row.
     Inputs are trusted (z already clamped, targets already 0/1); this runs
     once per training iteration, so it skips the defensive re-validation
-    that :func:`decompose_bce` performs.
+    that :func:`decompose_bce` performs.  ``preds`` is the argmax of
+    ``probs`` when the caller already has it (``ForwardResult.preds``).
     """
     per_bit = np.where(targets == 1.0, z, 1.0 - z)  # (n, K)
     np.log(per_bit, out=per_bit)
     np.negative(per_bit, out=per_bit)
-    mean = per_bit.mean(axis=1)
+    k = per_bit.shape[1]
+    # Row sums divided by K: the arithmetic of .mean(axis=1) without its
+    # per-call overhead.
+    mean = per_bit.sum(axis=1)
+    mean /= k
     per_bit -= mean[:, None]
     np.square(per_bit, out=per_bit)
-    variance = per_bit.mean(axis=1)
+    variance = per_bit.sum(axis=1)
+    variance /= k
     labels = np.asarray(noisy_labels)
     n, c = probs.shape
     if labels.shape != (n,):
@@ -101,7 +107,7 @@ def batch_flags(z: np.ndarray, targets: np.ndarray, probs: np.ndarray,
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise LabelError(f"label out of range [0, {c})")
     det = variance <= cfg.tau
-    cls = np.argmax(probs, axis=1) == labels
+    cls = (np.argmax(probs, axis=1) if preds is None else preds) == labels
     return BatchFlags(detection=det, classifier=cls, combined=det | cls,
                       variance=variance, bce=mean)
 
@@ -141,18 +147,19 @@ def dump_decisions_csv(path, sample_indices, flags: BatchFlags,
     truth is available.
     """
     path = Path(path)
-    idx = np.asarray(sample_indices)
+    idx = np.asarray(sample_indices).astype(np.int64).tolist()
+    truly = ([""] * len(idx) if clean_mask is None
+             else ["1" if c else "0" for c in np.asarray(clean_mask, dtype=bool).tolist()])
+    rows = zip(idx, np.asarray(flags.variance, dtype=np.float64).tolist(),
+               np.asarray(flags.bce, dtype=np.float64).tolist(),
+               np.asarray(flags.detection, dtype=bool).tolist(),
+               np.asarray(flags.classifier, dtype=bool).tolist(),
+               np.asarray(flags.combined, dtype=bool).tolist(), truly)
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["sample_index", "variance", "bce_loss", "det_flag",
-                             "cls_flag", "combined_flag", "is_truly_clean"])
-            for row, i in enumerate(idx):
-                truly = "" if clean_mask is None else int(bool(clean_mask[row]))
-                writer.writerow([int(i), repr(float(flags.variance[row])),
-                                 repr(float(flags.bce[row])),
-                                 int(bool(flags.detection[row])),
-                                 int(bool(flags.classifier[row])),
-                                 int(bool(flags.combined[row])), truly])
+            fh.write("sample_index,variance,bce_loss,det_flag,cls_flag,"
+                     "combined_flag,is_truly_clean\n")
+            # %r gives repr(float), as csv.writer would write it; %d gives 0/1.
+            fh.writelines(map("%d,%r,%r,%d,%d,%d,%s\n".__mod__, rows))
     except OSError as exc:
         raise DataIOError(f"cannot write selection dump {path}: {exc}") from exc

@@ -3,9 +3,14 @@ canonical hash, and every subcommand exercised in-process through main()
 including exit-code mapping."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import noisylab
 from noisylab.cli import main
 from noisylab.config import (CONFIG_VERSION, config_hash, load_config,
                              parse_config)
@@ -251,6 +256,20 @@ class TestCliTrain:
         cfg = write_json(tmp_path / "cfg.json", payload)
         assert main(["train", "--config", cfg]) == 3
         assert "error[numeric]" in capsys.readouterr().err
+
+
+    def test_overflow_exits_3_with_one_stderr_line(self, tmp_path):
+        """numpy's RuntimeWarnings must not add lines before the error.  Run
+        as a real process, since pytest captures warnings in-process."""
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(
+            tmp_path / "out", train={"lr0": 1e300}))
+        env = dict(os.environ, PYTHONPATH=str(Path(noisylab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "noisylab.cli", "train",
+                               "--config", cfg], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[numeric]:"), proc.stderr
 
 
 class TestCliCompare:

@@ -3,6 +3,7 @@ values and gradients against analytic cases and finite differences, the
 optimizer recurrence, the cosine schedule, and checkpoint round-trips."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from noisylab.model import (CHECKPOINT_MAGIC, DualHeadNet, SgdState,
                             sgd_step)
 from noisylab.numeric import RngStream, finite_difference_check
 from noisylab.selection import SelectionConfig, batch_flags
+from oracles import backward_per_layer
 
 
 def make_net(seed=0, input_dim=5, classes=3, bits=4, width=6, layers=2, temp=2.0):
@@ -89,6 +91,83 @@ class TestForward:
         twin = net.clone()
         net.trunk[0].w += 1.0
         assert not np.array_equal(net.trunk[0].w, twin.trunk[0].w)
+
+
+def byte_offset(view, base):
+    return view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+
+
+class TestParameterArena:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_parameters_and_gradients_tile_one_buffer_in_checkpoint_order(
+            self, tmp_path, layers):
+        net = make_net(seed=30, layers=layers)
+        assert net.flat.flags.c_contiguous and net.grad.flags.c_contiguous
+        assert net.grad.shape == net.flat.shape
+        off = 0
+        for p, g in zip(net.parameters(), net.gradients()):
+            assert p.base is net.flat and g.base is net.grad
+            assert p.shape == g.shape
+            assert byte_offset(p, net.flat) == byte_offset(g, net.grad) == 8 * off
+            off += p.size
+        assert off == net.flat.size
+        # The checkpoint payload is the arena itself.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, path)
+        header = 12 + sum(4 + 4 * p.ndim for p in net.parameters())
+        assert path.read_bytes()[header:] == net.flat.astype("<f8").tobytes()
+        assert struct.unpack_from("<I", path.read_bytes(), 8)[0] == len(net.parameters())
+
+    def test_layer_fields_are_the_arena_views(self):
+        net = make_net(seed=31)
+        layers = [*net.trunk, net.classifier, *net.detection]
+        assert [a for lay in layers for a in (lay.w, lay.b)] == net.parameters()
+        assert [a for lay in layers for a in (lay.gw, lay.gb)] == net.gradients()
+        assert net.parameter_names()[:2] == ["trunk[0].w", "trunk[0].b"]
+        assert net.parameter_names()[-1] == "detection[2].b"
+
+    def test_clone_and_load_do_not_alias_the_source(self, tmp_path):
+        net = make_net(seed=32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, path)
+        loaded, _ = load_checkpoint(path)
+        for other in (net.clone(), loaded):
+            assert not np.shares_memory(other.flat, net.flat)
+            assert not np.shares_memory(other.grad, net.grad)
+            assert all(p.base is other.flat for p in other.parameters())
+            assert np.array_equal(other.flat, net.flat)
+        before = net.flat.copy()
+        loaded.flat += 1.0
+        net.clone().flat += 1.0
+        assert np.array_equal(net.flat, before)
+
+    def test_combined_gradients_survive_a_later_call(self):
+        net = make_net(seed=33)
+        rng = RngStream(34)
+        labels = np.array([0, 2, 1, 1])
+        targets = derive_codebook(4, 3).targets_for(labels)
+        _, _, _, grads, _ = combined_loss_and_grads(
+            net, rng.normal(size=(4, 5)), labels, targets)
+        kept = [g.copy() for g in grads]
+        combined_loss_and_grads(net, rng.normal(size=(4, 5)), labels, targets)
+        assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
+        assert not any(np.shares_memory(g, net.grad) for g in grads)
+
+    @pytest.mark.parametrize("layers,width,rows", [(1, 6, 1), (2, 6, 7), (3, 64, 128)])
+    def test_backward_is_bitwise_the_per_layer_oracle(self, layers, width, rows):
+        net = make_net(seed=35, width=width, layers=layers, bits=16, classes=10,
+                       input_dim=32)
+        rng = RngStream(36)
+        res = net.forward(rng.normal(size=(rows, 32)))
+        keep = rng.uniform(size=(rows, 1)) < 0.5  # zero rows, as masked updates do
+        dlogits = rng.normal(size=res.logits.shape) * keep
+        d_det = rng.normal(size=res.z.shape) * keep
+        want = backward_per_layer(net, res, dlogits, d_det)
+        got = net.backward(res, dlogits, d_det)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        assert np.array_equal(net.grad, np.concatenate([w.ravel() for w in want]))
 
 
 class TestClassificationLoss:
@@ -244,6 +323,29 @@ class TestSgdStep:
         sgd_step([p], [np.zeros(1)], state, lr=0.1, momentum=0.0,
                  weight_decay=0.01)
         assert abs(p[0] - 9.99) < 1e-12
+
+    def test_flat_arena_step_matches_per_parameter_steps(self):
+        """One step over the flat arenas, in blocks, is bitwise the
+        per-parameter step."""
+        net = make_net(seed=40, width=48)
+        ref = [p.copy() for p in net.parameters()]
+        rng = RngStream(41)
+        net.grad[:] = rng.normal(size=net.grad.size)
+        ref_grads = [g.copy() for g in net.gradients()]
+        flat_state, ref_state = SgdState([net.flat]), SgdState(ref)
+        for _ in range(3):
+            sgd_step([net.flat], [net.grad], flat_state, 0.05, 0.9, 3e-3)
+            sgd_step(ref, ref_grads, ref_state, 0.05, 0.9, 3e-3)
+        for p, r in zip(net.parameters(), ref):
+            assert np.array_equal(p, r)
+
+    def test_blocks_cover_arrays_longer_than_a_block(self, monkeypatch):
+        import noisylab.model as model
+        monkeypatch.setattr(model, "STEP_BLOCK", 3)
+        p = np.arange(8.0)
+        g = np.ones(8)
+        sgd_step([p], [g], SgdState([p]), 0.5, 0.0, 0.0)
+        assert np.array_equal(p, np.arange(8.0) - 0.5)
 
     def test_nonfinite_gradient_refused_without_mutation(self):
         p = np.array([1.0, 2.0])

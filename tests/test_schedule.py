@@ -3,12 +3,14 @@ error-flow accounting, the effect-rate gate, warm-up behavior, reduction
 cases that collapse each strategy onto standard training, and the jump
 schedule's skip/commit bookkeeping."""
 
+import re
+
 import numpy as np
 import pytest
 
 from noisylab.codebook import derive_codebook
 from noisylab.data import NoiseSpec, gen_blobs, inject_noise
-from noisylab.errors import ConfigError, ShapeError
+from noisylab.errors import ConfigError, NumericError, ShapeError
 from noisylab.model import DualHeadNet, TrainConfig
 from noisylab.numeric import RngStream
 from noisylab.schedule import (STRATEGIES, IdentifierTable, ScheduleConfig,
@@ -336,3 +338,64 @@ class TestJumpUpdate:
         for epoch in range(state.train_cfg.epochs):
             stats = run_epoch(state, epoch)
         assert stats.selected_count < noisy.n_samples
+
+
+class TestFinitenessChecks:
+    """A non-finite weight is caught within the iteration that meets it and
+    named in the error, both on an update step and on a skipped batch, and
+    a refused step leaves parameters and velocities untouched."""
+
+    PARAMS = ["trunk[0].w", "trunk[1].b", "classifier.w", "classifier.b",
+              "detection[0].w", "detection[2].b"]
+
+    @staticmethod
+    def plant_nan(net, name):
+        param = net.parameters()[net.parameter_names().index(name)]
+        param.reshape(-1)[0] = np.nan
+
+    @staticmethod
+    def assert_untouched(state, params, velocity, global_iter):
+        assert state.global_iter == global_iter  # raised inside the first iteration
+        for p, q in zip(state.nets[0].parameters(), params):
+            assert np.array_equal(p, q, equal_nan=True)
+        assert np.array_equal(state.opts[0].velocities[0], velocity)
+
+    @pytest.mark.parametrize("name", PARAMS)
+    def test_nan_weight_refuses_the_update_step(self, name):
+        state, _ = make_state("jump_update")
+        run_epoch(state, 0)
+        run_epoch(state, 1)
+        self.plant_nan(state.nets[0], name)
+        params = snapshot(state.nets[0])
+        velocity = state.opts[0].velocities[0].copy()
+        start = state.global_iter
+        with pytest.raises(NumericError, match=rf"parameter {re.escape(name)} is non-finite; step refused"):
+            run_epoch(state, 2)
+        self.assert_untouched(state, params, velocity, start)
+
+    @pytest.mark.parametrize("name", PARAMS)
+    def test_nan_weight_caught_on_a_skipped_batch(self, name):
+        state, _ = make_state("jump_update", jump_step=20)
+        run_epoch(state, 0)
+        run_epoch(state, 1)
+        state.table.active[:] = False
+        self.plant_nan(state.nets[0], name)
+        params = snapshot(state.nets[0])
+        velocity = state.opts[0].velocities[0].copy()
+        start = state.global_iter
+        with pytest.raises(NumericError, match=rf"skipped batch; parameter {re.escape(name)} is non-finite"):
+            run_epoch(state, 2)
+        self.assert_untouched(state, params, velocity, start)
+
+    def test_overflowing_step_names_the_parameter(self):
+        """Finite gradients, but the step itself overflows one entry."""
+        state, _ = make_state("standard")
+        net = state.nets[0]
+        k = net.parameter_names().index("classifier.b")
+        at = sum(p.size for p in net.parameters()[:k])
+        net.flat[at] = 1.79e308
+        state.opts[0].velocities[0][at] = -1e308
+        with pytest.raises(NumericError,
+                           match=r"parameter classifier\.b became non-finite after the step"), \
+                np.errstate(over="ignore"):
+            run_epoch(state, 0)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dump_decisions_rows
 from noisylab.codebook import derive_codebook
 from noisylab.errors import ConfigError, LabelError, NumericError, ShapeError
 from noisylab.model import decompose_bce
@@ -123,6 +124,18 @@ class TestBatchFlags:
             assert bool(flags.classifier[i]) == cls
             assert bool(flags.combined[i]) == combine_identifiers(det, cls)
 
+    def test_given_preds_match_computed_argmax(self):
+        z, targets, probs, labels = self._batch(seed=5)
+        cfg = SelectionConfig(tau=0.05)
+        want = batch_flags(z, targets, probs, labels, cfg)
+        got = batch_flags(z, targets, probs, labels, cfg, np.argmax(probs, axis=1))
+        for field in ("detection", "classifier", "combined", "variance", "bce"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        bad = labels.copy()
+        bad[0] = 99
+        with pytest.raises(LabelError):
+            batch_flags(z, targets, probs, bad, cfg, np.argmax(probs, axis=1))
+
     def test_combined_is_elementwise_or(self):
         z, targets, probs, labels = self._batch(seed=4)
         flags = batch_flags(z, targets, probs, labels, SelectionConfig(tau=0.05))
@@ -218,3 +231,22 @@ def test_dump_decisions_csv_round_trip(tmp_path):
             int(flags.detection[i]), int(flags.classifier[i]),
             int(flags.combined[i])]
         assert int(row[6]) == int(clean[i])
+
+
+@pytest.mark.parametrize("with_truth", [True, False])
+def test_dump_decisions_csv_bytes_match_row_writer(tmp_path, with_truth):
+    rng = np.random.default_rng(8)
+    n = 40
+    flags = BatchFlags(detection=rng.uniform(size=n) < 0.5,
+                       classifier=rng.uniform(size=n) < 0.5,
+                       combined=np.zeros(n, dtype=bool),
+                       variance=rng.uniform(size=n) * 10.0 ** rng.integers(-12, 3, n),
+                       bce=rng.uniform(size=n))
+    flags.combined = flags.detection | flags.classifier
+    flags.variance[:3] = [np.nan, -0.0, 1e-300]
+    clean = rng.uniform(size=n) < 0.6 if with_truth else None
+    idx = rng.permutation(n)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dump_decisions_csv(got, idx, flags, clean)
+    dump_decisions_rows(want, idx, flags, clean)
+    assert got.read_bytes() == want.read_bytes()

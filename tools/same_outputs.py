@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Fingerprint every artifact a set of fixed noisylab runs writes.
+
+    python3 tools/same_outputs.py [--root CHECKOUT] > hashes.txt
+
+Runs, as fresh ``noisylab`` processes with BLAS pinned to one thread:
+
+* ``compare`` over all four strategies on a small blob config, with
+  selection dumps;
+* ``compare`` as an effect-rate sweep of ``jump_update`` on the same config;
+* ``train`` on each of the three benchmark workload configs
+  (``perfbench/run.py``), seed 1, with ``--dump-selection`` where the
+  workload uses it.
+
+It then prints ``sha256  relative/path`` for every file written, sorted by
+path.  Wall-time and memory fields are dropped before hashing: the
+``epoch_wall_ms`` and ``peak_mem_bytes`` columns and keys, and any key or
+column ending in ``_ms``.  Everything else, including ``model.ckpt`` and the
+selection CSVs, is hashed byte for byte.
+
+``--root`` names the source checkout whose ``src/`` is run (default: the
+checkout holding this script).  Running it on two commits and diffing the
+outputs shows whether a change kept the outputs byte-identical.
+"""
+
+import argparse
+import csv
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+REPO = HERE.parent
+
+SMALL = {
+    "dataset": {"kind": "blobs", "classes": 4, "dim": 8, "per_class": 60},
+    "noise": {"kind": "symmetric", "epsilon": 0.4},
+    "train": {"epochs": 8, "warmup_epochs": 2, "hidden_width": 16, "batch_size": 32},
+    "seeds": [3],
+    "dump_selection": True,
+}
+
+RUNS = [
+    ("strategies", "compare",
+     dict(SMALL, strategies=["standard", "self_update", "cross_update", "jump_update"])),
+    ("sweep", "compare",
+     dict(SMALL, schedule={"strategy": "jump_update"}, effect_rates=[0.3, 0.7, 1.0])),
+]
+
+
+def volatile(name: str) -> bool:
+    """Fields that hold wall time or memory and so differ between runs."""
+    return name.endswith("_ms") or name == "peak_mem_bytes"
+
+
+def _strip(obj):
+    if isinstance(obj, dict):
+        return {k: _strip(v) for k, v in obj.items() if not volatile(k)}
+    if isinstance(obj, list):
+        return [_strip(v) for v in obj]
+    return obj
+
+
+def normalized_bytes(path: Path) -> bytes:
+    if path.suffix == ".jsonl":
+        rows = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+        return "".join(json.dumps(_strip(r), sort_keys=True) + "\n" for r in rows).encode()
+    if path.suffix == ".json":
+        return json.dumps(_strip(json.loads(path.read_text())), sort_keys=True).encode()
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        keep = [i for i, name in enumerate(rows[0]) if not volatile(name)] if rows else []
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([[r[i] for i in keep] for r in rows])
+        return out.getvalue().encode()
+    return path.read_bytes()
+
+
+def workload_runs() -> list:
+    spec = importlib.util.spec_from_file_location("perfbench_run", REPO / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return [(name, "train", bench.make_config(name, bench.DEFAULT_SEED), dump)
+            for name, (_, dump) in bench.WORKLOADS.items()]
+
+
+def run_all(root: Path, work: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env.pop("NOISYLAB_OUT_DIR", None)
+    runs = [(name, cmd, cfg, False) for name, cmd, cfg in RUNS] + workload_runs()
+    for name, cmd, cfg, dump in runs:
+        cfg_path = work / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [sys.executable, "-m", "noisylab.cli", cmd, "--config", str(cfg_path),
+                "--out-dir", str(work / name)] + (["--dump-selection"] if dump else [])
+        proc = subprocess.run(argv, env=env, cwd=work, capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.exit(f"{name}: noisylab {cmd} exited {proc.returncode}: {proc.stderr.strip()}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=REPO,
+                        help="source checkout whose src/ is run (default: this one)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        work = Path(tmp)
+        run_all(args.root.resolve(), work)
+        files = sorted(p for p in work.rglob("*") if p.is_file()
+                       and p.parent != work)  # the configs written above are inputs
+        for path in files:
+            digest = hashlib.sha256(normalized_bytes(path)).hexdigest()
+            print(f"{digest}  {path.relative_to(work)}")
+    print(f"{len(files)} files", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
