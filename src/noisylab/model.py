@@ -95,8 +95,8 @@ class TrainConfig:
 class Layer:
     w: np.ndarray  # (fan_in, fan_out)
     b: np.ndarray  # (fan_out,)
-    gw: np.ndarray | None = None  # gradient of w, a view into the net's gradient arena
-    gb: np.ndarray | None = None  # gradient of b, likewise
+    gw: np.ndarray  # gradient of w, a view into the net's gradient arena
+    gb: np.ndarray  # gradient of b, likewise
 
 
 @dataclass
@@ -117,39 +117,41 @@ class ForwardResult:
 class DualHeadNet:
     """Shared relu trunk + linear classifier head + 3-layer tanh detection head.
 
-    The constructor copies the given layers' values into a fresh parameter
-    arena (``flat``) and allocates a zeroed gradient arena (``grad``); every
-    ``Layer`` of the net holds views into both.
+    The constructor builds an all-zero network: one parameter arena
+    (``flat``) and one gradient arena (``grad``), both zeroed, with every
+    ``Layer`` of the net holding views into both.  :meth:`create` then
+    draws the initial weights straight into those views.
     """
 
-    def __init__(self, trunk, classifier, detection, temperature):
-        given = [*trunk, classifier, *detection]
-        self.flat = np.empty(sum(lay.w.size + lay.b.size for lay in given))
+    def __init__(self, input_dim: int, num_classes: int, code_bits: int,
+                 hidden_width: int, hidden_layers: int, temperature: float):
+        widths = [input_dim] + [hidden_width] * hidden_layers
+        shapes = [*zip(widths[:-1], widths[1:]), (hidden_width, num_classes),
+                  (hidden_width, hidden_width), (hidden_width, hidden_width),
+                  (hidden_width, code_bits)]
+        self.flat = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
         self.grad = np.zeros_like(self.flat)
         off = 0
 
-        def carve(value):
+        def carve(shape):
             nonlocal off
-            end = off + value.size
-            view = self.flat[off:end].reshape(value.shape)
-            view[...] = value
-            grad = self.grad[off:end].reshape(value.shape)
+            end = off + math.prod(shape)
+            views = self.flat[off:end].reshape(shape), self.grad[off:end].reshape(shape)
             off = end
-            return view, grad
+            return views
 
         layers = []
-        for lay in given:
-            w, gw = carve(lay.w)
-            b, gb = carve(lay.b)
+        for fan_in, fan_out in shapes:
+            w, gw = carve((fan_in, fan_out))
+            b, gb = carve((fan_out,))
             layers.append(Layer(w, b, gw, gb))
-        n_trunk = len(trunk)
-        self.trunk = layers[:n_trunk]
-        self.classifier = layers[n_trunk]
-        self.detection = layers[n_trunk + 1:]
+        self.trunk = layers[:hidden_layers]
+        self.classifier = layers[hidden_layers]
+        self.detection = layers[hidden_layers + 1:]
         self.temperature = float(temperature)
         self._params = [a for lay in layers for a in (lay.w, lay.b)]
         self._grads = [a for lay in layers for a in (lay.gw, lay.gb)]
-        names = ([f"trunk[{i}]" for i in range(n_trunk)] + ["classifier"]
+        names = ([f"trunk[{i}]" for i in range(hidden_layers)] + ["classifier"]
                  + [f"detection[{i}]" for i in range(len(self.detection))])
         self._names = [f"{name}.{part}" for name in names for part in "wb"]
 
@@ -158,23 +160,15 @@ class DualHeadNet:
                hidden_width: int, hidden_layers: int, temperature: float,
                rng: RngStream) -> "DualHeadNet":
         """Seeded initialization: He-scaled normals for relu layers,
-        Xavier-scaled for tanh/linear layers, zero biases."""
-        def layer(fan_in, fan_out, gain):
-            w = rng.normal(0.0, math.sqrt(gain / fan_in), size=(fan_in, fan_out))
-            return Layer(np.ascontiguousarray(w), np.zeros(fan_out))
-
-        trunk = []
-        width_in = input_dim
-        for _ in range(hidden_layers):
-            trunk.append(layer(width_in, hidden_width, gain=2.0))
-            width_in = hidden_width
-        classifier = layer(hidden_width, num_classes, gain=1.0)
-        detection = [
-            layer(hidden_width, hidden_width, gain=1.0),
-            layer(hidden_width, hidden_width, gain=1.0),
-            layer(hidden_width, code_bits, gain=1.0),
-        ]
-        return cls(trunk, classifier, detection, temperature)
+        Xavier-scaled for tanh/linear layers, zero biases.  Weights are
+        drawn layer by layer in :meth:`parameters` order."""
+        net = cls(input_dim, num_classes, code_bits, hidden_width, hidden_layers,
+                  temperature)
+        for i, lay in enumerate([*net.trunk, net.classifier, *net.detection]):
+            gain = 2.0 if i < hidden_layers else 1.0
+            fan_in = lay.w.shape[0]
+            lay.w[...] = rng.normal(0.0, math.sqrt(gain / fan_in), size=lay.w.shape)
+        return net
 
     @property
     def input_dim(self) -> int:
@@ -221,7 +215,9 @@ class DualHeadNet:
         }
 
     def clone(self) -> "DualHeadNet":
-        return DualHeadNet(self.trunk, self.classifier, self.detection, self.temperature)
+        twin = DualHeadNet(**self.layout())
+        twin.flat[...] = self.flat
+        return twin
 
     def _trunk_forward(self, x, cache=None):
         a = np.asarray(x, dtype=np.float64)
@@ -231,10 +227,11 @@ class DualHeadNet:
             raise ShapeError(f"batch width {a.shape[1]} != trunk input width {self.input_dim}")
         for lay in self.trunk:
             pre = matmul(a, lay.w) + lay.b
+            val, deriv = activation("relu", pre)
             if cache is not None:
                 cache.trunk_inputs.append(a)
-                cache.trunk_derivs.append(pre > 0.0)
-            a = np.maximum(pre, 0.0)
+                cache.trunk_derivs.append(deriv)
+            a = val
         return a
 
     def forward(self, x) -> ForwardResult:
@@ -503,9 +500,8 @@ def load_checkpoint(path):
         arrays.append(arr.astype(np.float64))
         off += 8 * size
     lay = meta["layout"]
-    net = DualHeadNet.create(lay["input_dim"], lay["num_classes"], lay["code_bits"],
-                             lay["hidden_width"], lay["hidden_layers"],
-                             lay["temperature"], RngStream(0))
+    net = DualHeadNet(lay["input_dim"], lay["num_classes"], lay["code_bits"],
+                      lay["hidden_width"], lay["hidden_layers"], lay["temperature"])
     params = net.parameters()
     if len(params) != len(arrays):
         raise DataIOError(f"{path}: shape table has {len(arrays)} arrays, layout needs {len(params)}")

@@ -7,12 +7,14 @@ finiteness (:func:`as_matrix`), and the central-difference oracle used to
 audit every analytic gradient in the model.
 
 :func:`matmul` checks shapes only.  Finiteness of the training arithmetic
-is checked once per step instead of once per product: ``sgd_step`` scans
-the flat gradient before the step and the flat parameters after it, the
-training loop scans the forward outputs of a batch it skips, and
+is checked per batch instead of per product: the training loop scans each
+batch's forward outputs (logits and detection outputs), ``sgd_step`` scans
+the flat gradient before the step and the flat parameters after it, and
 ``DualHeadNet.classify`` scans its logits.  NaN and Inf propagate into
-those arrays, and only when a check fails does the code scan parameter by
-parameter to name the offending layer.
+those arrays with one exception: a trunk pre-activation that overflows to
+-Inf is clamped to 0 by relu, as a large finite negative value would be,
+and is not detected.  Only when a check fails does the code scan parameter
+by parameter to name the offending layer.
 
 Randomness comes from :class:`RngStream`, a thin wrapper over numpy's PCG64
 generator.  PCG64 is a fixed, platform-independent algorithm, so a given
@@ -52,12 +54,13 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 def activation(kind: str, x: np.ndarray):
     """Elementwise activation value and derivative evaluated at ``x``.
 
-    The relu derivative at exactly 0 is defined as 0 (convention).
+    The relu derivative at exactly 0 is defined as 0 (convention); it is
+    returned as a bool mask, which multiplies like the 0/1 floats.
     """
     x = np.asarray(x, dtype=np.float64)
     if kind == "relu":
         value = np.maximum(x, 0.0)
-        deriv = (x > 0.0).astype(np.float64)
+        deriv = x > 0.0
     elif kind == "tanh":
         value = np.tanh(x)
         deriv = 1.0 - value * value

@@ -217,18 +217,21 @@ def _update(state: RunState, which: int, res, labels, targets, mask, lr: float):
     """One masked SGD step on net ``which``; returns (ce, bce, count) or
     None when the mask selects nothing (the batch is skipped).
 
-    The step runs over the net's flat arenas, so finiteness costs one scan
-    of the gradient before it and one of the parameters after it; a skipped
-    batch computes no gradient, so its forward outputs are scanned instead.
-    Only a failing check scans parameter by parameter, to name the layer.
+    Finiteness costs three scans per batch: the forward outputs (logits and
+    detection outputs, small arrays) before a loss or gradient is computed
+    from them, then, inside ``sgd_step``, the net's flat gradient before the step and
+    its flat parameters after it.  Only a failing check scans parameter by
+    parameter, to name the layer.
     """
     net = state.nets[which]
     count = labels.size if mask is None else int(np.count_nonzero(mask))
+    if not (np.all(np.isfinite(res.logits)) and np.all(np.isfinite(res.z))):
+        bad = net.first_nonfinite(net.parameters())
+        cause = f"parameter {bad} is non-finite" if bad else "the forward pass overflowed"
+        where = "a skipped batch" if count == 0 else "a training batch"
+        raise NumericError(f"non-finite forward outputs on {where}; {cause}"
+                           + ("; step refused" if count else ""))
     if count == 0:
-        if not (np.all(np.isfinite(res.logits)) and np.all(np.isfinite(res.z))):
-            bad = net.first_nonfinite(net.parameters())
-            raise NumericError("non-finite forward outputs on a skipped batch"
-                               + (f"; parameter {bad} is non-finite" if bad else ""))
         return None
     ce, bce, _ = losses_and_grads_from_forward(
         net, res, labels, targets, state.train_cfg.bce_weight, mask)
@@ -241,16 +244,12 @@ def _update(state: RunState, which: int, res, labels, targets, mask, lr: float):
 
 
 def _step_failure(net: DualHeadNet) -> str:
-    """Name what made ``sgd_step`` fail.  A non-finite gradient means the
-    step was refused with nothing mutated, and a non-finite parameter, when
-    there is one, is its likely source; otherwise the step itself
-    overflowed a parameter."""
-    param = net.first_nonfinite(net.parameters())
+    """Name what made ``sgd_step`` fail: a non-finite gradient (the step was
+    refused with nothing mutated) or a parameter the step itself overflowed."""
     grad = net.first_nonfinite(net.gradients())
-    if grad is None:
-        return f"parameter {param} became non-finite after the step"
-    cause = f"parameter {param} is non-finite" if param else f"gradient of {grad} is non-finite"
-    return f"{cause}; step refused"
+    if grad is not None:
+        return f"gradient of {grad} is non-finite; step refused"
+    return f"parameter {net.first_nonfinite(net.parameters())} became non-finite after the step"
 
 
 def _gate(state: RunState) -> bool:
@@ -280,7 +279,7 @@ def warmup_epoch(state: RunState, epoch: int) -> EpochStats:
         targets = state.targets[idx]
         res = state.nets[0].forward(x)
         if jump:
-            flags = batch_flags(res.z, targets, res.probs, labels, state.sel_cfg, res.preds)
+            flags = batch_flags(res.z, targets, res.probs, labels, state.sel_cfg)
             state.table.write(idx, flags.combined, state.global_iter)
             if state.trace is not None:
                 state.trace.writes.append((state.global_iter, idx.copy(), flags.combined.copy()))
@@ -463,7 +462,7 @@ def jump_train_epoch(state: RunState, epoch: int) -> EpochStats:
         labels = state.data.noisy_labels[idx]
         targets = state.targets[idx]
         res = state.nets[0].forward(state.data.features[idx])
-        flags = batch_flags(res.z, targets, res.probs, labels, state.sel_cfg, res.preds)
+        flags = batch_flags(res.z, targets, res.probs, labels, state.sel_cfg)
         table.write(idx, flags.combined, state.global_iter)
         variance[idx] = flags.variance
         if details:
@@ -478,7 +477,7 @@ def jump_train_epoch(state: RunState, epoch: int) -> EpochStats:
             prod_at = table.active_produced_at[idx]
             known = prod_at >= 0
             lag_sum += int((state.global_iter - prod_at[known]).sum())
-            lag_count += int(np.count_nonzero(known))
+            lag_count += int(known.sum())
             if state.trace is not None:
                 state.trace.applications.append(
                     (state.global_iter, state.post_iter, idx.copy(), mask.copy(), prod_at.copy()))

@@ -77,29 +77,22 @@ def combine_identifiers(det: bool, cls: bool) -> bool:
 
 
 def batch_flags(z: np.ndarray, targets: np.ndarray, probs: np.ndarray,
-                noisy_labels: np.ndarray, cfg: SelectionConfig,
-                preds: np.ndarray | None = None) -> BatchFlags:
+                noisy_labels: np.ndarray, cfg: SelectionConfig) -> BatchFlags:
     """Vectorized identifiers for a whole batch.
 
     Uses the same per-bit decomposition as the scalar helpers, so any row of
     the result agrees bit-for-bit with calling those helpers on that row.
     Inputs are trusted (z already clamped, targets already 0/1); this runs
     once per training iteration, so it skips the defensive re-validation
-    that :func:`decompose_bce` performs.  ``preds`` is the argmax of
-    ``probs`` when the caller already has it (``ForwardResult.preds``).
+    that :func:`decompose_bce` performs.
     """
     per_bit = np.where(targets == 1.0, z, 1.0 - z)  # (n, K)
     np.log(per_bit, out=per_bit)
     np.negative(per_bit, out=per_bit)
-    k = per_bit.shape[1]
-    # Row sums divided by K: the arithmetic of .mean(axis=1) without its
-    # per-call overhead.
-    mean = per_bit.sum(axis=1)
-    mean /= k
+    mean = per_bit.mean(axis=1)
     per_bit -= mean[:, None]
     np.square(per_bit, out=per_bit)
-    variance = per_bit.sum(axis=1)
-    variance /= k
+    variance = per_bit.mean(axis=1)
     labels = np.asarray(noisy_labels)
     n, c = probs.shape
     if labels.shape != (n,):
@@ -107,7 +100,7 @@ def batch_flags(z: np.ndarray, targets: np.ndarray, probs: np.ndarray,
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise LabelError(f"label out of range [0, {c})")
     det = variance <= cfg.tau
-    cls = (np.argmax(probs, axis=1) if preds is None else preds) == labels
+    cls = np.argmax(probs, axis=1) == labels
     return BatchFlags(detection=det, classifier=cls, combined=det | cls,
                       variance=variance, bce=mean)
 

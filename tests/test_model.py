@@ -141,6 +141,20 @@ class TestParameterArena:
         net.clone().flat += 1.0
         assert np.array_equal(net.flat, before)
 
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_create_draws_each_weight_matrix_in_parameter_order(self, layers):
+        """He-scaled trunk, Xavier-scaled heads, drawn one matrix after
+        another from the stream; biases zero."""
+        net = make_net(seed=37, layers=layers)
+        rng = RngStream(37)
+        for name, p in zip(net.parameter_names(), net.parameters()):
+            if name.endswith(".b"):
+                assert not p.any()
+                continue
+            gain = 2.0 if name.startswith("trunk") else 1.0
+            want = rng.normal(0.0, math.sqrt(gain / p.shape[0]), size=p.shape)
+            assert np.array_equal(p, want), name
+
     def test_combined_gradients_survive_a_later_call(self):
         net = make_net(seed=33)
         rng = RngStream(34)

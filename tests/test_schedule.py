@@ -14,8 +14,8 @@ from noisylab.errors import ConfigError, NumericError, ShapeError
 from noisylab.model import DualHeadNet, TrainConfig
 from noisylab.numeric import RngStream
 from noisylab.schedule import (STRATEGIES, IdentifierTable, ScheduleConfig,
-                               _gate, build_run_state, commit_pending,
-                               error_flow, run_epoch)
+                               _gate, _step_failure, build_run_state,
+                               commit_pending, error_flow, run_epoch)
 from noisylab.selection import SelectionConfig
 
 
@@ -386,6 +386,27 @@ class TestFinitenessChecks:
         with pytest.raises(NumericError, match=rf"skipped batch; parameter {re.escape(name)} is non-finite"):
             run_epoch(state, 2)
         self.assert_untouched(state, params, velocity, start)
+
+    def test_overflowing_forward_pass_refuses_the_step(self):
+        """Finite parameters whose logits overflow: the batch is refused
+        before a loss or a gradient is computed from them."""
+        state, _ = make_state("standard")
+        net = state.nets[0]
+        net.classifier.b[0] = 1.79e308
+        net.classifier.w[:, 0] = 1e308
+        params = snapshot(net)
+        velocity = state.opts[0].velocities[0].copy()
+        with pytest.raises(NumericError, match=r"non-finite forward outputs on a training "
+                                               r"batch; the forward pass overflowed; step refused"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_epoch(state, 0)
+        self.assert_untouched(state, params, velocity, 0)
+
+    def test_nonfinite_gradient_is_named(self):
+        state, _ = make_state("standard")
+        net = state.nets[0]
+        net.gradients()[net.parameter_names().index("detection[1].w")][2, 3] = np.inf
+        assert _step_failure(net) == "gradient of detection[1].w is non-finite; step refused"
 
     def test_overflowing_step_names_the_parameter(self):
         """Finite gradients, but the step itself overflows one entry."""

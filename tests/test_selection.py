@@ -124,18 +124,6 @@ class TestBatchFlags:
             assert bool(flags.classifier[i]) == cls
             assert bool(flags.combined[i]) == combine_identifiers(det, cls)
 
-    def test_given_preds_match_computed_argmax(self):
-        z, targets, probs, labels = self._batch(seed=5)
-        cfg = SelectionConfig(tau=0.05)
-        want = batch_flags(z, targets, probs, labels, cfg)
-        got = batch_flags(z, targets, probs, labels, cfg, np.argmax(probs, axis=1))
-        for field in ("detection", "classifier", "combined", "variance", "bce"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
-        bad = labels.copy()
-        bad[0] = 99
-        with pytest.raises(LabelError):
-            batch_flags(z, targets, probs, bad, cfg, np.argmax(probs, axis=1))
-
     def test_combined_is_elementwise_or(self):
         z, targets, probs, labels = self._batch(seed=4)
         flags = batch_flags(z, targets, probs, labels, SelectionConfig(tau=0.05))
