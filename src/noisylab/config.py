@@ -46,7 +46,7 @@ class DatasetConfig:
     kind: str = "blobs"
     classes: int | None = 10
     dim: int = 32
-    per_class: int = 250
+    per_class: int = 500
     spread: float = 1.0
     center_scale: float = 1.0
     train_path: str | None = None

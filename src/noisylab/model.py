@@ -65,7 +65,6 @@ class TrainConfig:
     hidden_layers: int = 2
     code_bits: int | None = None
     bce_weight: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.lr_min <= self.lr0):

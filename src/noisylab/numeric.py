@@ -2,9 +2,9 @@
 
 Matrices throughout the package are plain 2-D C-contiguous numpy arrays of
 64-bit floats (row-major).  numpy supplies the storage and the BLAS-backed
-product; this module owns the contracts: shape validation, input
-finiteness (:func:`as_matrix`), and the central-difference oracle used to
-audit every analytic gradient in the model.
+product; this module owns the contracts: shape validation and the
+central-difference oracle used to audit every analytic gradient in the
+model.
 
 :func:`matmul` checks shapes only.  Finiteness of the training arithmetic
 is checked per batch instead of per product: the training loop scans each
@@ -26,17 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 
-ACTIVATION_KINDS = ("relu", "tanh", "sigmoid")
-
-
-def as_matrix(data, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D C-contiguous float64 array, validating finiteness."""
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name}: expected 2 dimensions, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{name}: contains non-finite entries")
-    return arr
+ACTIVATION_KINDS = ("relu", "tanh")
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -64,9 +54,6 @@ def activation(kind: str, x: np.ndarray):
     elif kind == "tanh":
         value = np.tanh(x)
         deriv = 1.0 - value * value
-    elif kind == "sigmoid":
-        value = 1.0 / (1.0 + np.exp(-x))
-        deriv = value * (1.0 - value)
     else:
         raise ConfigError(f"unknown activation kind {kind!r} (choose from {ACTIVATION_KINDS})")
     return value, deriv

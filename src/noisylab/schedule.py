@@ -1,5 +1,8 @@
 """Training-loop strategies: plain SGD, small-loss self/cross updates, and
-the double-buffered jump-update schedule.
+the double-buffered jump-update schedule, all run by one epoch loop,
+:func:`run_epoch`.  The strategies differ only in where a net's mask comes
+from and when it takes effect: standard has none, self uses its own
+small-loss pick, cross the peer net's pick, jump the active buffer below.
 
 The jump schedule keeps two boolean buffers over the whole training set.
 Each iteration (1) writes freshly produced clean flags for its batch into
@@ -9,10 +12,12 @@ therefore takes effect at least one full commit window after it was
 produced: the network state that produced it is an ancestor, in update
 steps, of the state that consumes it, never a peer from the same window.
 
-All strategies share an effect-rate gate r in (0, 1]: one Bernoulli draw
-per iteration decides whether the selection mask is applied or the update
-falls back to the full batch.  Lower r throttles how often selection
-errors feed back into training.  r = 1 always applies the mask.
+The selecting strategies share an effect-rate gate r in (0, 1]: one
+Bernoulli draw per post-warm-up iteration decides whether the mask is
+applied or the update falls back to the full batch (one draw covers both
+cross nets).  Lower r throttles how often selection errors feed back into
+training.  r = 1 always applies the mask.  Warm-up and standard training
+draw nothing from the gate stream.
 
 Every strategy trains both heads with the combined objective, so wall-time
 differences between strategies come from scheduling alone, not from model
@@ -87,11 +92,6 @@ class IdentifierTable:
         self.active = self.pending.copy()
         self.active_produced_at = self.produced_at.copy()
         self.commit_count += 1
-
-
-def commit_pending(table: IdentifierTable) -> IdentifierTable:
-    table.commit()
-    return table
 
 
 @dataclass
@@ -186,8 +186,9 @@ def build_run_state(data: NoisyDataset, targets: np.ndarray, nets: list,
                     gate_rng: RngStream, trace: bool = False,
                     collect_details: bool = False) -> RunState:
     n = data.n_samples
-    if sched_cfg.strategy == "cross_update" and len(nets) < 2:
-        raise ConfigError("cross_update needs two networks")
+    need = 2 if sched_cfg.strategy == "cross_update" else 1
+    if len(nets) != need:
+        raise ConfigError(f"{sched_cfg.strategy} needs {need} network(s), got {len(nets)}")
     iters_per_epoch = math.ceil(n / train_cfg.batch_size)
     jump_step = sched_cfg.jump_step if sched_cfg.jump_step is not None else max(2, iters_per_epoch)
     total_train_iters = (train_cfg.epochs - train_cfg.warmup_epochs) * iters_per_epoch
@@ -253,278 +254,110 @@ def _step_failure(net: DualHeadNet) -> str:
 
 
 def _gate(state: RunState) -> bool:
-    return bool(state.gate_rng.uniform() < state.sched_cfg.effect_rate)
+    # generator.random() is the uniform(0, 1) draw minus numpy's argument
+    # handling: the same double from the same single step of the stream.
+    return state.gate_rng.generator.random() < state.sched_cfg.effect_rate
 
 
-def warmup_epoch(state: RunState, epoch: int) -> EpochStats:
-    """Full-batch training for every strategy; the jump table only buffers
-    pending identifiers (no commits), so the active table stays all-True."""
+def run_epoch(state: RunState, epoch: int) -> EpochStats:
+    """One epoch of any strategy, warm-up included.
+
+    Each batch is forwarded once through every net.  The strategy then
+    produces its flags: jump writes ``batch_flags`` into the pending
+    buffer, self and cross take a small-loss pick per net, standard flags
+    every row.  After warm-up, every strategy but standard draws the gate;
+    when it is on, self trains on its own pick, cross on the peer's and
+    jump on the active buffer, otherwise each net trains on the full batch.
+    Jump commits pending over active whenever the post-warm-up iteration
+    count reaches a multiple of ``jump_step``.  Warm-up draws no gate and
+    never commits, and its ``trained_samples`` counts net A's rows only.
+    """
     t0 = time.perf_counter()
     cfg = state.train_cfg
     lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.lr_min)
     n = state.data.n_samples
-    produced = np.ones(n, dtype=bool)
-    produced_peer = np.ones(n, dtype=bool) if state.strategy == "cross_update" else None
+    warm = epoch < cfg.warmup_epochs
     jump = state.strategy == "jump_update"
+    gating = not warm and state.strategy != "standard"
+    table, trace = state.table, state.trace
+    # One flag buffer per net; the batches cover every sample once.
+    produced = [np.ones(n, dtype=bool) for _ in state.nets]
     details = jump and state.collect_details
     variance = np.full(n, np.nan) if jump else None
     det = np.zeros(n, dtype=bool) if details else None
     cls = np.zeros(n, dtype=bool) if details else None
     bce_per = np.full(n, np.nan) if details else None
+    lag_sum = lag_count = 0
     ce_sum = bce_sum = 0.0
-    updates = trained = iterations = 0
+    updates = trained = iterations = skipped = gate_on = 0
     for idx in _batches(state):
         x = state.data.features[idx]
         labels = state.data.noisy_labels[idx]
         targets = state.targets[idx]
-        res = state.nets[0].forward(x)
+        results = [net.forward(x) for net in state.nets]
         if jump:
-            flags = batch_flags(res.z, targets, res.probs, labels, state.sel_cfg)
-            state.table.write(idx, flags.combined, state.global_iter)
-            if state.trace is not None:
-                state.trace.writes.append((state.global_iter, idx.copy(), flags.combined.copy()))
-            produced[idx] = flags.combined
+            flags = batch_flags(results[0].z, targets, results[0].probs, labels, state.sel_cfg)
+            table.write(idx, flags.combined, state.global_iter)
+            if trace is not None:
+                trace.writes.append((state.global_iter, idx.copy(), flags.combined.copy()))
+            produced[0][idx] = flags.combined
             variance[idx] = flags.variance
             if details:
                 det[idx] = flags.detection
                 cls[idx] = flags.classifier
                 bce_per[idx] = flags.bce
         elif state.strategy in ("self_update", "cross_update"):
-            losses = per_sample_cross_entropy(res.probs, labels)
-            produced[idx] = small_loss_select(losses, state.sel_cfg.small_loss_keep_ratio)
-        out = _update(state, 0, res, labels, targets, None, lr)
-        ce_sum += out[0]
-        bce_sum += out[1]
-        trained += out[2]
-        updates += 1
-        if state.strategy == "cross_update":
-            res_b = state.nets[1].forward(x)
-            losses_b = per_sample_cross_entropy(res_b.probs, labels)
-            produced_peer[idx] = small_loss_select(losses_b, state.sel_cfg.small_loss_keep_ratio)
-            out_b = _update(state, 1, res_b, labels, targets, None, lr)
-            ce_sum += out_b[0]
-            bce_sum += out_b[1]
-            updates += 1
-        state.global_iter += 1
-        iterations += 1
-    wall = (time.perf_counter() - t0) * 1000.0
-    return EpochStats(epoch=epoch, phase="warmup", strategy=state.strategy, lr=lr,
-                      iterations=iterations, trained_samples=trained,
-                      selected_count=int(produced.sum()), skipped_batches=0,
-                      gate_on=0,
-                      commit_count=state.table.commit_count if state.table else 0,
-                      mean_lag=None, ce_loss=ce_sum / max(updates, 1),
-                      bce_loss=bce_sum / max(updates, 1), wall_ms=wall,
-                      produced_flags=produced, produced_flags_peer=produced_peer,
-                      produced_variance=variance, produced_det=det,
-                      produced_cls=cls, produced_bce=bce_per)
-
-
-def _standard_epoch(state: RunState, epoch: int) -> EpochStats:
-    t0 = time.perf_counter()
-    cfg = state.train_cfg
-    lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.lr_min)
-    n = state.data.n_samples
-    ce_sum = bce_sum = 0.0
-    updates = trained = iterations = 0
-    for idx in _batches(state):
-        res = state.nets[0].forward(state.data.features[idx])
-        out = _update(state, 0, res, state.data.noisy_labels[idx], state.targets[idx],
-                      None, lr)
-        ce_sum += out[0]
-        bce_sum += out[1]
-        trained += out[2]
-        updates += 1
-        state.global_iter += 1
-        state.post_iter += 1
-        iterations += 1
-    wall = (time.perf_counter() - t0) * 1000.0
-    return EpochStats(epoch=epoch, phase="train", strategy=state.strategy, lr=lr,
-                      iterations=iterations, trained_samples=trained,
-                      selected_count=n, skipped_batches=0, gate_on=0,
-                      commit_count=0, mean_lag=None,
-                      ce_loss=ce_sum / max(updates, 1),
-                      bce_loss=bce_sum / max(updates, 1), wall_ms=wall,
-                      produced_flags=np.ones(n, dtype=bool))
-
-
-def _self_epoch(state: RunState, epoch: int) -> EpochStats:
-    t0 = time.perf_counter()
-    cfg = state.train_cfg
-    lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.lr_min)
-    n = state.data.n_samples
-    produced = np.zeros(n, dtype=bool)
-    ce_sum = bce_sum = 0.0
-    updates = trained = iterations = skipped = gate_on = 0
-    for idx in _batches(state):
-        labels = state.data.noisy_labels[idx]
-        res = state.nets[0].forward(state.data.features[idx])
-        losses = per_sample_cross_entropy(res.probs, labels)
-        sel = small_loss_select(losses, state.sel_cfg.small_loss_keep_ratio)
-        produced[idx] = sel
-        gated = _gate(state)
-        out = _update(state, 0, res, labels, state.targets[idx], sel if gated else None, lr)
-        if out is None:
-            skipped += 1
-        else:
-            ce_sum += out[0]
-            bce_sum += out[1]
-            trained += out[2]
-            updates += 1
-        if gated:
-            gate_on += 1
-            state.accumulation_events += 1
-        state.global_iter += 1
-        state.post_iter += 1
-        iterations += 1
-    wall = (time.perf_counter() - t0) * 1000.0
-    return EpochStats(epoch=epoch, phase="train", strategy=state.strategy, lr=lr,
-                      iterations=iterations, trained_samples=trained,
-                      selected_count=int(produced.sum()), skipped_batches=skipped,
-                      gate_on=gate_on, commit_count=0, mean_lag=None,
-                      ce_loss=ce_sum / max(updates, 1),
-                      bce_loss=bce_sum / max(updates, 1), wall_ms=wall,
-                      produced_flags=produced)
-
-
-def _cross_epoch(state: RunState, epoch: int) -> EpochStats:
-    """Each net trains on the peer's small-loss picks; one gate draw covers
-    both updates so the pair stays synchronized."""
-    t0 = time.perf_counter()
-    cfg = state.train_cfg
-    lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.lr_min)
-    n = state.data.n_samples
-    produced = np.zeros(n, dtype=bool)
-    produced_peer = np.zeros(n, dtype=bool)
-    ce_sum = bce_sum = 0.0
-    updates = trained = iterations = skipped = gate_on = 0
-    for idx in _batches(state):
-        x = state.data.features[idx]
-        labels = state.data.noisy_labels[idx]
-        targets = state.targets[idx]
-        res_a = state.nets[0].forward(x)
-        res_b = state.nets[1].forward(x)
-        sel_a = small_loss_select(per_sample_cross_entropy(res_a.probs, labels),
-                                  state.sel_cfg.small_loss_keep_ratio)
-        sel_b = small_loss_select(per_sample_cross_entropy(res_b.probs, labels),
-                                  state.sel_cfg.small_loss_keep_ratio)
-        produced[idx] = sel_a
-        produced_peer[idx] = sel_b
-        gated = _gate(state)
-        for which, res, mask in ((0, res_a, sel_b), (1, res_b, sel_a)):
-            out = _update(state, which, res, labels, targets, mask if gated else None, lr)
-            if out is None:
-                skipped += 1
-            else:
-                ce_sum += out[0]
-                bce_sum += out[1]
-                trained += out[2]
-                updates += 1
-        if gated:
-            gate_on += 1
-            state.accumulation_events += 1
-        state.global_iter += 1
-        state.post_iter += 1
-        iterations += 1
-    wall = (time.perf_counter() - t0) * 1000.0
-    return EpochStats(epoch=epoch, phase="train", strategy=state.strategy, lr=lr,
-                      iterations=iterations, trained_samples=trained,
-                      selected_count=int(produced.sum()), skipped_batches=skipped,
-                      gate_on=gate_on, commit_count=0, mean_lag=None,
-                      ce_loss=ce_sum / max(updates, 1),
-                      bce_loss=bce_sum / max(updates, 1), wall_ms=wall,
-                      produced_flags=produced, produced_flags_peer=produced_peer)
-
-
-def jump_train_epoch(state: RunState, epoch: int) -> EpochStats:
-    """One epoch of the three-step jump schedule.
-
-    Per iteration: write fresh identifiers to pending, train on the active
-    flags (one forward pass per batch, reused for both the identifiers and
-    the update), then commit pending over active when the post-warmup
-    iteration count hits a multiple of the jump step.
-    """
-    t0 = time.perf_counter()
-    cfg = state.train_cfg
-    lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.lr_min)
-    n = state.data.n_samples
-    table = state.table
-    details = state.collect_details
-    variance = np.full(n, np.nan)
-    det = np.zeros(n, dtype=bool) if details else None
-    cls = np.zeros(n, dtype=bool) if details else None
-    bce_per = np.full(n, np.nan) if details else None
-    lag_sum = 0
-    lag_count = 0
-    ce_sum = bce_sum = 0.0
-    updates = trained = iterations = skipped = gate_on = 0
-    for idx in _batches(state):
-        labels = state.data.noisy_labels[idx]
-        targets = state.targets[idx]
-        res = state.nets[0].forward(state.data.features[idx])
-        flags = batch_flags(res.z, targets, res.probs, labels, state.sel_cfg)
-        table.write(idx, flags.combined, state.global_iter)
-        variance[idx] = flags.variance
-        if details:
-            det[idx] = flags.detection
-            cls[idx] = flags.classifier
-            bce_per[idx] = flags.bce
-        if state.trace is not None:
-            state.trace.writes.append((state.global_iter, idx.copy(), flags.combined.copy()))
-        gated = _gate(state)
-        if gated:
-            mask = table.active[idx]  # fancy indexing copies
+            picks = [small_loss_select(per_sample_cross_entropy(res.probs, labels),
+                                       state.sel_cfg.small_loss_keep_ratio)
+                     for res in results]
+            for buf, pick in zip(produced, picks):
+                buf[idx] = pick
+        gated = gating and _gate(state)
+        masks = [None] * len(results)
+        if gated and jump:
+            masks = [table.active[idx]]  # fancy indexing copies
             prod_at = table.active_produced_at[idx]
             known = prod_at >= 0
-            lag_sum += int((state.global_iter - prod_at[known]).sum())
-            lag_count += int(known.sum())
-            if state.trace is not None:
-                state.trace.applications.append(
-                    (state.global_iter, state.post_iter, idx.copy(), mask.copy(), prod_at.copy()))
-        else:
-            mask = None
-        out = _update(state, 0, res, labels, targets, mask, lr)
-        if out is None:
-            skipped += 1
-        else:
+            n_known = int(np.count_nonzero(known))
+            lag_sum += n_known * state.global_iter - int(prod_at[known].sum())
+            lag_count += n_known
+            if trace is not None:
+                trace.applications.append((state.global_iter, state.post_iter, idx.copy(),
+                                           masks[0].copy(), prod_at.copy()))
+        elif gated:
+            masks = picks[::-1]  # self: its own pick; cross: the peer's
+        for which, (res, mask) in enumerate(zip(results, masks)):
+            out = _update(state, which, res, labels, targets, mask, lr)
+            if out is None:
+                skipped += 1
+                continue
             ce_sum += out[0]
             bce_sum += out[1]
-            trained += out[2]
             updates += 1
+            if not (warm and which):
+                trained += out[2]
         if gated:
             gate_on += 1
             state.accumulation_events += 1
-        state.post_iter += 1
-        if state.post_iter % state.jump_step == 0:
-            table.commit()
-            if state.trace is not None:
-                state.trace.commits.append((state.global_iter, state.post_iter,
-                                            table.active.copy(),
-                                            table.active_produced_at.copy()))
+        if not warm:
+            state.post_iter += 1
+            if jump and state.post_iter % state.jump_step == 0:
+                table.commit()
+                if trace is not None:
+                    trace.commits.append((state.global_iter, state.post_iter,
+                                          table.active.copy(), table.active_produced_at.copy()))
         state.global_iter += 1
         iterations += 1
-    # Every sample is written exactly once per epoch, so the pending buffer
-    # now holds this epoch's produced flags.
-    produced = table.pending.copy()
     wall = (time.perf_counter() - t0) * 1000.0
-    return EpochStats(epoch=epoch, phase="train", strategy=state.strategy, lr=lr,
-                      iterations=iterations, trained_samples=trained,
-                      selected_count=int(produced.sum()), skipped_batches=skipped,
-                      gate_on=gate_on, commit_count=table.commit_count,
+    return EpochStats(epoch=epoch, phase="warmup" if warm else "train",
+                      strategy=state.strategy, lr=lr, iterations=iterations,
+                      trained_samples=trained, selected_count=int(produced[0].sum()),
+                      skipped_batches=skipped, gate_on=gate_on,
+                      commit_count=table.commit_count if table else 0,
                       mean_lag=lag_sum / lag_count if lag_count else None,
                       ce_loss=ce_sum / max(updates, 1),
                       bce_loss=bce_sum / max(updates, 1), wall_ms=wall,
-                      produced_flags=produced, produced_variance=variance,
-                      produced_det=det, produced_cls=cls, produced_bce=bce_per)
-
-
-def run_epoch(state: RunState, epoch: int) -> EpochStats:
-    if epoch < state.train_cfg.warmup_epochs:
-        return warmup_epoch(state, epoch)
-    if state.strategy == "standard":
-        return _standard_epoch(state, epoch)
-    if state.strategy == "self_update":
-        return _self_epoch(state, epoch)
-    if state.strategy == "cross_update":
-        return _cross_epoch(state, epoch)
-    return jump_train_epoch(state, epoch)
+                      produced_flags=produced[0],
+                      produced_flags_peer=produced[1] if len(produced) > 1 else None,
+                      produced_variance=variance, produced_det=det,
+                      produced_cls=cls, produced_bce=bce_per)

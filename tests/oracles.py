@@ -6,6 +6,8 @@ implements in place or in bulk; the package must match it bit for bit.
 
 import csv
 
+import numpy as np
+
 
 def backward_per_layer(net, res, dlogits, d_det_pre) -> list:
     """Layer-by-layer backward pass returning a fresh array per gradient,
@@ -37,6 +39,15 @@ def backward_per_layer(net, res, dlogits, d_det_pre) -> list:
     for gw, gb in trunk_grads + [(gw_c, gb_c)] + det_grads:
         grads.extend((gw, gb))
     return grads
+
+
+def batch_variance_and_bce(z, targets):
+    """Per-row population variance and mean of the per-bit BCE terms, in
+    the textbook order: the terms, their row mean, the squared deviations,
+    their row mean."""
+    per_bit = -np.log(np.where(targets == 1.0, z, 1.0 - z))
+    mean = per_bit.mean(axis=1)
+    return ((per_bit - mean[:, None]) ** 2).mean(axis=1), mean
 
 
 def dump_decisions_rows(path, sample_indices, flags, clean_mask=None) -> None:

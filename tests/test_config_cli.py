@@ -112,6 +112,16 @@ class TestConfigHash:
         assert config_hash(parse_config({})) != config_hash(
             parse_config({"noise": {"epsilon": 0.2}}))
 
+    def test_pinned_hashes(self):
+        """Run directories are named by these hashes, so a change to
+        defaults or to the canonical dict must not move them."""
+        assert config_hash(parse_config({})) == "99fcb40c6406"
+        csv_asym = {"dataset": {"kind": "csv", "train_path": "a.csv",
+                                "test_path": "b.csv", "classes": None},
+                    "noise": {"kind": "asymmetric", "epsilon": 0.2,
+                              "class_map": {"1": 0, "0": 1}}}
+        assert config_hash(parse_config(csv_asym)) == "eb4416babaeb"
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):

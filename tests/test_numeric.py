@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from noisylab.errors import ConfigError, NumericError, ShapeError
-from noisylab.numeric import (RngStream, activation, as_matrix,
-                              finite_difference_check, matmul,
-                              softmax_with_temperature)
+from noisylab.numeric import (RngStream, activation, finite_difference_check,
+                              matmul, softmax_with_temperature)
 
 
 def naive_matmul(a, b):
@@ -76,16 +75,11 @@ class TestActivation:
         assert value[0, 0] == 0.0
         assert deriv[0, 0] == 1.0
 
-    def test_sigmoid_at_zero(self):
-        value, deriv = activation("sigmoid", np.array([[0.0]]))
-        assert value[0, 0] == 0.5
-        assert deriv[0, 0] == 0.25
-
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             activation("swish", np.zeros((1, 1)))
 
-    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("kind", ["relu", "tanh"])
     def test_derivative_matches_finite_differences(self, kind):
         """Central differences of the value match the returned derivative
         within 1e-6 at 1000 random points (relu points pushed off 0)."""
@@ -206,17 +200,3 @@ class TestRngStream:
     def test_permutation_reproducible(self):
         assert np.array_equal(RngStream(1).permutation(50),
                               RngStream(1).permutation(50))
-
-
-class TestAsMatrix:
-    def test_accepts_lists(self):
-        m = as_matrix([[1, 2], [3, 4]])
-        assert m.dtype == np.float64 and m.flags["C_CONTIGUOUS"]
-
-    def test_rejects_nan(self):
-        with pytest.raises(NumericError):
-            as_matrix([[1.0, float("nan")]])
-
-    def test_rejects_1d(self):
-        with pytest.raises(ShapeError):
-            as_matrix([1.0, 2.0])

@@ -15,7 +15,7 @@ from noisylab.model import DualHeadNet, TrainConfig
 from noisylab.numeric import RngStream
 from noisylab.schedule import (STRATEGIES, IdentifierTable, ScheduleConfig,
                                _gate, _step_failure, build_run_state,
-                               commit_pending, error_flow, run_epoch)
+                               error_flow, run_epoch)
 from noisylab.selection import SelectionConfig
 
 
@@ -86,7 +86,7 @@ class TestIdentifierTable:
     def test_commit_copies_pending(self):
         t = IdentifierTable(3, 2)
         t.write(np.arange(3), np.zeros(3, dtype=bool), iteration=1)
-        commit_pending(t)
+        t.commit()
         assert not t.active.any()
         assert np.all(t.active_produced_at == 1)
         assert t.commit_count == 1
@@ -171,6 +171,28 @@ class TestGate:
         b, _ = make_state("self_update", effect_rate=0.3, seed=9)
         assert [_gate(a) for _ in range(50)] == [_gate(b) for _ in range(50)]
 
+    @pytest.mark.parametrize("strategy", ["self_update", "cross_update", "jump_update"])
+    def test_one_draw_per_post_warmup_iteration(self, strategy):
+        """Each post-warm-up epoch's gate_on equals the hits of a fresh gate
+        stream drawn once per iteration (one draw covers both cross nets);
+        warm-up draws nothing, so the two streams end at the same position."""
+        state, _ = make_state(strategy, effect_rate=0.5, seed=5)
+        oracle = RngStream(5).child(5)
+        for epoch in range(state.train_cfg.epochs):
+            stats = run_epoch(state, epoch)
+            expected = 0 if epoch < state.train_cfg.warmup_epochs else sum(
+                oracle.uniform() < 0.5 for _ in range(state.iters_per_epoch))
+            assert stats.gate_on == expected
+        assert state.gate_rng.generator.bit_generator.state == \
+            oracle.generator.bit_generator.state
+
+    def test_standard_never_draws(self):
+        state, _ = make_state("standard", effect_rate=0.5, seed=5)
+        for epoch in range(state.train_cfg.epochs):
+            assert run_epoch(state, epoch).gate_on == 0
+        assert state.gate_rng.generator.bit_generator.state == \
+            RngStream(5).child(5).generator.bit_generator.state
+
 
 class TestBuildRunState:
     def test_default_jump_step_is_iterations_per_epoch(self):
@@ -190,10 +212,12 @@ class TestBuildRunState:
         cb = derive_codebook(16, 3)
         tc = TrainConfig(epochs=4, warmup_epochs=1, batch_size=16, hidden_width=8)
         net = DualHeadNet.create(4, 3, 16, 8, 2, 2.0, RngStream(1).child(2))
-        with pytest.raises(ConfigError):
-            build_run_state(train, cb.targets_for(train.noisy_labels), [net],
-                            tc, SelectionConfig(), ScheduleConfig(strategy="cross_update"),
-                            RngStream(1).child(4), RngStream(1).child(5))
+        # run_epoch trains every net it is given, so the count must match
+        for strategy, nets in (("cross_update", [net]), ("self_update", [net, net.clone()])):
+            with pytest.raises(ConfigError, match="network"):
+                build_run_state(train, cb.targets_for(train.noisy_labels), nets,
+                                tc, SelectionConfig(), ScheduleConfig(strategy=strategy),
+                                RngStream(1).child(4), RngStream(1).child(5))
 
     def test_targets_must_cover_dataset(self):
         state, noisy = make_state("standard")

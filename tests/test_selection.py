@@ -8,10 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dump_decisions_rows
+from oracles import batch_variance_and_bce, dump_decisions_rows
 from noisylab.codebook import derive_codebook
 from noisylab.errors import ConfigError, LabelError, NumericError, ShapeError
-from noisylab.model import decompose_bce
+from noisylab.model import Z_CLAMP, decompose_bce
 from noisylab.selection import (BatchFlags, SelectionConfig, auto_keep_ratio,
                                 batch_flags, classifier_identifier,
                                 combine_identifiers, detection_identifier,
@@ -123,6 +123,26 @@ class TestBatchFlags:
             assert bool(flags.detection[i]) == det
             assert bool(flags.classifier[i]) == cls
             assert bool(flags.combined[i]) == combine_identifiers(det, cls)
+
+    @pytest.mark.parametrize("bits", [2, 7, 16, 33, 128])
+    def test_variance_and_bce_bitwise_equal_oracle(self, bits):
+        rng = np.random.default_rng(bits)
+        n, classes = 64, 5
+        z = rng.uniform(Z_CLAMP, 1.0 - Z_CLAMP, size=(n, bits))
+        # Constant rows at both clamp boundaries and at 1/2, and a row
+        # alternating between the boundaries.
+        z[0] = Z_CLAMP
+        z[1] = 1.0 - Z_CLAMP
+        z[2] = 0.5
+        z[3, ::2] = Z_CLAMP
+        z[3, 1::2] = 1.0 - Z_CLAMP
+        targets = rng.integers(0, 2, size=(n, bits)).astype(np.float64)
+        probs = rng.dirichlet(np.ones(classes), size=n)
+        labels = rng.integers(0, classes, size=n)
+        flags = batch_flags(z, targets, probs, labels, SelectionConfig())
+        variance, bce = batch_variance_and_bce(z, targets)
+        assert flags.variance.tobytes() == variance.tobytes()
+        assert flags.bce.tobytes() == bce.tobytes()
 
     def test_combined_is_elementwise_or(self):
         z, targets, probs, labels = self._batch(seed=4)

@@ -7,7 +7,10 @@ Runs, as fresh ``noisylab`` processes with BLAS pinned to one thread:
 
 * ``compare`` over all four strategies on a small blob config, with
   selection dumps;
-* ``compare`` as an effect-rate sweep of ``jump_update`` on the same config;
+* ``compare`` as effect-rate sweeps of ``jump_update``, ``self_update`` and
+  ``cross_update`` on the same config, so batches with the gate off are
+  covered;
+* ``compare`` over all four strategies with ``warmup_epochs: 0``;
 * ``train`` on each of the three benchmark workload configs
   (``perfbench/run.py``), seed 1, with ``--dump-selection`` where the
   workload uses it.
@@ -51,6 +54,13 @@ RUNS = [
      dict(SMALL, strategies=["standard", "self_update", "cross_update", "jump_update"])),
     ("sweep", "compare",
      dict(SMALL, schedule={"strategy": "jump_update"}, effect_rates=[0.3, 0.7, 1.0])),
+    ("sweep_self", "compare",
+     dict(SMALL, schedule={"strategy": "self_update"}, effect_rates=[0.3, 0.7])),
+    ("sweep_cross", "compare",
+     dict(SMALL, schedule={"strategy": "cross_update"}, effect_rates=[0.3, 0.7])),
+    ("no_warmup", "compare",
+     dict(SMALL, train=dict(SMALL["train"], warmup_epochs=0),
+          strategies=["standard", "self_update", "cross_update", "jump_update"])),
 ]
 
 
