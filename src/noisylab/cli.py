@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import default_code_bits, derive_codebook, save_codebook_csv
-from .config import load_config
+from .config import from_json, load_config
 from .data import NoiseSpec, gen_blobs, inject_noise, load_csv, make_instance_weights, save_csv
 from .errors import ConfigError, DataIOError, NumericError
 from .experiment import compare_strategies, run_experiment
@@ -52,9 +52,9 @@ def _cmd_inject(args) -> int:
     if args.class_map:
         try:
             raw = json.loads(args.class_map)
-            class_map = {int(k): int(v) for k, v in raw.items()}
-        except (json.JSONDecodeError, TypeError, ValueError, AttributeError):
+        except json.JSONDecodeError:
             raise ConfigError(f"--class-map must be a JSON object of int->int, got {args.class_map!r}") from None
+        class_map = from_json(raw, dict[int, int], "--class-map")
     weights = None
     if args.kind == "instance":
         weights = make_instance_weights(ds.features.shape[1], ds.num_classes,
@@ -114,15 +114,19 @@ def _cmd_report(args) -> int:
         if not rows:
             print(f"report: {path.parent.name}: empty")
             continue
-        accs = [r["test_acc"] for r in rows]
-        label = f"{rows[-1]['strategy']} ({path.parent.name})"
-        line = (f"report: {label:<40} epochs {len(rows)} "
-                f"final_acc {accs[-1]:.4f} last10 {last10_mean(accs):.4f}")
-        summary_path = path.parent / "summary.json"
-        if summary_path.exists():
-            stored = json.loads(summary_path.read_text())
-            if abs(stored["last10_mean_acc"] - last10_mean(accs)) > 1e-9:
-                line += "  [summary.json disagrees]"
+        try:
+            accs = [r["test_acc"] for r in rows]
+            label = f"{rows[-1]['strategy']} ({path.parent.name})"
+            line = (f"report: {label:<40} epochs {len(rows)} "
+                    f"final_acc {accs[-1]:.4f} last10 {last10_mean(accs):.4f}")
+            summary_path = path.parent / "summary.json"
+            if summary_path.exists():
+                stored = json.loads(summary_path.read_text())
+                if abs(stored["last10_mean_acc"] - last10_mean(accs)) > 1e-9:
+                    line += "  [summary.json disagrees]"
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise DataIOError(f"malformed run artifacts in {path.parent}: "
+                              f"{type(exc).__name__}: {exc}") from None
         print(line)
     return 0
 

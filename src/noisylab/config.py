@@ -1,17 +1,24 @@
-"""Experiment configuration: strict JSON schema, defaults, canonical hash.
+"""Experiment configuration: the config dataclasses are the schema.
 
-Unknown keys anywhere in the config are hard errors (a typo that silently
-fell back to a default would invalidate an experiment), reported with the
-full field path.  The config hash covers every semantically meaningful
-field and deliberately excludes out_dir and dump_selection, which change
-where results go but not what they are.
+Each field's name, type and default is stated once, on ``ExperimentConfig``
+or on the section dataclass it holds (``TrainConfig``, ``SelectionConfig``
+and ``ScheduleConfig`` live beside the code that reads them).
+:func:`parse_config` walks their fields to fill in defaults and type-check
+every JSON value (:func:`from_json`); each ``__post_init__`` checks ranges
+and cross-field rules.  Unknown keys anywhere are hard errors reported with
+the full field path (a typo that silently fell back to a default would
+invalidate an experiment).  The config hash covers every field except
+out_dir and dump_selection, which change where results go, not what they are.
 """
 
-import copy
+import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+import sys
+import types
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args, get_origin
 
 from .data import NOISE_KINDS
 from .errors import ConfigError, DataIOError
@@ -21,30 +28,16 @@ from .selection import SelectionConfig, auto_keep_ratio
 
 CONFIG_VERSION = 1
 
-DEFAULT_CONFIG = {
-    "version": CONFIG_VERSION,
-    "dataset": {"kind": "blobs", "classes": 10, "dim": 32, "per_class": 500,
-                "spread": 1.0, "center_scale": 1.0, "train_path": None,
-                "test_path": None},
-    "noise": {"kind": "symmetric", "epsilon": 0.4, "class_map": None},
-    "train": {"lr0": 0.1, "lr_min": 0.0005, "momentum": 0.9,
-              "weight_decay": 0.003, "batch_size": 128, "epochs": 60,
-              "warmup_epochs": 9, "temperature": 2.0, "hidden_width": 64,
-              "hidden_layers": 2, "code_bits": None, "bce_weight": 1.0},
-    "selection": {"tau": 0.001, "small_loss_keep_ratio": None},
-    "schedule": {"strategy": "jump_update", "effect_rate": 1.0, "jump_step": None},
-    "seeds": [1],
-    "strategies": None,
-    "effect_rates": None,
-    "out_dir": "runs",
-    "dump_selection": False,
-}
+
+def _expect(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ConfigError(msg)
 
 
 @dataclass
 class DatasetConfig:
     kind: str = "blobs"
-    classes: int | None = 10
+    classes: int | None = 10  # None (csv only): taken from the data
     dim: int = 32
     per_class: int = 500
     spread: float = 1.0
@@ -64,16 +57,15 @@ class DatasetConfig:
                 raise ConfigError(f"dataset.per_class must be >= 2, got {self.per_class}")
             if self.spread <= 0:
                 raise ConfigError(f"dataset.spread must be positive, got {self.spread}")
-        else:
-            if not self.train_path or not self.test_path:
-                raise ConfigError("dataset.kind 'csv' requires train_path and test_path")
+        elif not self.train_path or not self.test_path:
+            raise ConfigError("dataset.kind 'csv' requires train_path and test_path")
 
 
 @dataclass
 class NoiseConfig:
     kind: str = "symmetric"
     epsilon: float = 0.4
-    class_map: dict | None = None
+    class_map: dict[int, int] | None = None
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -86,99 +78,83 @@ class NoiseConfig:
 
 @dataclass
 class ExperimentConfig:
-    version: int
-    dataset: DatasetConfig
-    noise: NoiseConfig
-    train: TrainConfig
-    selection: SelectionConfig
-    schedule: ScheduleConfig
-    seeds: list
-    strategies: list | None
-    effect_rates: list | None
-    out_dir: str
-    dump_selection: bool
+    version: int = CONFIG_VERSION
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    selection: SelectionConfig = field(default_factory=SelectionConfig)
+    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
+    seeds: list[int] = field(default_factory=lambda: [1])
+    strategies: list[str] | None = None
+    effect_rates: list[float] | None = None
+    out_dir: str = "runs"
+    dump_selection: bool = False
+
+    def __post_init__(self):
+        _expect(self.version == CONFIG_VERSION,
+                f"unsupported config version {self.version}, expected {CONFIG_VERSION}")
+        for s in self.strategies or ():
+            _expect(s in STRATEGIES, f"strategies entry {s!r} not in {STRATEGIES}")
+        for r in self.effect_rates or ():
+            _expect(0.0 < r <= 1.0, f"effect_rates entry {r!r} must lie in (0, 1]")
+        _expect(self.out_dir, "out_dir must be a non-empty string")
+        if self.selection.small_loss_keep_ratio is None:
+            self.selection = dataclasses.replace(
+                self.selection, small_loss_keep_ratio=auto_keep_ratio(self.noise.epsilon))
 
 
-def _check_keys(d: dict, allowed, path: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown config key {path}.{unknown[0]!r}"
-                          if path else f"unknown config key {unknown[0]!r}")
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _expect(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
+def from_json(value, tp, path: str):
+    """Check a parsed JSON value against the annotation ``tp``; return it typed.
 
-
-def _merged_section(raw: dict, name: str) -> dict:
-    section = raw.get(name, {})
-    _expect(isinstance(section, dict), f"{name} must be an object")
-    _check_keys(section, DEFAULT_CONFIG[name].keys(), name)
-    merged = copy.deepcopy(DEFAULT_CONFIG[name])
-    merged.update(section)
-    return merged
+    ``int`` rejects floats and bools; ``float`` rejects bools, strings and
+    non-finite values and keeps ints as ints (so config hashes do not move);
+    lists must be non-empty; ``X | None`` allows null; ``dict[K, V]`` converts
+    keys with ``K``; a dataclass takes an object of its fields, defaulting
+    the absent ones.
+    """
+    if isinstance(tp, types.UnionType):
+        if value is None:
+            return None
+        (tp,) = [t for t in get_args(tp) if t is not type(None)]
+    if dataclasses.is_dataclass(tp):
+        _expect(isinstance(value, dict), f"{path or 'config root'} must be an object")
+        prefix = f"{path}." if path else ""
+        known = dataclasses.fields(tp)
+        unknown = sorted(set(value) - {f.name for f in known})
+        if unknown:
+            raise ConfigError(f"unknown config key {prefix}{unknown[0]!r}")
+        return tp(**{f.name: from_json(value[f.name], f.type, prefix + f.name)
+                     for f in known if f.name in value})
+    if get_origin(tp) is list:
+        _expect(isinstance(value, list) and value, f"{path} must be a non-empty list")
+        (item,) = get_args(tp)
+        return [from_json(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
+    if get_origin(tp) is dict:
+        _expect(isinstance(value, dict), f"{path} must be an object")
+        key_tp, value_tp = get_args(tp)
+        typed = {}
+        for k, v in value.items():
+            try:
+                key = key_tp(k)  # JSON object keys are strings
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path} key {k!r} must be {_KINDS[key_tp]}") from None
+            typed[key] = from_json(v, value_tp, f"{path}.{k}")
+        return typed
+    if tp is float:
+        # Comparison with a float is exact for ints of any size and false for NaN.
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        ok = type(value) is tp
+    _expect(ok, f"{path} must be {_KINDS[tp]}, got {value!r}")
+    return value
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict and fill in defaults."""
-    _expect(isinstance(raw, dict), "config root must be an object")
-    _check_keys(raw, DEFAULT_CONFIG.keys(), "")
-    version = raw.get("version", CONFIG_VERSION)
-    _expect(version == CONFIG_VERSION,
-            f"unsupported config version {version}, expected {CONFIG_VERSION}")
-
-    ds = _merged_section(raw, "dataset")
-    dataset = DatasetConfig(**ds)
-
-    nz = _merged_section(raw, "noise")
-    if nz["class_map"] is not None:
-        _expect(isinstance(nz["class_map"], dict), "noise.class_map must be an object")
-        try:
-            nz["class_map"] = {int(k): int(v) for k, v in nz["class_map"].items()}
-        except (TypeError, ValueError):
-            raise ConfigError("noise.class_map keys and values must be integers") from None
-    noise = NoiseConfig(**nz)
-
-    tr = _merged_section(raw, "train")
-    train = TrainConfig(**tr)
-
-    sel = _merged_section(raw, "selection")
-    if sel["small_loss_keep_ratio"] is None:
-        sel["small_loss_keep_ratio"] = auto_keep_ratio(noise.epsilon)
-    selection = SelectionConfig(**sel)
-
-    sc = _merged_section(raw, "schedule")
-    schedule = ScheduleConfig(**sc)
-
-    seeds = raw.get("seeds", DEFAULT_CONFIG["seeds"])
-    _expect(isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds),
-            "seeds must be a non-empty list of integers")
-
-    strategies = raw.get("strategies")
-    if strategies is not None:
-        _expect(isinstance(strategies, list) and strategies, "strategies must be a non-empty list")
-        for s in strategies:
-            _expect(s in STRATEGIES, f"strategies entry {s!r} not in {STRATEGIES}")
-
-    effect_rates = raw.get("effect_rates")
-    if effect_rates is not None:
-        _expect(isinstance(effect_rates, list) and effect_rates,
-                "effect_rates must be a non-empty list")
-        for r in effect_rates:
-            _expect(isinstance(r, (int, float)) and 0.0 < r <= 1.0,
-                    f"effect_rates entry {r!r} must lie in (0, 1]")
-
-    out_dir = raw.get("out_dir", DEFAULT_CONFIG["out_dir"])
-    _expect(isinstance(out_dir, str) and out_dir, "out_dir must be a non-empty string")
-    dump_selection = raw.get("dump_selection", False)
-    _expect(isinstance(dump_selection, bool), "dump_selection must be a boolean")
-
-    return ExperimentConfig(version=version, dataset=dataset, noise=noise,
-                            train=train, selection=selection, schedule=schedule,
-                            seeds=list(seeds), strategies=strategies,
-                            effect_rates=effect_rates, out_dir=out_dir,
-                            dump_selection=dump_selection)
+    return from_json(raw, ExperimentConfig, "")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -196,37 +172,12 @@ def load_config(path) -> ExperimentConfig:
 
 def canonical_dict(cfg: ExperimentConfig) -> dict:
     """Everything the config hash covers, as plain JSON-safe types."""
-    return {
-        "version": cfg.version,
-        "dataset": {"kind": cfg.dataset.kind, "classes": cfg.dataset.classes,
-                    "dim": cfg.dataset.dim, "per_class": cfg.dataset.per_class,
-                    "spread": cfg.dataset.spread,
-                    "center_scale": cfg.dataset.center_scale,
-                    "train_path": cfg.dataset.train_path,
-                    "test_path": cfg.dataset.test_path},
-        "noise": {"kind": cfg.noise.kind, "epsilon": cfg.noise.epsilon,
-                  "class_map": ({str(k): cfg.noise.class_map[k]
-                                 for k in sorted(cfg.noise.class_map)}
-                                if cfg.noise.class_map else None)},
-        "train": {"lr0": cfg.train.lr0, "lr_min": cfg.train.lr_min,
-                  "momentum": cfg.train.momentum,
-                  "weight_decay": cfg.train.weight_decay,
-                  "batch_size": cfg.train.batch_size, "epochs": cfg.train.epochs,
-                  "warmup_epochs": cfg.train.warmup_epochs,
-                  "temperature": cfg.train.temperature,
-                  "hidden_width": cfg.train.hidden_width,
-                  "hidden_layers": cfg.train.hidden_layers,
-                  "code_bits": cfg.train.code_bits,
-                  "bce_weight": cfg.train.bce_weight},
-        "selection": {"tau": cfg.selection.tau,
-                      "small_loss_keep_ratio": cfg.selection.small_loss_keep_ratio},
-        "schedule": {"strategy": cfg.schedule.strategy,
-                     "effect_rate": cfg.schedule.effect_rate,
-                     "jump_step": cfg.schedule.jump_step},
-        "seeds": cfg.seeds,
-        "strategies": cfg.strategies,
-        "effect_rates": cfg.effect_rates,
-    }
+    d = dataclasses.asdict(cfg)
+    del d["out_dir"], d["dump_selection"]
+    class_map = cfg.noise.class_map
+    d["noise"]["class_map"] = ({str(k): class_map[k] for k in sorted(class_map)}
+                               if class_map else None)
+    return d
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

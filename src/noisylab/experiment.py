@@ -23,7 +23,7 @@ from .metrics import (EpochRecord, emit_report, evaluate, iou,
                       peak_memory_bytes, selection_quality, summarize_records)
 from .model import DualHeadNet, save_checkpoint
 from .numeric import RngStream
-from .schedule import build_run_state, error_flow, run_epoch
+from .schedule import STRATEGIES, build_run_state, error_flow, run_epoch
 from .selection import BatchFlags, dump_decisions_csv
 
 # Child-stream keys of the per-run root stream.  Fixed so that adding a
@@ -191,8 +191,7 @@ def compare_strategies(cfg: ExperimentConfig, out_root=None) -> list:
         cells = [(f"{cfg.schedule.strategy}-r{r:g}", cfg.schedule.strategy, r)
                  for r in cfg.effect_rates]
     else:
-        strategies = cfg.strategies or ["standard", "self_update",
-                                        "cross_update", "jump_update"]
+        strategies = cfg.strategies or list(STRATEGIES)
         if len(strategies) < 2:
             raise ConfigError("compare needs at least 2 strategies or an effect_rates list")
         cells = [(s, s, None) for s in strategies]

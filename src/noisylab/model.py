@@ -389,17 +389,6 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
     return ce, bce, grads
 
 
-def combined_loss_and_grads(net: DualHeadNet, x, labels, targets,
-                            bce_weight: float = 1.0, mask=None):
-    """Forward + combined loss + gradients; the entry point gradient checks use.
-
-    The gradients are copies, so a later call does not overwrite them."""
-    res = net.forward(x)
-    ce, bce, grads = losses_and_grads_from_forward(net, res, labels, targets,
-                                                   bce_weight, mask)
-    return ce + bce_weight * bce, ce, bce, [g.copy() for g in grads], res
-
-
 class SgdState:
     """Velocity buffers for SGD with momentum, one per parameter array (a
     network's training loop passes its one flat arena)."""

@@ -1,10 +1,10 @@
-"""Dense float64 kernel: matmul, activations, softmax, gradient checking, RNG.
+"""Dense float64 kernel: matmul, activations, softmax, RNG.
 
 Matrices throughout the package are plain 2-D C-contiguous numpy arrays of
 64-bit floats (row-major).  numpy supplies the storage and the BLAS-backed
-product; this module owns the contracts: shape validation and the
-central-difference oracle used to audit every analytic gradient in the
-model.
+product; this module owns the contracts, shape validation among them.  (The
+central-difference gradient checker that audits the model's analytic
+gradients is a test oracle, in ``tests/oracles.py``.)
 
 :func:`matmul` checks shapes only.  Finiteness of the training arithmetic
 is checked per batch instead of per product: the training loop scans each
@@ -24,7 +24,7 @@ experiment replays bit-identical.
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 
 ACTIVATION_KINDS = ("relu", "tanh")
 
@@ -70,46 +70,6 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarr
     shifted = scaled - scaled.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def finite_difference_check(loss_and_grad, params, epsilon: float = 1e-5,
-                            denom_floor: float = 1e-3) -> float:
-    """Audit analytic gradients against central finite differences.
-
-    ``loss_and_grad()`` evaluates the objective at the *current* parameter
-    values and returns ``(loss, grads)`` with ``grads`` aligned to
-    ``params``.  Each coordinate is perturbed in place by +/- ``epsilon``
-    and the central difference is compared to the analytic entry.  Returns
-    the worst relative error, with the denominator floored at
-    ``denom_floor`` so coordinates whose true gradient is ~0 are measured
-    on an absolute scale instead of blowing up.
-    """
-    if not (1e-7 <= epsilon <= 1e-3):
-        raise ConfigError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
-    base_loss, grads = loss_and_grad()
-    # Copy: loss_and_grad may return views that its next call overwrites.
-    grads = [np.array(g, dtype=np.float64) for g in grads]
-    if not np.isfinite(base_loss):
-        raise NumericError("loss is non-finite at the base point")
-    worst = 0.0
-    for pi, (theta, g) in enumerate(zip(params, grads)):
-        flat_t = theta.reshape(-1)
-        flat_g = g.reshape(-1)
-        for j in range(flat_t.size):
-            orig = flat_t[j]
-            flat_t[j] = orig + epsilon
-            lp, _ = loss_and_grad()
-            flat_t[j] = orig - epsilon
-            lm, _ = loss_and_grad()
-            flat_t[j] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise NumericError(f"non-finite loss while perturbing param {pi}, coordinate {j}")
-            fd = (lp - lm) / (2.0 * epsilon)
-            denom = max(abs(fd), abs(flat_g[j]), denom_floor)
-            err = abs(fd - flat_g[j]) / denom
-            if err > worst:
-                worst = err
-    return worst
 
 
 class RngStream:

@@ -24,17 +24,18 @@ from .model import decompose_bce
 @dataclass
 class SelectionConfig:
     """tau is the variance threshold (inclusive); small_loss_keep_ratio is
-    the fraction of each batch the small-loss baselines keep."""
+    the fraction of each batch the small-loss baselines keep (None: the
+    experiment config sets it to :func:`auto_keep_ratio` of its noise rate)."""
 
     tau: float = 0.001
-    small_loss_keep_ratio: float = 0.5
+    small_loss_keep_ratio: float | None = None
 
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        if not (0.0 < self.small_loss_keep_ratio <= 1.0):
-            raise ConfigError(
-                f"small_loss_keep_ratio must lie in (0, 1], got {self.small_loss_keep_ratio}")
+        ratio = self.small_loss_keep_ratio
+        if ratio is not None and not (0.0 < ratio <= 1.0):
+            raise ConfigError(f"small_loss_keep_ratio must lie in (0, 1], got {ratio}")
 
 
 @dataclass
@@ -46,34 +47,6 @@ class BatchFlags:
     combined: np.ndarray   # bool, OR of the two
     variance: np.ndarray   # float64 intra-loss variance
     bce: np.ndarray        # float64 per-sample mean BCE
-
-
-def intra_loss_variance(per_bit: np.ndarray) -> float:
-    """Population variance of one sample's per-bit loss terms."""
-    d = np.asarray(per_bit, dtype=np.float64)
-    if d.ndim != 1 or d.size == 0:
-        raise ShapeError(f"need a non-empty 1-D loss vector, got shape {d.shape}")
-    m = d.mean()
-    return float(((d - m) ** 2).mean())
-
-
-def detection_identifier(variance: float, cfg: SelectionConfig) -> bool:
-    """Clean iff the per-bit variance does not exceed tau (boundary included)."""
-    return bool(variance <= cfg.tau)
-
-
-def classifier_identifier(probs: np.ndarray, noisy_label: int) -> bool:
-    """Clean iff the predicted class (lowest index on ties) matches the label."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ShapeError(f"need a 1-D probability vector, got shape {p.shape}")
-    if not 0 <= noisy_label < p.size:
-        raise LabelError(f"label {noisy_label} out of range [0, {p.size})")
-    return bool(int(np.argmax(p)) == int(noisy_label))
-
-
-def combine_identifiers(det: bool, cls: bool) -> bool:
-    return bool(det or cls)
 
 
 def batch_flags(z: np.ndarray, targets: np.ndarray, probs: np.ndarray,

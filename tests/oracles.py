@@ -1,12 +1,19 @@
 """Reference implementations that tests compare the package against.
 
-Each one is a plain, allocation-per-result version of a routine the package
-implements in place or in bulk; the package must match it bit for bit.
+Most are plain, allocation-per-result versions of routines the package
+implements in place or in bulk; the package must match them bit for bit.
+The per-sample identifiers are the scalar definitions ``batch_flags``
+vectorizes, and ``finite_difference_check`` with
+``combined_loss_and_grads`` audits the model's analytic gradients.
 """
 
 import csv
 
 import numpy as np
+
+from noisylab.errors import ConfigError, LabelError, NumericError, ShapeError
+from noisylab.model import DualHeadNet, losses_and_grads_from_forward
+from noisylab.selection import SelectionConfig
 
 
 def backward_per_layer(net, res, dlogits, d_det_pre) -> list:
@@ -63,3 +70,82 @@ def dump_decisions_rows(path, sample_indices, flags, clean_mask=None) -> None:
                              int(bool(flags.detection[row])),
                              int(bool(flags.classifier[row])),
                              int(bool(flags.combined[row])), truly])
+
+
+def intra_loss_variance(per_bit: np.ndarray) -> float:
+    """Population variance of one sample's per-bit loss terms."""
+    d = np.asarray(per_bit, dtype=np.float64)
+    if d.ndim != 1 or d.size == 0:
+        raise ShapeError(f"need a non-empty 1-D loss vector, got shape {d.shape}")
+    m = d.mean()
+    return float(((d - m) ** 2).mean())
+
+
+def detection_identifier(variance: float, cfg: SelectionConfig) -> bool:
+    """Clean iff the per-bit variance does not exceed tau (boundary included)."""
+    return bool(variance <= cfg.tau)
+
+
+def classifier_identifier(probs: np.ndarray, noisy_label: int) -> bool:
+    """Clean iff the predicted class (lowest index on ties) matches the label."""
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        raise ShapeError(f"need a 1-D probability vector, got shape {p.shape}")
+    if not 0 <= noisy_label < p.size:
+        raise LabelError(f"label {noisy_label} out of range [0, {p.size})")
+    return bool(int(np.argmax(p)) == int(noisy_label))
+
+
+def combine_identifiers(det: bool, cls: bool) -> bool:
+    return bool(det or cls)
+
+
+def finite_difference_check(loss_and_grad, params, epsilon: float = 1e-5,
+                            denom_floor: float = 1e-3) -> float:
+    """Audit analytic gradients against central finite differences.
+
+    ``loss_and_grad()`` evaluates the objective at the *current* parameter
+    values and returns ``(loss, grads)`` with ``grads`` aligned to
+    ``params``.  Each coordinate is perturbed in place by +/- ``epsilon``
+    and the central difference is compared to the analytic entry.  Returns
+    the worst relative error, with the denominator floored at
+    ``denom_floor`` so coordinates whose true gradient is ~0 are measured
+    on an absolute scale instead of blowing up.
+    """
+    if not (1e-7 <= epsilon <= 1e-3):
+        raise ConfigError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
+    base_loss, grads = loss_and_grad()
+    # Copy: loss_and_grad may return views that its next call overwrites.
+    grads = [np.array(g, dtype=np.float64) for g in grads]
+    if not np.isfinite(base_loss):
+        raise NumericError("loss is non-finite at the base point")
+    worst = 0.0
+    for pi, (theta, g) in enumerate(zip(params, grads)):
+        flat_t = theta.reshape(-1)
+        flat_g = g.reshape(-1)
+        for j in range(flat_t.size):
+            orig = flat_t[j]
+            flat_t[j] = orig + epsilon
+            lp, _ = loss_and_grad()
+            flat_t[j] = orig - epsilon
+            lm, _ = loss_and_grad()
+            flat_t[j] = orig
+            if not (np.isfinite(lp) and np.isfinite(lm)):
+                raise NumericError(f"non-finite loss while perturbing param {pi}, coordinate {j}")
+            fd = (lp - lm) / (2.0 * epsilon)
+            denom = max(abs(fd), abs(flat_g[j]), denom_floor)
+            err = abs(fd - flat_g[j]) / denom
+            if err > worst:
+                worst = err
+    return worst
+
+
+def combined_loss_and_grads(net: DualHeadNet, x, labels, targets,
+                            bce_weight: float = 1.0, mask=None):
+    """Forward + combined loss + gradients; the entry point gradient checks use.
+
+    The gradients are copies, so a later call does not overwrite them."""
+    res = net.forward(x)
+    ce, bce, grads = losses_and_grads_from_forward(net, res, labels, targets,
+                                                   bce_weight, mask)
+    return ce + bce_weight * bce, ce, bce, [g.copy() for g in grads], res

@@ -16,9 +16,10 @@ import pytest
 from noisylab.codebook import derive_codebook, pairwise_hamming
 from noisylab.config import parse_config
 from noisylab.experiment import run_cell
-from noisylab.model import DualHeadNet, combined_loss_and_grads, decompose_bce
-from noisylab.numeric import RngStream, finite_difference_check
-from noisylab.selection import intra_loss_variance
+from noisylab.model import DualHeadNet, decompose_bce
+from noisylab.numeric import RngStream
+from oracles import (combined_loss_and_grads, finite_difference_check,
+                     intra_loss_variance)
 
 SEEDS = (1, 2, 3)
 

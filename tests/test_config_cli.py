@@ -4,6 +4,7 @@ including exit-code mapping."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,21 @@ from noisylab.errors import ConfigError, DataIOError
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# Values of the wrong type, each with the field path its error names.
+WRONG_TYPES = [
+    ({"train": {"epochs": 3.0}}, "train.epochs"),
+    ({"train": {"batch_size": 64.5}}, "train.batch_size"),
+    ({"train": {"hidden_width": True}}, "train.hidden_width"),
+    ({"schedule": {"jump_step": 5.5}}, "schedule.jump_step"),
+    ({"seeds": [True]}, "seeds[0]"),
+    ({"effect_rates": [True]}, "effect_rates[0]"),
+    ({"selection": {"tau": float("nan")}}, "selection.tau"),
+    ({"dataset": {"spread": float("inf")}}, "dataset.spread"),
+    ({"noise": {"epsilon": "0.3"}}, "noise.epsilon"),
+    ({"dataset": {"dim": None}}, "dataset.dim"),
+]
 
 
 def tiny_train_payload(out_dir=None, **extra):
@@ -82,6 +98,18 @@ class TestParseConfig:
             parse_config({"noise": {"kind": "asymmetric", "epsilon": 0.3,
                                     "class_map": {"a": "b"}}})
 
+    @pytest.mark.parametrize("class_map", [{"0": 1.7, "1": 0}, {"0": 1, "1": True},
+                                           {"0": 1.7, "1": True}])
+    def test_class_map_rejects_non_integer_values(self, class_map):
+        with pytest.raises(ConfigError, match="class_map"):
+            parse_config({"noise": {"kind": "asymmetric", "epsilon": 0.3,
+                                    "class_map": class_map}})
+
+    @pytest.mark.parametrize("raw,path", WRONG_TYPES)
+    def test_rejects_wrong_type(self, raw, path):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_config(raw)
+
     @pytest.mark.parametrize("seeds", [[], "1", [1, "2"]])
     def test_bad_seeds(self, seeds):
         with pytest.raises(ConfigError):
@@ -121,6 +149,15 @@ class TestConfigHash:
                     "noise": {"kind": "asymmetric", "epsilon": 0.2,
                               "class_map": {"1": 0, "0": 1}}}
         assert config_hash(parse_config(csv_asym)) == "eb4416babaeb"
+        # An int in a float field is kept as an int, not coerced.
+        assert config_hash(parse_config({"noise": {"epsilon": 0}})) == "cfeec820b314"
+        # An empty class map hashes as no class map.
+        assert config_hash(parse_config({"noise": {"class_map": {}}})) == "99fcb40c6406"
+        # Keys 10 and 11 sort between 1 and 2 as strings, not after 9.
+        asym12 = {"dataset": {"classes": 12},
+                  "noise": {"kind": "asymmetric",
+                            "class_map": {str(i): (i + 1) % 12 for i in range(12)}}}
+        assert config_hash(parse_config(asym12)) == "d7f6971216f6"
 
 
 class TestLoadConfig:
@@ -181,6 +218,24 @@ class TestCliDataPipeline:
                    "--epsilon", "0.3", "--class-map", "not json"])
         assert rc == 2
         assert "error[config]" in capsys.readouterr().err
+
+    # Complete 3-class maps: they used to be read as {0: 1, 1: 1, 2: 0}.
+    @pytest.mark.parametrize("class_map", ['{"0": 1.7, "1": 2, "2": 0}',
+                                           '{"0": 1, "1": true, "2": 0}',
+                                           '{"0": 1.7, "1": true, "2": 0}', '["0"]'])
+    def test_inject_rejects_non_integer_class_map(self, tmp_path, capsys, class_map):
+        train = tmp_path / "train.csv"
+        main(["gen-data", "--classes", "3", "--dim", "4", "--per-class", "10",
+              "--train-out", str(train), "--test-out", str(tmp_path / "t.csv")])
+        capsys.readouterr()
+        noisy = tmp_path / "n.csv"
+        rc = main(["inject", "--input", str(train), "--out", str(noisy),
+                   "--kind", "asymmetric", "--epsilon", "0.3",
+                   "--class-map", class_map])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
+        assert not noisy.exists()
 
 
 def run_dir_of(out_root):
@@ -251,6 +306,15 @@ class TestCliTrain:
         bad.write_text("{]")
         assert main(["train", "--config", str(bad)]) == 2
         assert "error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw,path", WRONG_TYPES)
+    def test_wrong_type_exits_2_with_one_stderr_line(self, tmp_path, capsys, raw, path):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(tmp_path / "out", **raw))
+        assert main(["train", "--config", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
+        assert path in lines[0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_exits_3(self, tmp_path, capsys):
@@ -331,3 +395,17 @@ class TestCliReport:
     def test_missing_dir_exits_4(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path / "absent")]) == 4
         assert "error[io]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epochs,summary", [
+        ('{"strategy": "standard", "test_acc": 0.5}', "{not json"),
+        ('{"strategy": "standard", "test_acc": 0.5}', '{"final_acc": 0.5}'),
+        ('{"strategy": "standard", "sel_f1": 0.5}', '{"last10_mean_acc": 0.5}'),
+    ], ids=["summary-bad-json", "summary-no-last10", "row-no-test-acc"])
+    def test_malformed_artifacts_exit_4(self, tmp_path, capsys, epochs, summary):
+        cell = tmp_path / "out" / "abc" / "standard-seed1"
+        cell.mkdir(parents=True)
+        (cell / "epochs.jsonl").write_text(epochs + "\n")
+        (cell / "summary.json").write_text(summary)
+        assert main(["report", "--run-dir", str(tmp_path / "out")]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[io]:"), lines

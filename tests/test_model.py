@@ -14,14 +14,14 @@ from noisylab.errors import (ConfigError, DataIOError, EncodingError,
                              LabelError, NumericError, ShapeError)
 from noisylab.model import (CHECKPOINT_MAGIC, DualHeadNet, SgdState,
                             TrainConfig, Z_CLAMP, classification_loss,
-                            combined_loss_and_grads, cosine_lr, decompose_bce,
-                            detection_loss, load_checkpoint,
-                            losses_and_grads_from_forward,
+                            cosine_lr, decompose_bce, detection_loss,
+                            load_checkpoint, losses_and_grads_from_forward,
                             per_sample_cross_entropy, save_checkpoint,
                             sgd_step)
-from noisylab.numeric import RngStream, finite_difference_check
+from noisylab.numeric import RngStream
 from noisylab.selection import SelectionConfig, batch_flags
-from oracles import backward_per_layer
+from oracles import (backward_per_layer, combined_loss_and_grads,
+                     finite_difference_check)
 
 
 def make_net(seed=0, input_dim=5, classes=3, bits=4, width=6, layers=2, temp=2.0):

@@ -8,14 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import batch_variance_and_bce, dump_decisions_rows
+from oracles import (batch_variance_and_bce, classifier_identifier,
+                     combine_identifiers, detection_identifier,
+                     dump_decisions_rows, intra_loss_variance)
 from noisylab.codebook import derive_codebook
 from noisylab.errors import ConfigError, LabelError, NumericError, ShapeError
 from noisylab.model import Z_CLAMP, decompose_bce
 from noisylab.selection import (BatchFlags, SelectionConfig, auto_keep_ratio,
-                                batch_flags, classifier_identifier,
-                                combine_identifiers, detection_identifier,
-                                dump_decisions_csv, intra_loss_variance,
+                                batch_flags, dump_decisions_csv,
                                 small_loss_select)
 
 
