@@ -93,6 +93,8 @@ class ExperimentConfig:
     def __post_init__(self):
         _expect(self.version == CONFIG_VERSION,
                 f"unsupported config version {self.version}, expected {CONFIG_VERSION}")
+        for s in self.seeds:
+            _expect(s >= 0, f"seeds entry {s!r} must be a non-negative integer")
         for s in self.strategies or ():
             _expect(s in STRATEGIES, f"strategies entry {s!r} not in {STRATEGIES}")
         for r in self.effect_rates or ():
@@ -112,8 +114,8 @@ def from_json(value, tp, path: str):
     ``int`` rejects floats and bools; ``float`` rejects bools, strings and
     non-finite values and keeps ints as ints (so config hashes do not move);
     lists must be non-empty; ``X | None`` allows null; ``dict[K, V]`` converts
-    keys with ``K``; a dataclass takes an object of its fields, defaulting
-    the absent ones.
+    keys with ``K`` and refuses two keys that convert alike; a dataclass
+    takes an object of its fields, defaulting the absent ones.
     """
     if isinstance(tp, types.UnionType):
         if value is None:
@@ -135,13 +137,14 @@ def from_json(value, tp, path: str):
     if get_origin(tp) is dict:
         _expect(isinstance(value, dict), f"{path} must be an object")
         key_tp, value_tp = get_args(tp)
-        typed = {}
+        typed, spelled = {}, {}
         for k, v in value.items():
             try:
                 key = key_tp(k)  # JSON object keys are strings
             except (TypeError, ValueError):
                 raise ConfigError(f"{path} key {k!r} must be {_KINDS[key_tp]}") from None
-            typed[key] = from_json(v, value_tp, f"{path}.{k}")
+            _expect(key not in typed, f"{path} keys {spelled.get(key)!r} and {k!r} both mean {key!r}")
+            typed[key], spelled[key] = from_json(v, value_tp, f"{path}.{k}"), k
         return typed
     if tp is float:
         # Comparison with a float is exact for ints of any size and false for NaN.

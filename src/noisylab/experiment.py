@@ -19,12 +19,12 @@ from .codebook import default_code_bits, derive_codebook
 from .config import ExperimentConfig, canonical_dict, config_hash
 from .data import NoiseSpec, gen_blobs, inject_noise, load_csv, make_instance_weights
 from .errors import ConfigError, DataIOError, NumericError
-from .metrics import (EpochRecord, emit_report, evaluate, iou,
-                      peak_memory_bytes, selection_quality, summarize_records)
+from .metrics import (cell, emit_report, evaluate, iou, peak_memory_bytes,
+                      selection_quality, summarize_records)
 from .model import DualHeadNet, save_checkpoint
 from .numeric import RngStream
 from .schedule import STRATEGIES, build_run_state, error_flow, run_epoch
-from .selection import BatchFlags, dump_decisions_csv
+from .selection import dump_decisions_csv
 
 # Child-stream keys of the per-run root stream.  Fixed so that adding a
 # consumer never perturbs existing ones.
@@ -78,8 +78,8 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
 
 def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
              effect_rate: float | None = None, out_dir=None,
-             trace: bool = False, write_outputs: bool = True) -> CellResult:
-    """Train one strategy on one seed and collect per-epoch records."""
+             trace: bool = False) -> CellResult:
+    """Train one strategy on one seed; write its artifacts to ``out_dir`` if given."""
     root = RngStream(seed)
     train, test = build_dataset(cfg, seed)
     n_classes = train.num_classes
@@ -100,52 +100,40 @@ def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
                                 if effect_rate is None else effect_rate)
     state = build_run_state(train, targets, nets, cfg.train, cfg.selection,
                             sched, root.child(STREAM_SHUFFLE),
-                            root.child(STREAM_GATE), trace=trace,
-                            collect_details=cfg.dump_selection)
+                            root.child(STREAM_GATE), trace=trace)
 
     out_path = Path(out_dir) if out_dir is not None else None
+    clean = train.clean_mask
     records = []
-    prev_produced = None
+    prev = None
     for epoch in range(cfg.train.epochs):
         try:
-            stats = run_epoch(state, epoch)
+            rec = run_epoch(state, epoch)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch} ({strategy}, seed {seed}): {exc}") from exc
         acc = evaluate(nets[0], test)
-        precision, recall, f1 = selection_quality(stats.produced_flags, train.clean_mask)
-        temporal = iou(stats.produced_flags, prev_produced) if prev_produced is not None else None
-        cross = (iou(stats.produced_flags, stats.produced_flags_peer)
-                 if stats.produced_flags_peer is not None else None)
+        selected = state.selected[0]
+        precision, recall, f1 = selection_quality(selected, clean)
         med_clean = med_noisy = None
-        if stats.produced_variance is not None:
-            var = stats.produced_variance
+        if state.flags is not None:
+            var = state.flags.variance
             ok = np.isfinite(var)
-            if (ok & train.clean_mask).any():
-                med_clean = float(np.median(var[ok & train.clean_mask]))
-            if (ok & ~train.clean_mask).any():
-                med_noisy = float(np.median(var[ok & ~train.clean_mask]))
-        records.append(EpochRecord(
-            epoch=epoch, strategy=strategy, phase=stats.phase, lr=stats.lr,
-            selected_count=stats.selected_count,
-            trained_samples=stats.trained_samples,
-            skipped_batches=stats.skipped_batches, gate_on=stats.gate_on,
-            commit_count=stats.commit_count, mean_lag=stats.mean_lag,
-            test_acc=acc, sel_precision=precision, sel_recall=recall,
-            sel_f1=f1, temporal_iou=temporal, cross_iou=cross,
+            if (ok & clean).any():
+                med_clean = float(np.median(var[ok & clean]))
+            if (ok & ~clean).any():
+                med_noisy = float(np.median(var[ok & ~clean]))
+        records.append(dataclasses.replace(
+            rec, test_acc=acc, sel_precision=precision, sel_recall=recall, sel_f1=f1,
+            temporal_iou=iou(selected, prev) if prev is not None else None,
+            cross_iou=iou(selected, state.selected[1]) if len(state.selected) > 1 else None,
             median_var_clean=med_clean, median_var_noisy=med_noisy,
-            ce_loss=stats.ce_loss, bce_loss=stats.bce_loss,
-            epoch_wall_ms=stats.wall_ms, peak_mem_bytes=peak_memory_bytes()))
-        prev_produced = stats.produced_flags
-        if out_path is not None and cfg.dump_selection and stats.produced_det is not None:
-            flags = BatchFlags(detection=stats.produced_det,
-                               classifier=stats.produced_cls,
-                               combined=stats.produced_flags,
-                               variance=stats.produced_variance,
-                               bce=stats.produced_bce)
+            peak_mem_bytes=peak_memory_bytes()))
+        prev = selected
+        if out_path is not None and cfg.dump_selection and state.flags is not None:
             sel_dir = out_path / "selection"
             sel_dir.mkdir(parents=True, exist_ok=True)
             dump_decisions_csv(sel_dir / f"epoch_{epoch:03d}.csv",
-                               np.arange(train.n_samples), flags, train.clean_mask)
+                               np.arange(train.n_samples), state.flags, clean)
 
     summary = summarize_records(records, config_hash(cfg), seed, strategy,
                                 cfg.train.warmup_epochs)
@@ -155,15 +143,14 @@ def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
                              "per_subflow": flow.per_subflow}
     if effect_rate is not None:
         summary["effect_rate"] = effect_rate
-    if out_path is not None and write_outputs:
+    if out_path is not None:
         emit_report(records, out_path, summary)
         save_checkpoint(nets[0], out_path / "model.ckpt",
                         epoch=cfg.train.epochs - 1, seed=seed,
                         config=canonical_dict(cfg))
     return CellResult(strategy=strategy, seed=seed,
                       effect_rate=sched.effect_rate, records=records,
-                      summary=summary, state=state,
-                      out_dir=out_path if write_outputs else None)
+                      summary=summary, state=state, out_dir=out_path)
 
 
 def _cell_dir(base: Path, label: str, seed: int) -> Path:
@@ -229,9 +216,7 @@ def compare_strategies(cfg: ExperimentConfig, out_root=None) -> list:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
-                writer.writerow([("" if row[c] is None else
-                                  repr(row[c]) if isinstance(row[c], float) else row[c])
-                                 for c in columns])
+                writer.writerow([cell(row[c]) for c in columns])
     except OSError as exc:
         raise DataIOError(f"cannot write comparison table under {base}: {exc}") from exc
     return rows

@@ -3,20 +3,20 @@
 Per-run artifacts:
 
 * ``epochs.jsonl``: one JSON object per epoch with the fixed key set
-  {epoch, strategy, selected_count, skipped_batches, commit_count,
-  mean_lag, test_acc, sel_precision, sel_recall, sel_f1, epoch_wall_ms}.
+  :data:`JSONL_KEYS`.
 * ``summary.json``: {config_hash, seed, strategy, final_acc,
   last10_mean_acc, mean_sel_f1, mean_temporal_iou, mean_cross_iou,
   mean_epoch_ms}; means are over post-warmup epochs.
-* ``curves.csv``: the full per-epoch record (including IoU columns,
-  loss curves, variance medians, peak memory) with repr-formatted floats
-  so parsed values equal the in-memory ones exactly.
+* ``curves.csv``: the full per-epoch record, one column per
+  :class:`EpochRecord` field (including IoU columns, loss curves, variance
+  medians, peak memory) with repr-formatted floats so parsed values equal
+  the in-memory ones exactly.
 """
 
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,13 +98,15 @@ def last10_mean(values) -> float:
     return float(np.mean(vals[-10:]))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EpochRecord:
-    """One epoch of one run: the JSONL fields plus plotting extras."""
+    """One epoch of one run: a ``curves.csv`` row.  ``run_epoch`` sets what
+    it measures; ``run_cell`` then fills the fields defaulting to None,
+    which need the evaluated epoch."""
 
     epoch: int
     strategy: str
-    phase: str
+    phase: str  # "warmup" or "train"
     lr: float
     selected_count: int
     trained_samples: int
@@ -112,38 +114,31 @@ class EpochRecord:
     gate_on: int
     commit_count: int
     mean_lag: float | None
-    test_acc: float
-    sel_precision: float
-    sel_recall: float
-    sel_f1: float
-    temporal_iou: float | None
-    cross_iou: float | None
-    median_var_clean: float | None
-    median_var_noisy: float | None
+    test_acc: float | None = None
+    sel_precision: float | None = None
+    sel_recall: float | None = None
+    sel_f1: float | None = None
+    temporal_iou: float | None = None
+    cross_iou: float | None = None
+    median_var_clean: float | None = None
+    median_var_noisy: float | None = None
     ce_loss: float
     bce_loss: float
     epoch_wall_ms: float
-    peak_mem_bytes: int | None
+    peak_mem_bytes: int | None = None
 
     def jsonl_dict(self) -> dict:
-        return {"epoch": self.epoch, "strategy": self.strategy,
-                "selected_count": self.selected_count,
-                "skipped_batches": self.skipped_batches,
-                "commit_count": self.commit_count, "mean_lag": self.mean_lag,
-                "test_acc": self.test_acc, "sel_precision": self.sel_precision,
-                "sel_recall": self.sel_recall, "sel_f1": self.sel_f1,
-                "epoch_wall_ms": self.epoch_wall_ms}
+        return {key: getattr(self, key) for key in JSONL_KEYS}
 
 
-CURVE_COLUMNS = ["epoch", "strategy", "phase", "lr", "selected_count",
-                 "trained_samples", "skipped_batches", "gate_on",
-                 "commit_count", "mean_lag", "test_acc", "sel_precision",
-                 "sel_recall", "sel_f1", "temporal_iou", "cross_iou",
-                 "median_var_clean", "median_var_noisy", "ce_loss",
-                 "bce_loss", "epoch_wall_ms", "peak_mem_bytes"]
+JSONL_KEYS = ("epoch", "strategy", "selected_count", "skipped_batches",
+              "commit_count", "mean_lag", "test_acc", "sel_precision",
+              "sel_recall", "sel_f1", "epoch_wall_ms")
+CURVE_COLUMNS = [f.name for f in fields(EpochRecord)]
 
 
-def _cell(value):
+def cell(value):
+    """A CSV cell: blank for None, repr for floats (parses back exactly)."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -185,7 +180,7 @@ def emit_report(records, out_dir, summary: dict) -> dict:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CURVE_COLUMNS)
             for rec in records:
-                writer.writerow([_cell(getattr(rec, col)) for col in CURVE_COLUMNS])
+                writer.writerow([cell(getattr(rec, col)) for col in CURVE_COLUMNS])
     except OSError as exc:
         raise DataIOError(f"cannot write report under {out}: {exc}") from exc
     return {"epochs": out / "epochs.jsonl", "summary": out / "summary.json",

@@ -447,10 +447,8 @@ def save_checkpoint(net: DualHeadNet, path, epoch: int = 0, seed=None,
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(arrays)))
             for arr in arrays:
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            for arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                fh.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(net.flat.astype("<f8", copy=False).tobytes())  # the arena is the payload
         meta = {"format": 1, "epoch": int(epoch), "seed": seed,
                 "config": config or {}, "layout": net.layout()}
         with open(str(path) + ".json", "w") as fh:
@@ -460,41 +458,39 @@ def save_checkpoint(net: DualHeadNet, path, epoch: int = 0, seed=None,
 
 
 def load_checkpoint(path):
-    """Rebuild a network (and its metadata) from :func:`save_checkpoint` output."""
+    """Rebuild a network (and its metadata) from :func:`save_checkpoint` output.
+
+    The sidecar's layout builds the net; the file's shape table must match
+    that net's parameter shapes and its payload must be exactly the arena.
+    A missing, cut, padded or inconsistent checkpoint raises DataIOError.
+    """
     path = Path(path)
     try:
         with open(str(path) + ".json") as fh:
             meta = json.load(fh)
         with open(path, "rb") as fh:
             blob = fh.read()
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataIOError(f"cannot read checkpoint {path}: {exc}") from exc
+        net = DualHeadNet(**meta["layout"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise DataIOError(f"cannot read checkpoint {path}: {type(exc).__name__}: {exc}") from None
     if blob[:8] != CHECKPOINT_MAGIC:
         raise DataIOError(f"{path}: bad checkpoint magic")
-    off = 8
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    shapes = []
-    for _ in range(count):
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        dims = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        shapes.append(tuple(dims))
-    arrays = []
-    for shape in shapes:
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(shape)
-        arrays.append(arr.astype(np.float64))
-        off += 8 * size
-    lay = meta["layout"]
-    net = DualHeadNet(lay["input_dim"], lay["num_classes"], lay["code_bits"],
-                      lay["hidden_width"], lay["hidden_layers"], lay["temperature"])
-    params = net.parameters()
-    if len(params) != len(arrays):
-        raise DataIOError(f"{path}: shape table has {len(arrays)} arrays, layout needs {len(params)}")
-    for p, arr in zip(params, arrays):
-        if p.shape != arr.shape:
-            raise DataIOError(f"{path}: checkpoint array shape {arr.shape} != expected {p.shape}")
-        p[...] = arr
+    shapes = [p.shape for p in net.parameters()]
+    table, off = [], 12
+    try:
+        (count,) = struct.unpack_from("<I", blob, 8)
+        if count != len(shapes):
+            raise DataIOError(f"{path}: shape table has {count} arrays, layout needs {len(shapes)}")
+        for _ in range(count):
+            (ndim,) = struct.unpack_from("<I", blob, off)
+            table.append(struct.unpack_from(f"<{ndim}I", blob, off + 4))
+            off += 4 + 4 * ndim
+    except struct.error as exc:
+        raise DataIOError(f"{path}: checkpoint header cut short: {exc}") from None
+    if table != shapes:
+        raise DataIOError(f"{path}: checkpoint shapes {table} != layout shapes {shapes}")
+    if len(blob) - off != 8 * net.flat.size:
+        raise DataIOError(f"{path}: checkpoint payload is {len(blob) - off} bytes, "
+                          f"layout needs {8 * net.flat.size}")
+    net.flat[...] = np.frombuffer(blob, dtype="<f8", offset=off)
     return net, meta

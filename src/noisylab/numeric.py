@@ -87,6 +87,8 @@ class RngStream:
 
     def __init__(self, seed: int, _spawn_key: tuple = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         self.spawn_key = tuple(int(k) for k in _spawn_key)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self.generator = np.random.Generator(np.random.PCG64(ss))

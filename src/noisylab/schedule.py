@@ -1,8 +1,9 @@
 """Training-loop strategies: plain SGD, small-loss self/cross updates, and
 the double-buffered jump-update schedule, all run by one epoch loop,
-:func:`run_epoch`.  The strategies differ only in where a net's mask comes
-from and when it takes effect: standard has none, self uses its own
-small-loss pick, cross the peer net's pick, jump the active buffer below.
+:func:`run_epoch`, which returns the epoch's ``metrics.EpochRecord``.  The
+strategies differ only in where a net's mask comes from and when it takes
+effect: standard has none, self uses its own small-loss pick, cross the
+peer net's pick, jump the active buffer below.
 
 The jump schedule keeps two boolean buffers over the whole training set.
 Each iteration (1) writes freshly produced clean flags for its batch into
@@ -32,11 +33,12 @@ import numpy as np
 
 from .data import NoisyDataset
 from .errors import ConfigError, NumericError, ShapeError
+from .metrics import EpochRecord
 from .model import (DualHeadNet, SgdState, TrainConfig, cosine_lr,
                     losses_and_grads_from_forward, per_sample_cross_entropy,
                     sgd_step)
 from .numeric import RngStream
-from .selection import SelectionConfig, batch_flags, small_loss_select
+from .selection import BatchFlags, SelectionConfig, batch_flags, small_loss_select
 
 STRATEGIES = ("standard", "self_update", "cross_update", "jump_update")
 
@@ -133,30 +135,6 @@ class JumpTrace:
 
 
 @dataclass
-class EpochStats:
-    epoch: int
-    phase: str  # "warmup" or "train"
-    strategy: str
-    lr: float
-    iterations: int
-    trained_samples: int
-    selected_count: int
-    skipped_batches: int
-    gate_on: int
-    commit_count: int
-    mean_lag: float | None
-    ce_loss: float
-    bce_loss: float
-    wall_ms: float
-    produced_flags: np.ndarray
-    produced_flags_peer: np.ndarray | None = None
-    produced_variance: np.ndarray | None = None
-    produced_det: np.ndarray | None = None
-    produced_cls: np.ndarray | None = None
-    produced_bce: np.ndarray | None = None
-
-
-@dataclass
 class RunState:
     """Everything one training run mutates across epochs."""
 
@@ -174,7 +152,8 @@ class RunState:
     iters_per_epoch: int
     table: IdentifierTable | None = None
     trace: JumpTrace | None = None
-    collect_details: bool = False  # keep per-sample det/cls/bce for dumps
+    selected: list = field(default_factory=list)  # last epoch's flags, one array per net
+    flags: BatchFlags | None = None  # jump: last epoch's BatchFlags; combined is selected[0]
     global_iter: int = 0
     post_iter: int = 0
     accumulation_events: int = 0
@@ -183,8 +162,7 @@ class RunState:
 def build_run_state(data: NoisyDataset, targets: np.ndarray, nets: list,
                     train_cfg: TrainConfig, sel_cfg: SelectionConfig,
                     sched_cfg: ScheduleConfig, shuffle_rng: RngStream,
-                    gate_rng: RngStream, trace: bool = False,
-                    collect_details: bool = False) -> RunState:
+                    gate_rng: RngStream, trace: bool = False) -> RunState:
     n = data.n_samples
     need = 2 if sched_cfg.strategy == "cross_update" else 1
     if len(nets) != need:
@@ -204,8 +182,7 @@ def build_run_state(data: NoisyDataset, targets: np.ndarray, nets: list,
                     sched_cfg=sched_cfg, shuffle_rng=shuffle_rng,
                     gate_rng=gate_rng, jump_step=jump_step,
                     iters_per_epoch=iters_per_epoch, table=table,
-                    trace=JumpTrace() if (trace and sched_cfg.strategy == "jump_update") else None,
-                    collect_details=collect_details)
+                    trace=JumpTrace() if (trace and sched_cfg.strategy == "jump_update") else None)
 
 
 def _batches(state: RunState):
@@ -259,7 +236,7 @@ def _gate(state: RunState) -> bool:
     return state.gate_rng.generator.random() < state.sched_cfg.effect_rate
 
 
-def run_epoch(state: RunState, epoch: int) -> EpochStats:
+def run_epoch(state: RunState, epoch: int) -> EpochRecord:
     """One epoch of any strategy, warm-up included.
 
     Each batch is forwarded once through every net.  The strategy then
@@ -271,6 +248,7 @@ def run_epoch(state: RunState, epoch: int) -> EpochStats:
     Jump commits pending over active whenever the post-warm-up iteration
     count reaches a multiple of ``jump_step``.  Warm-up draws no gate and
     never commits, and its ``trained_samples`` counts net A's rows only.
+    The epoch's flags are left on ``state.selected`` and ``state.flags``.
     """
     t0 = time.perf_counter()
     cfg = state.train_cfg
@@ -280,16 +258,15 @@ def run_epoch(state: RunState, epoch: int) -> EpochStats:
     jump = state.strategy == "jump_update"
     gating = not warm and state.strategy != "standard"
     table, trace = state.table, state.trace
-    # One flag buffer per net; the batches cover every sample once.
-    produced = [np.ones(n, dtype=bool) for _ in state.nets]
-    details = jump and state.collect_details
-    variance = np.full(n, np.nan) if jump else None
-    det = np.zeros(n, dtype=bool) if details else None
-    cls = np.zeros(n, dtype=bool) if details else None
-    bce_per = np.full(n, np.nan) if details else None
+    # Fresh buffers every epoch; the batches cover every sample once.
+    state.selected = [np.ones(n, dtype=bool) for _ in state.nets]
+    if jump:
+        state.flags = BatchFlags(
+            detection=np.zeros(n, dtype=bool), classifier=np.zeros(n, dtype=bool),
+            combined=state.selected[0], variance=np.full(n, np.nan), bce=np.full(n, np.nan))
     lag_sum = lag_count = 0
     ce_sum = bce_sum = 0.0
-    updates = trained = iterations = skipped = gate_on = 0
+    updates = trained = skipped = gate_on = 0
     for idx in _batches(state):
         x = state.data.features[idx]
         labels = state.data.noisy_labels[idx]
@@ -300,17 +277,13 @@ def run_epoch(state: RunState, epoch: int) -> EpochStats:
             table.write(idx, flags.combined, state.global_iter)
             if trace is not None:
                 trace.writes.append((state.global_iter, idx.copy(), flags.combined.copy()))
-            produced[0][idx] = flags.combined
-            variance[idx] = flags.variance
-            if details:
-                det[idx] = flags.detection
-                cls[idx] = flags.classifier
-                bce_per[idx] = flags.bce
+            for name, values in vars(flags).items():
+                getattr(state.flags, name)[idx] = values
         elif state.strategy in ("self_update", "cross_update"):
             picks = [small_loss_select(per_sample_cross_entropy(res.probs, labels),
                                        state.sel_cfg.small_loss_keep_ratio)
                      for res in results]
-            for buf, pick in zip(produced, picks):
+            for buf, pick in zip(state.selected, picks):
                 buf[idx] = pick
         gated = gating and _gate(state)
         masks = [None] * len(results)
@@ -347,17 +320,12 @@ def run_epoch(state: RunState, epoch: int) -> EpochStats:
                     trace.commits.append((state.global_iter, state.post_iter,
                                           table.active.copy(), table.active_produced_at.copy()))
         state.global_iter += 1
-        iterations += 1
     wall = (time.perf_counter() - t0) * 1000.0
-    return EpochStats(epoch=epoch, phase="warmup" if warm else "train",
-                      strategy=state.strategy, lr=lr, iterations=iterations,
-                      trained_samples=trained, selected_count=int(produced[0].sum()),
-                      skipped_batches=skipped, gate_on=gate_on,
-                      commit_count=table.commit_count if table else 0,
-                      mean_lag=lag_sum / lag_count if lag_count else None,
-                      ce_loss=ce_sum / max(updates, 1),
-                      bce_loss=bce_sum / max(updates, 1), wall_ms=wall,
-                      produced_flags=produced[0],
-                      produced_flags_peer=produced[1] if len(produced) > 1 else None,
-                      produced_variance=variance, produced_det=det,
-                      produced_cls=cls, produced_bce=bce_per)
+    return EpochRecord(epoch=epoch, strategy=state.strategy,
+                       phase="warmup" if warm else "train", lr=lr,
+                       selected_count=int(state.selected[0].sum()),
+                       trained_samples=trained, skipped_batches=skipped,
+                       gate_on=gate_on, commit_count=table.commit_count if table else 0,
+                       mean_lag=lag_sum / lag_count if lag_count else None,
+                       ce_loss=ce_sum / max(updates, 1),
+                       bce_loss=bce_sum / max(updates, 1), epoch_wall_ms=wall)

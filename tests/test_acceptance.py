@@ -37,7 +37,7 @@ def last10(results, key):
 def eps04_battery():
     """Jump runs at the default 40% symmetric benchmark, 3 seeds."""
     cfg = parse_config({})
-    return cfg, {seed: run_cell(cfg, "jump_update", seed, write_outputs=False)
+    return cfg, {seed: run_cell(cfg, "jump_update", seed)
                  for seed in SEEDS}
 
 
@@ -57,8 +57,7 @@ def eps05_battery():
     for seed in SEEDS:
         for rep in range(TIMING_REPS):
             for strategy in ("standard", "jump_update", "cross_update"):
-                runs[(strategy, seed, rep)] = run_cell(
-                    cfg, strategy, seed, write_outputs=False)
+                runs[(strategy, seed, rep)] = run_cell(cfg, strategy, seed)
     return cfg, runs
 
 
@@ -68,13 +67,11 @@ def eps08_battery():
     cfg = parse_config({"noise": {"epsilon": 0.8}})
     runs = {}
     for seed in SEEDS:
-        runs[("jump_update", seed)] = run_cell(cfg, "jump_update", seed,
-                                               write_outputs=False)
-        runs[("cross_update", seed)] = run_cell(cfg, "cross_update", seed,
-                                                write_outputs=False)
+        runs[("jump_update", seed)] = run_cell(cfg, "jump_update", seed)
+        runs[("cross_update", seed)] = run_cell(cfg, "cross_update", seed)
         for rate in (1.0, 0.5, 0.3):
             runs[(f"self-r{rate:g}", seed)] = run_cell(
-                cfg, "self_update", seed, effect_rate=rate, write_outputs=False)
+                cfg, "self_update", seed, effect_rate=rate)
     return cfg, runs
 
 
@@ -148,7 +145,7 @@ def test_criterion_03_decomposition_and_variance_identities():
 
 def test_criterion_04_jump_bookkeeping_replay():
     cfg = parse_config({})
-    res = run_cell(cfg, "jump_update", 1, trace=True, write_outputs=False)
+    res = run_cell(cfg, "jump_update", 1, trace=True)
     trace = res.state.trace
     step = res.state.jump_step
     n = res.state.data.n_samples
@@ -312,7 +309,7 @@ def test_criterion_10_double_run_determinism(tmp_path):
     cfg = parse_config({})
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
-        run_cell(cfg, "jump_update", 1, out_dir=d, write_outputs=True)
+        run_cell(cfg, "jump_update", 1, out_dir=d)
 
     def epochs_lines(d):
         out = []

@@ -115,6 +115,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config({"seeds": seeds})
 
+    @pytest.mark.parametrize("seeds", [[-1], [1, -1]])
+    def test_negative_seeds(self, seeds):
+        with pytest.raises(ConfigError, match=r"seeds entry -1 must be a non-negative"):
+            parse_config({"seeds": seeds})
+
+    def test_class_map_keys_naming_the_same_class(self):
+        with pytest.raises(ConfigError, match=r"keys '1' and '01' both mean 1"):
+            parse_config({"noise": {"kind": "asymmetric", "epsilon": 0.3,
+                                    "class_map": {"1": 2, "01": 3}}})
+
     def test_bad_strategies_entry(self):
         with pytest.raises(ConfigError):
             parse_config({"strategies": ["standard", "warp"]})
@@ -238,6 +248,44 @@ class TestCliDataPipeline:
         assert not noisy.exists()
 
 
+    def test_inject_rejects_class_map_keys_naming_the_same_class(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        main(["gen-data", "--classes", "4", "--dim", "4", "--per-class", "10",
+              "--train-out", str(train), "--test-out", str(tmp_path / "t.csv")])
+        capsys.readouterr()
+        noisy = tmp_path / "n.csv"
+        rc = main(["inject", "--input", str(train), "--out", str(noisy),
+                   "--kind", "asymmetric", "--epsilon", "0.3",
+                   "--class-map", '{"1": 2, "01": 3}'])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
+        assert "'1' and '01'" in lines[0]
+        assert not noisy.exists()
+
+    def test_gen_data_negative_seed_exits_2(self, tmp_path, capsys):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        rc = main(["gen-data", "--classes", "3", "--dim", "4", "--per-class", "10",
+                   "--seed", "-1", "--train-out", str(train), "--test-out", str(test)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
+        assert not train.exists() and not test.exists()
+
+    def test_inject_negative_seed_exits_2(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        main(["gen-data", "--classes", "3", "--dim", "4", "--per-class", "10",
+              "--train-out", str(train), "--test-out", str(tmp_path / "t.csv")])
+        capsys.readouterr()
+        noisy = tmp_path / "n.csv"
+        rc = main(["inject", "--input", str(train), "--out", str(noisy),
+                   "--epsilon", "0.3", "--seed", "-2"])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
+        assert not noisy.exists()
+
+
 def run_dir_of(out_root):
     """out/<hash>/<label>-seed<N>: resolve the single cell directory."""
     hashes = [p for p in out_root.iterdir() if p.is_dir()]
@@ -314,6 +362,15 @@ class TestCliTrain:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
         assert path in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds", [[-1], [1, -1]])
+    def test_negative_seed_exits_2_before_training(self, tmp_path, capsys, seeds):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(tmp_path / "out", seeds=seeds))
+        assert main(["train", "--config", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
+        assert "seeds entry -1" in lines[0]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -152,6 +152,19 @@ class TestEpochRecord:
         rec = make_record(0)
         assert set(CURVE_COLUMNS) == set(vars(rec))
 
+    def test_curves_header_is_pinned(self, tmp_path):
+        """The column order is read by plotting scripts; it comes from the
+        field order of EpochRecord, so moving a field must fail here."""
+        paths = emit_report([make_record(0)], tmp_path, {})
+        with open(paths["curves"], newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header == [
+            "epoch", "strategy", "phase", "lr", "selected_count",
+            "trained_samples", "skipped_batches", "gate_on", "commit_count",
+            "mean_lag", "test_acc", "sel_precision", "sel_recall", "sel_f1",
+            "temporal_iou", "cross_iou", "median_var_clean", "median_var_noisy",
+            "ce_loss", "bce_loss", "epoch_wall_ms", "peak_mem_bytes"]
+
 
 class TestSummarize:
     def make_run(self):

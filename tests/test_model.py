@@ -466,3 +466,53 @@ class TestCheckpoint:
         (tmp_path / "model.ckpt.json").unlink()
         with pytest.raises(DataIOError):
             load_checkpoint(path)
+
+    @staticmethod
+    def saved(tmp_path):
+        net = make_net(seed=23)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, path)
+        return net, path
+
+    def test_payload_is_the_arena(self, tmp_path):
+        net, path = self.saved(tmp_path)
+        n_arrays = len(net.parameters())
+        header = 12 + sum(4 + 4 * p.ndim for p in net.parameters())
+        blob = path.read_bytes()
+        assert struct.unpack_from("<I", blob, 8) == (n_arrays,)
+        assert blob[header:] == net.flat.astype("<f8").tobytes()
+
+    def test_cut_payload_rejected(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DataIOError, match="payload is"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(DataIOError, match="payload is"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [10, 14, 22])
+    def test_header_cut_inside_shape_table_rejected(self, tmp_path, cut):
+        """Cut inside the array count, an ndim and a dims entry."""
+        _, path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(DataIOError, match="header cut short"):
+            load_checkpoint(path)
+
+    def test_shape_table_disagreeing_with_layout_rejected(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 16, 7)  # trunk[0].w is 5 x 6
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataIOError, match="shapes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta", ['{"format": 1}', '[]', '{"layout": {"depth": 3}}'])
+    def test_sidecar_without_usable_layout_rejected(self, tmp_path, meta):
+        _, path = self.saved(tmp_path)
+        (tmp_path / "model.ckpt.json").write_text(meta)
+        with pytest.raises(DataIOError, match="cannot read checkpoint"):
+            load_checkpoint(path)

@@ -201,3 +201,7 @@ class TestRngStream:
     def test_permutation_reproducible(self):
         assert np.array_equal(RngStream(1).permutation(50),
                               RngStream(1).permutation(50))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            RngStream(-1)

@@ -234,14 +234,14 @@ class TestWarmup:
         state, noisy = make_state(strategy)
         stats = run_epoch(state, 0)
         assert stats.phase == "warmup"
-        assert stats.iterations == 5
+        assert state.iters_per_epoch == 5
         assert stats.trained_samples == noisy.n_samples
         assert stats.skipped_batches == 0
         assert stats.gate_on == 0
         assert stats.commit_count == 0
         if strategy == "jump_update":
             assert state.table.active.all()  # untouched until first commit
-            assert stats.selected_count == int(stats.produced_flags.sum())
+            assert stats.selected_count == int(state.selected[0].sum())
 
     def test_zero_warmup_starts_training_immediately(self):
         state, _ = make_state("standard", epochs=4, warmup=0)
@@ -300,7 +300,7 @@ class TestSelfUpdate:
         run_epoch(state, 0)
         run_epoch(state, 1)
         stats = run_epoch(state, 2)
-        assert stats.gate_on == stats.iterations
+        assert stats.gate_on == state.iters_per_epoch
         assert stats.trained_samples < noisy.n_samples
         # ceil(0.5 * batch) per batch: 8+8+8+8+4 of the 72 samples
         assert stats.trained_samples == 36
@@ -311,8 +311,8 @@ class TestCrossUpdate:
         state, _ = make_state("cross_update")
         for epoch in range(3):
             stats = run_epoch(state, epoch)
-        assert stats.produced_flags_peer is not None
-        assert stats.produced_flags.any() and stats.produced_flags_peer.any()
+        assert len(state.selected) == 2
+        assert state.selected[0].any() and state.selected[1].any()
 
     def test_trains_both_nets_post_warmup(self):
         state, _ = make_state("cross_update")
@@ -352,9 +352,23 @@ class TestJumpUpdate:
         state.table.active[:] = False
         before = snapshot(state.nets[0])
         stats = run_epoch(state, 2)  # jump_step 20 defers any commit
-        assert stats.skipped_batches == stats.iterations == 5
+        assert stats.skipped_batches == state.iters_per_epoch == 5
         assert stats.trained_samples == 0
         assert params_equal(snapshot(state.nets[0]), before)
+
+    @pytest.mark.parametrize("epoch", [0, 2])
+    def test_epoch_flags_cover_every_sample(self, epoch):
+        """Warm-up or not, and without any dump asked for, the epoch's
+        BatchFlags hold a decision for every sample."""
+        state, noisy = make_state("jump_update")
+        for e in range(epoch + 1):
+            rec = run_epoch(state, e)
+        flags = state.flags
+        assert np.isfinite(flags.variance).all() and np.isfinite(flags.bce).all()
+        assert np.array_equal(flags.combined, state.selected[0])
+        assert np.array_equal(flags.combined, flags.detection | flags.classifier)
+        assert rec.selected_count == int(flags.combined.sum())
+        assert all(len(v) == noisy.n_samples for v in vars(flags).values())
 
     def test_selection_shrinks_under_noise(self):
         state, noisy = make_state("jump_update")
