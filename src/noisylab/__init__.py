@@ -2,7 +2,7 @@
 
 from .codebook import HadamardCodebook, default_code_bits, derive_codebook
 from .config import ExperimentConfig, load_config, parse_config
-from .data import NoiseSpec, NoisyDataset, gen_blobs, inject_noise, load_csv, save_csv
+from .data import NoiseConfig, NoisyDataset, gen_blobs, inject_noise, load_csv, save_csv
 from .errors import (CapacityError, ConfigError, DataIOError, EncodingError,
                      LabelError, NoisyLabError, NumericError, ParseError,
                      ShapeError)
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "ConfigError", "DataIOError", "DualHeadNet",
     "EncodingError", "ExperimentConfig", "HadamardCodebook",
-    "IdentifierTable", "LabelError", "NoiseSpec", "NoisyDataset",
+    "IdentifierTable", "LabelError", "NoiseConfig", "NoisyDataset",
     "NoisyLabError", "NumericError", "ParseError", "RngStream",
     "STRATEGIES", "ScheduleConfig", "SelectionConfig", "ShapeError",
     "TrainConfig", "batch_flags", "compare_strategies", "default_code_bits",

@@ -19,7 +19,8 @@ import numpy as np
 
 from .codebook import default_code_bits, derive_codebook, save_codebook_csv
 from .config import from_json, load_config
-from .data import NoiseSpec, gen_blobs, inject_noise, load_csv, make_instance_weights, save_csv
+from .data import (NOISE_KINDS, NoiseConfig, gen_blobs, inject_noise, load_csv,
+                   make_instance_weights, save_csv)
 from .errors import ConfigError, DataIOError, NumericError
 from .experiment import compare_strategies, run_experiment
 from .metrics import last10_mean, load_jsonl
@@ -59,9 +60,8 @@ def _cmd_inject(args) -> int:
     if args.kind == "instance":
         weights = make_instance_weights(ds.features.shape[1], ds.num_classes,
                                         RngStream(args.seed).child(1))
-    spec = NoiseSpec(kind=args.kind, epsilon=args.epsilon, class_map=class_map,
-                     idn_weights=weights)
-    noisy = inject_noise(ds, spec, RngStream(args.seed))
+    noise = NoiseConfig(kind=args.kind, epsilon=args.epsilon, class_map=class_map)
+    noisy = inject_noise(ds, noise, RngStream(args.seed), weights)
     save_csv(noisy, args.out)
     print(f"inject: {args.kind} eps={args.epsilon} flipped "
           f"{int((~noisy.clean_mask).sum())}/{noisy.n_samples} -> {args.out}")
@@ -69,11 +69,7 @@ def _cmd_inject(args) -> int:
 
 
 def _apply_out_dir(cfg, args):
-    env = os.environ.get(OUT_DIR_ENV)
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
-    elif env:
-        cfg.out_dir = env
+    cfg.out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or cfg.out_dir
     return cfg
 
 
@@ -158,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject", help="inject label noise into a dataset CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kind", choices=["symmetric", "asymmetric", "pairflip", "instance"],
-                   default="symmetric")
+    p.add_argument("--kind", choices=NOISE_KINDS, default="symmetric")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--class-map", default=None,
                    help='JSON object, e.g. \'{"0": 1, "1": 0}\' (asymmetric only)')

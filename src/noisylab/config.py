@@ -1,8 +1,9 @@
 """Experiment configuration: the config dataclasses are the schema.
 
 Each field's name, type and default is stated once, on ``ExperimentConfig``
-or on the section dataclass it holds (``TrainConfig``, ``SelectionConfig``
-and ``ScheduleConfig`` live beside the code that reads them).
+or on the section dataclass it holds (``NoiseConfig``, ``TrainConfig``,
+``SelectionConfig`` and ``ScheduleConfig`` live beside the code that reads
+them: ``data``, ``model``, ``selection`` and ``schedule``).
 :func:`parse_config` walks their fields to fill in defaults and type-check
 every JSON value (:func:`from_json`); each ``__post_init__`` checks ranges
 and cross-field rules.  Unknown keys anywhere are hard errors reported with
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_origin
 
-from .data import NOISE_KINDS
+from .data import NoiseConfig
 from .errors import ConfigError, DataIOError
 from .model import TrainConfig
 from .schedule import STRATEGIES, ScheduleConfig
@@ -59,21 +60,6 @@ class DatasetConfig:
                 raise ConfigError(f"dataset.spread must be positive, got {self.spread}")
         elif not self.train_path or not self.test_path:
             raise ConfigError("dataset.kind 'csv' requires train_path and test_path")
-
-
-@dataclass
-class NoiseConfig:
-    kind: str = "symmetric"
-    epsilon: float = 0.4
-    class_map: dict[int, int] | None = None
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ConfigError(f"noise.kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if not (0.0 <= self.epsilon < 1.0):
-            raise ConfigError(f"noise.epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.kind == "asymmetric" and not self.class_map:
-            raise ConfigError("noise.kind 'asymmetric' requires noise.class_map")
 
 
 @dataclass

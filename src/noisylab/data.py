@@ -20,7 +20,8 @@ label_noisy; floats serialized with repr for exact round-trip; LF endings.
 """
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,21 +34,21 @@ NOISE_KINDS = ("symmetric", "asymmetric", "pairflip", "instance")
 
 
 @dataclass
-class NoiseSpec:
-    kind: str
-    epsilon: float
-    class_map: dict | None = None
-    idn_weights: np.ndarray | None = None
+class NoiseConfig:
+    """The ``noise`` section of an experiment config, and what
+    :func:`inject_noise` takes."""
+
+    kind: str = "symmetric"
+    epsilon: float = 0.4
+    class_map: dict[int, int] | None = None
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise ConfigError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
+            raise ConfigError(f"noise.kind must be one of {NOISE_KINDS}, got {self.kind!r}")
         if not (0.0 <= self.epsilon < 1.0):
-            raise ConfigError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+            raise ConfigError(f"noise.epsilon must lie in [0, 1), got {self.epsilon}")
         if self.kind == "asymmetric" and not self.class_map:
-            raise ConfigError("asymmetric noise requires a class_map")
-        if self.kind == "instance" and self.idn_weights is None:
-            raise ConfigError("instance noise requires idn_weights")
+            raise ConfigError("noise.kind 'asymmetric' requires noise.class_map")
 
 
 @dataclass
@@ -60,7 +61,6 @@ class NoisyDataset:
     clean_mask: np.ndarray    # (n,) bool, true == noisy
     num_classes: int
     split: str = "train"
-    noise_spec: NoiseSpec | None = None
 
     def __post_init__(self):
         n = self.features.shape[0]
@@ -95,11 +95,6 @@ def _next_pow2(v: int) -> int:
     return p
 
 
-def _as_stream(rng) -> RngStream:
-    """Accept either an integer seed or an existing stream."""
-    return rng if isinstance(rng, RngStream) else RngStream(int(rng))
-
-
 def class_centers(classes: int, dim: int, scale: float = 1.0) -> np.ndarray:
     """Well-separated class centers in R^dim.
 
@@ -119,25 +114,23 @@ def class_centers(classes: int, dim: int, scale: float = 1.0) -> np.ndarray:
 
 
 def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
-              rng, center_scale: float = 1.0):
+              rng: RngStream, center_scale: float = 1.0):
     """Gaussian clusters around the class centers; returns (train, test)
-    with a stratified 80/20 split (test size = round(0.2 * n) per class).
-
-    ``rng`` may be an integer seed or an RngStream.
-    """
-    rng = _as_stream(rng)
+    with a stratified 80/20 split (test size = round(0.2 * n) per class)."""
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
     if dim < 2:
         raise ConfigError(f"need at least 2 feature dims, got {dim}")
     if n_per_class < 2:
         raise ConfigError(f"need at least 2 samples per class, got {n_per_class}")
-    if spread <= 0.0:
-        raise ConfigError(f"spread must be positive, got {spread}")
+    if not (math.isfinite(spread) and spread > 0.0):
+        raise ConfigError(f"spread must be a finite positive number, got {spread}")
+    if not math.isfinite(center_scale):
+        raise ConfigError(f"center_scale must be a finite number, got {center_scale}")
     centers = class_centers(classes, dim, center_scale)
     feats, labels = [], []
     for c in range(classes):
-        feats.append(centers[c] + spread * rng.normal(size=(n_per_class, dim)))
+        feats.append(centers[c] + spread * rng.generator.normal(size=(n_per_class, dim)))
         labels.append(np.full(n_per_class, c, dtype=np.int64))
     x = np.concatenate(feats)
     y = np.concatenate(labels)
@@ -145,7 +138,7 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
     test_idx = np.zeros(x.shape[0], dtype=bool)
     for c in range(classes):
         rows = np.flatnonzero(y == c)
-        picked = rng.permutation(rows.size)[:n_test]
+        picked = rng.generator.permutation(rows.size)[:n_test]
         test_idx[rows[picked]] = True
     def build(sel):
         return NoisyDataset(features=np.ascontiguousarray(x[sel]),
@@ -160,11 +153,13 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
 
 def make_instance_weights(dim: int, classes: int, rng: RngStream) -> np.ndarray:
     """Random projection used by instance-dependent noise; shape (dim, classes)."""
-    return rng.normal(size=(dim, classes))
+    return rng.generator.normal(size=(dim, classes))
 
 
-def _instance_flip_probs(ds: NoisyDataset, spec: NoiseSpec) -> np.ndarray:
-    w = np.asarray(spec.idn_weights, dtype=np.float64)
+def _instance_flip_probs(ds: NoisyDataset, epsilon: float, idn_weights) -> np.ndarray:
+    if idn_weights is None:
+        raise ConfigError("instance noise requires idn_weights")
+    w = np.asarray(idn_weights, dtype=np.float64)
     if w.shape != (ds.features.shape[1], ds.num_classes):
         raise ConfigError(
             f"idn_weights shape {w.shape} != ({ds.features.shape[1]}, {ds.num_classes})")
@@ -177,56 +172,60 @@ def _instance_flip_probs(ds: NoisyDataset, spec: NoiseSpec) -> np.ndarray:
     lo, hi = -3.0, 4.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mean_prob(mid) < spec.epsilon:
+        if mean_prob(mid) < epsilon:
             lo = mid
         else:
             hi = mid
     b = 0.5 * (lo + hi)
-    if abs(mean_prob(b) - spec.epsilon) > 1e-6:
-        raise ConfigError(f"cannot calibrate instance noise to epsilon={spec.epsilon}")
+    if abs(mean_prob(b) - epsilon) > 1e-6:
+        raise ConfigError(f"cannot calibrate instance noise to epsilon={epsilon}")
     return np.clip(0.25 * z + b, 0.0, 1.0)
 
 
-def inject_noise(ds: NoisyDataset, spec: NoiseSpec, rng) -> NoisyDataset:
+def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
+                 idn_weights=None) -> NoisyDataset:
     """Return a copy of the train split with noisy labels written in.
 
+    Instance noise needs ``idn_weights`` (see :func:`make_instance_weights`).
     Refuses test splits and datasets that already carry noise, so a second
-    injection cannot silently compound.  ``rng`` may be an integer seed or
-    an RngStream.
+    injection cannot silently compound, and symmetric or instance noise on
+    fewer than 2 classes, where no other class exists to flip to.
     """
-    rng = _as_stream(rng)
     if ds.split != "train":
         raise ConfigError("noise injection is train-split only")
     if not ds.clean_mask.all():
         raise ConfigError("dataset already has injected noise")
     n, c = ds.n_samples, ds.num_classes
+    if noise.kind in ("symmetric", "instance") and c < 2:
+        raise ConfigError(f"{noise.kind} noise needs at least 2 classes, got {c}")
+    g = rng.generator
     y = ds.true_labels.copy()
     noisy = y.copy()
-    if spec.kind == "symmetric":
-        flips = rng.uniform(size=n) < spec.epsilon
-        draw = rng.integers(0, c - 1, size=n)
+    if noise.kind == "symmetric":
+        flips = g.uniform(size=n) < noise.epsilon
+        draw = g.integers(0, c - 1, size=n)
         draw = draw + (draw >= y)  # skip the true class
         noisy[flips] = draw[flips]
-    elif spec.kind in ("asymmetric", "pairflip"):
-        cmap = spec.class_map if spec.kind == "asymmetric" else {i: (i + 1) % c for i in range(c)}
+    elif noise.kind in ("asymmetric", "pairflip"):
+        cmap = noise.class_map if noise.kind == "asymmetric" else {i: (i + 1) % c for i in range(c)}
         missing = [k for k in range(c) if k not in cmap]
         if missing:
             raise ConfigError(f"class_map missing source classes {missing}")
         bad = [v for v in cmap.values() if not 0 <= int(v) < c]
         if bad:
             raise ConfigError(f"class_map targets outside [0, {c}): {bad}")
-        flips = rng.uniform(size=n) < spec.epsilon
+        flips = g.uniform(size=n) < noise.epsilon
         mapped = np.array([cmap[int(v)] for v in y], dtype=np.int64)
         noisy[flips] = mapped[flips]
-    elif spec.kind == "instance":
-        probs = _instance_flip_probs(ds, spec)
-        flips = rng.uniform(size=n) < probs
-        draw = rng.integers(0, c - 1, size=n)
+    elif noise.kind == "instance":
+        probs = _instance_flip_probs(ds, noise.epsilon, idn_weights)
+        flips = g.uniform(size=n) < probs
+        draw = g.integers(0, c - 1, size=n)
         draw = draw + (draw >= y)
         noisy[flips] = draw[flips]
     return NoisyDataset(features=ds.features.copy(), true_labels=y,
                         noisy_labels=noisy, clean_mask=y == noisy,
-                        num_classes=c, split="train", noise_spec=spec)
+                        num_classes=c, split="train")
 
 
 def save_csv(ds: NoisyDataset, path) -> None:
@@ -269,6 +268,8 @@ def load_csv(path, num_classes: int | None = None, split: str = "train") -> Nois
                     yn.append(int(row[d + 1]))
                 except ValueError as exc:
                     raise ParseError(f"{path} line {lineno}: {exc}") from None
+                if not all(map(math.isfinite, feats[-1])):
+                    raise ParseError(f"{path} line {lineno}: non-finite feature value")
     except OSError as exc:
         raise DataIOError(f"cannot read dataset {path}: {exc}") from exc
     x = np.array(feats, dtype=np.float64).reshape(len(feats), d)

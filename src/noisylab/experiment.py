@@ -17,7 +17,7 @@ import numpy as np
 
 from .codebook import default_code_bits, derive_codebook
 from .config import ExperimentConfig, canonical_dict, config_hash
-from .data import NoiseSpec, gen_blobs, inject_noise, load_csv, make_instance_weights
+from .data import gen_blobs, inject_noise, load_csv, make_instance_weights
 from .errors import ConfigError, DataIOError, NumericError
 from .metrics import (cell, emit_report, evaluate, iou, peak_memory_bytes,
                       selection_quality, summarize_records)
@@ -50,11 +50,19 @@ class CellResult:
     out_dir: Path | None
 
 
+def _load_split(path, num_classes, split: str):
+    ds = load_csv(path, num_classes=num_classes, split=split)
+    if ds.n_samples == 0:
+        raise DataIOError(f"{path}: the {split} split has no data rows")
+    return ds
+
+
 def build_dataset(cfg: ExperimentConfig, seed: int):
     """Construct (train, test) for a run, injecting noise when asked.
 
     CSV datasets that already contain disagreeing label columns are used
     as-is; injection only happens on clean training data with epsilon > 0.
+    An empty CSV split is refused.
     """
     root = RngStream(seed)
     ds_cfg = cfg.dataset
@@ -63,16 +71,14 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
                                 ds_cfg.spread, root.child(STREAM_DATA),
                                 ds_cfg.center_scale)
     else:
-        train = load_csv(ds_cfg.train_path, num_classes=ds_cfg.classes, split="train")
-        test = load_csv(ds_cfg.test_path, num_classes=train.num_classes, split="test")
+        train = _load_split(ds_cfg.train_path, ds_cfg.classes, "train")
+        test = _load_split(ds_cfg.test_path, train.num_classes, "test")
     if train.clean_mask.all() and cfg.noise.epsilon > 0:
         weights = None
         if cfg.noise.kind == "instance":
             weights = make_instance_weights(train.features.shape[1],
                                             train.num_classes, root.child(STREAM_IDN))
-        spec = NoiseSpec(kind=cfg.noise.kind, epsilon=cfg.noise.epsilon,
-                         class_map=cfg.noise.class_map, idn_weights=weights)
-        train = inject_noise(train, spec, root.child(STREAM_NOISE))
+        train = inject_noise(train, cfg.noise, root.child(STREAM_NOISE), weights)
     return train, test
 
 
@@ -87,13 +93,10 @@ def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
     codebook = derive_codebook(code_bits, n_classes)
     targets = codebook.targets_for(train.noisy_labels)
 
+    net_keys = (STREAM_NET_A, STREAM_NET_B) if strategy == "cross_update" else (STREAM_NET_A,)
     nets = [DualHeadNet.create(train.features.shape[1], n_classes, code_bits,
                                cfg.train.hidden_width, cfg.train.hidden_layers,
-                               cfg.train.temperature, root.child(STREAM_NET_A))]
-    if strategy == "cross_update":
-        nets.append(DualHeadNet.create(train.features.shape[1], n_classes, code_bits,
-                                       cfg.train.hidden_width, cfg.train.hidden_layers,
-                                       cfg.train.temperature, root.child(STREAM_NET_B)))
+                               cfg.train.temperature, root.child(key)) for key in net_keys]
 
     sched = dataclasses.replace(cfg.schedule, strategy=strategy,
                                 effect_rate=cfg.schedule.effect_rate

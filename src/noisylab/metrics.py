@@ -27,23 +27,17 @@ log = logging.getLogger("noisylab")
 
 
 def iou(a, b) -> float:
-    """Intersection over union of two selections.
-
-    Accepts boolean masks (equal length) or integer index arrays over the
-    same universe.  Two empty selections count as perfect agreement (1.0);
+    """Intersection over union of two selections given as boolean masks of
+    equal length.  Two empty selections count as perfect agreement (1.0);
     the occurrence is logged since it usually signals a degenerate run.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.dtype == bool or b.dtype == bool:
-        if a.shape != b.shape:
-            raise ShapeError(f"mask shapes differ: {a.shape} vs {b.shape}")
-        inter = int(np.sum(a & b))
-        union = int(np.sum(a | b))
-    else:
-        sa, sb = set(a.tolist()), set(b.tolist())
-        inter = len(sa & sb)
-        union = len(sa | sb)
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != bool or b.dtype != bool:
+        raise TypeError(f"iou takes boolean masks, got dtypes {a.dtype} and {b.dtype}")
+    if a.shape != b.shape:
+        raise ShapeError(f"mask shapes differ: {a.shape} vs {b.shape}")
+    inter = int(np.sum(a & b))
+    union = int(np.sum(a | b))
     if union == 0:
         log.debug("iou of two empty selections, returning 1.0 by convention")
         return 1.0

@@ -166,7 +166,7 @@ class DualHeadNet:
         for i, lay in enumerate([*net.trunk, net.classifier, *net.detection]):
             gain = 2.0 if i < hidden_layers else 1.0
             fan_in = lay.w.shape[0]
-            lay.w[...] = rng.normal(0.0, math.sqrt(gain / fan_in), size=lay.w.shape)
+            lay.w[...] = rng.generator.normal(0.0, math.sqrt(gain / fan_in), size=lay.w.shape)
         return net
 
     @property
@@ -268,14 +268,13 @@ class DualHeadNet:
         return probs, np.argmax(probs, axis=1)
 
     def backward(self, res: ForwardResult, dlogits: np.ndarray,
-                 d_det_pre: np.ndarray) -> list:
+                 d_det_pre: np.ndarray) -> None:
         """Backpropagate upstream gradients onto every parameter.
 
         ``dlogits`` is the loss gradient w.r.t. the classifier logits;
         ``d_det_pre`` w.r.t. the pre-activation of the final detection
-        layer.  The gradients are written in place into ``grad``; the
-        returned list holds views of it aligned with :meth:`parameters`,
-        which the next call overwrites.
+        layer.  The gradients are written in place into ``grad``, which the
+        next call overwrites; :meth:`gradients` views them per parameter.
         """
         cls = self.classifier
         matmul(res.trunk_out.T, dlogits, out=cls.gw)
@@ -300,7 +299,6 @@ class DualHeadNet:
             matmul(res.trunk_inputs[i].T, dpre, out=lay.gw)
             dpre.sum(axis=0, out=lay.gb)
             d = matmul(dpre, lay.w.T)
-        return self.gradients()
 
 
 def per_sample_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -369,7 +367,8 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
                                   labels, targets, bce_weight: float = 1.0,
                                   mask=None):
     """Combined objective (CE + bce_weight * BCE) restricted to the masked
-    rows, with full parameter gradients.  ``mask=None`` means all rows."""
+    rows; returns (ce, bce) and leaves the parameter gradients in
+    ``net.grad``.  ``mask=None`` means all rows."""
     n = res.probs.shape[0]
     if mask is None:
         idx = np.arange(n)
@@ -385,49 +384,37 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
     dlogits[idx] = dlog_sub
     d_det = np.zeros_like(res.z)
     d_det[idx] = bce_weight * dpre_sub
-    grads = net.backward(res, dlogits, d_det)
-    return ce, bce, grads
+    net.backward(res, dlogits, d_det)
+    return ce, bce
 
 
-class SgdState:
-    """Velocity buffers for SGD with momentum, one per parameter array (a
-    network's training loop passes its one flat arena)."""
-
-    def __init__(self, params):
-        self.velocities = [np.zeros_like(p) for p in params]
-
-
-# The update arithmetic runs over slices of at most this many leading-axis
-# entries, so its temporaries stay small however large a flat arena grows.
+# The update arithmetic runs over slices of at most this many entries, so
+# its temporaries stay small however large a flat arena grows.
 STEP_BLOCK = 32768
 
 
-def sgd_step(params, grads, state: SgdState, lr: float, momentum: float,
-             weight_decay: float) -> None:
-    """v <- momentum*v + g + weight_decay*theta;  theta <- theta - lr*v.
+def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float,
+             momentum: float, weight_decay: float) -> None:
+    """v <- momentum*v + g + weight_decay*p;  p <- p - lr*v, in place.
 
-    Refuses the step (raising, nothing mutated) if any gradient is
-    non-finite; verifies parameters stay finite afterwards.  Each check is
-    one scan per array, so passing a network's flat arenas makes it one
-    scan of all gradients and one of all parameters.
+    ``p``, ``g`` and ``v`` are a network's flat parameter and gradient
+    arenas and its velocity arena.  Refuses the step (raising, nothing
+    mutated) if a gradient is non-finite; verifies the parameters stay
+    finite afterwards.  Each check is one scan of one arena.
     """
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(grads)} gradients for {len(params)} parameters")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != np.shape(g):
-            raise ShapeError(f"gradient {i} shape {np.shape(g)} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in parameter {i}; step refused")
-    for p, g, v in zip(params, grads, state.velocities):
-        for lo in range(0, p.shape[0], STEP_BLOCK):
-            hi = lo + STEP_BLOCK
-            pb, vb = p[lo:hi], v[lo:hi]
-            vb *= momentum
-            vb += g[lo:hi] + weight_decay * pb
-            pb -= lr * vb
-    for i, p in enumerate(params):
-        if not np.all(np.isfinite(p)):
-            raise NumericError(f"parameter {i} became non-finite after the step")
+    if not p.shape == g.shape == v.shape:
+        raise ShapeError(f"arena shapes differ: parameters {p.shape}, "
+                         f"gradients {g.shape}, velocities {v.shape}")
+    if not np.all(np.isfinite(g)):
+        raise NumericError("non-finite gradient; step refused")
+    for lo in range(0, p.shape[0], STEP_BLOCK):
+        hi = lo + STEP_BLOCK
+        pb, vb = p[lo:hi], v[lo:hi]
+        vb *= momentum
+        vb += g[lo:hi] + weight_decay * pb
+        pb -= lr * vb
+    if not np.all(np.isfinite(p)):
+        raise NumericError("parameters became non-finite after the step")
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float, lr_min: float) -> float:

@@ -16,10 +16,11 @@ those arrays with one exception: a trunk pre-activation that overflows to
 and is not detected.  Only when a check fails does the code scan parameter
 by parameter to name the offending layer.
 
-Randomness comes from :class:`RngStream`, a thin wrapper over numpy's PCG64
-generator.  PCG64 is a fixed, platform-independent algorithm, so a given
-seed yields the same draw sequence on every machine; that is what makes
-experiment replays bit-identical.
+Randomness comes from :class:`RngStream`, which does the seeding and
+derives child streams; callers draw through its ``generator``, a numpy
+PCG64 ``Generator``.  PCG64 is a fixed, platform-independent algorithm, so
+a given seed yields the same draw sequence on every machine; that is what
+makes experiment replays bit-identical.
 """
 
 import numpy as np
@@ -73,7 +74,7 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarr
 
 
 class RngStream:
-    """Seedable deterministic random stream.
+    """Seedable deterministic random stream; draw through ``generator``.
 
     Backed by numpy's PCG64 bit generator seeded through a SeedSequence, so
     identical seeds produce identical sequences on every platform.
@@ -82,8 +83,6 @@ class RngStream:
     experiment code uses fixed integer keys per purpose (data generation,
     noise injection, weight init, shuffling, ...).
     """
-
-    algorithm = "pcg64"
 
     def __init__(self, seed: int, _spawn_key: tuple = ()):
         self.seed = int(seed)
@@ -95,18 +94,6 @@ class RngStream:
 
     def child(self, key: int) -> "RngStream":
         return RngStream(self.seed, self.spawn_key + (int(key),))
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self.generator.uniform(low, high, size=size)
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        return self.generator.normal(loc, scale, size=size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self.generator.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.generator.permutation(n)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"

@@ -34,7 +34,7 @@ import numpy as np
 from .data import NoisyDataset
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import EpochRecord
-from .model import (DualHeadNet, SgdState, TrainConfig, cosine_lr,
+from .model import (DualHeadNet, TrainConfig, cosine_lr,
                     losses_and_grads_from_forward, per_sample_cross_entropy,
                     sgd_step)
 from .numeric import RngStream
@@ -142,7 +142,7 @@ class RunState:
     data: NoisyDataset
     targets: np.ndarray  # (n, K) codeword bit targets for the noisy labels
     nets: list
-    opts: list
+    velocities: list  # one SGD velocity arena per net, shaped like net.flat
     train_cfg: TrainConfig
     sel_cfg: SelectionConfig
     sched_cfg: ScheduleConfig
@@ -176,9 +176,9 @@ def build_run_state(data: NoisyDataset, targets: np.ndarray, nets: list,
     if np.asarray(targets).shape[0] != n:
         raise ShapeError(f"targets rows {np.asarray(targets).shape[0]} != dataset size {n}")
     table = IdentifierTable(n, jump_step) if sched_cfg.strategy == "jump_update" else None
-    opts = [SgdState([net.flat]) for net in nets]
     return RunState(strategy=sched_cfg.strategy, data=data, targets=targets,
-                    nets=nets, opts=opts, train_cfg=train_cfg, sel_cfg=sel_cfg,
+                    nets=nets, velocities=[np.zeros_like(net.flat) for net in nets],
+                    train_cfg=train_cfg, sel_cfg=sel_cfg,
                     sched_cfg=sched_cfg, shuffle_rng=shuffle_rng,
                     gate_rng=gate_rng, jump_step=jump_step,
                     iters_per_epoch=iters_per_epoch, table=table,
@@ -186,7 +186,7 @@ def build_run_state(data: NoisyDataset, targets: np.ndarray, nets: list,
 
 
 def _batches(state: RunState):
-    order = state.shuffle_rng.permutation(state.data.n_samples)
+    order = state.shuffle_rng.generator.permutation(state.data.n_samples)
     bs = state.train_cfg.batch_size
     return [order[i:i + bs] for i in range(0, order.size, bs)]
 
@@ -211,10 +211,10 @@ def _update(state: RunState, which: int, res, labels, targets, mask, lr: float):
                            + ("; step refused" if count else ""))
     if count == 0:
         return None
-    ce, bce, _ = losses_and_grads_from_forward(
+    ce, bce = losses_and_grads_from_forward(
         net, res, labels, targets, state.train_cfg.bce_weight, mask)
     try:
-        sgd_step([net.flat], [net.grad], state.opts[which], lr,
+        sgd_step(net.flat, net.grad, state.velocities[which], lr,
                  state.train_cfg.momentum, state.train_cfg.weight_decay)
     except NumericError:
         raise NumericError(_step_failure(net)) from None

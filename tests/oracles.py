@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the package against.
 
-Most are plain, allocation-per-result versions of routines the package
-implements in place or in bulk; the package must match them bit for bit.
+Most are plain, allocation-per-result or per-parameter versions of
+routines the package implements in place or in bulk; the package must
+match them bit for bit.
 The per-sample identifiers are the scalar definitions ``batch_flags``
 vectorizes, and ``finite_difference_check`` with
 ``combined_loss_and_grads`` audits the model's analytic gradients.
@@ -146,6 +147,14 @@ def combined_loss_and_grads(net: DualHeadNet, x, labels, targets,
 
     The gradients are copies, so a later call does not overwrite them."""
     res = net.forward(x)
-    ce, bce, grads = losses_and_grads_from_forward(net, res, labels, targets,
-                                                   bce_weight, mask)
-    return ce + bce_weight * bce, ce, bce, [g.copy() for g in grads], res
+    ce, bce = losses_and_grads_from_forward(net, res, labels, targets, bce_weight, mask)
+    return ce + bce_weight * bce, ce, bce, [g.copy() for g in net.gradients()], res
+
+
+def sgd_step_per_parameter(params, grads, velocities, lr, momentum, weight_decay) -> None:
+    """SGD with momentum, one parameter array at a time, in place:
+    v <- momentum*v + g + weight_decay*p;  p <- p - lr*v."""
+    for p, g, v in zip(params, grads, velocities):
+        v *= momentum
+        v += g + weight_decay * p
+        p -= lr * v

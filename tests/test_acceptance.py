@@ -100,8 +100,8 @@ def test_criterion_02_gradients_match_finite_differences():
     for seed in range(10):
         rng = RngStream(1000 + seed)
         net = DualHeadNet.create(5, 3, 8, 6, 2, 2.0, rng.child(0))
-        x = rng.child(1).normal(0.0, 1.0, (6, 5))
-        labels = rng.child(2).integers(0, 3, 6)
+        x = rng.child(1).generator.normal(0.0, 1.0, (6, 5))
+        labels = rng.child(2).generator.integers(0, 3, 6)
         targets = cb.targets_for(labels)
 
         def loss_and_grad():
@@ -119,8 +119,8 @@ def test_criterion_02_gradients_match_finite_differences():
 def test_criterion_03_decomposition_and_variance_identities():
     rng = RngStream(77)
     n, k = 10_000, 32
-    z = rng.child(0).uniform(0.01, 0.99, (n, k))
-    t = (rng.child(1).uniform(0.0, 1.0, (n, k)) < 0.5).astype(np.float64)
+    z = rng.child(0).generator.uniform(0.01, 0.99, (n, k))
+    t = (rng.child(1).generator.uniform(0.0, 1.0, (n, k)) < 0.5).astype(np.float64)
     d = decompose_bce(z, t)
 
     # mean of the per-bit decomposition vs the plain BCE formula, summed

@@ -39,6 +39,32 @@ WRONG_TYPES = [
 ]
 
 
+def only_error(capsys, kind: str) -> str:
+    """The single stderr line of a failed command, checked to be error[kind]."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error[{kind}]:"), lines
+    return lines[0]
+
+
+def write_csv(path, rows) -> str:
+    """A two-feature dataset CSV with the given data rows."""
+    path.write_text("".join(f"{r}\n" for r in ["f0,f1,label_true,label_noisy", *rows]))
+    return str(path)
+
+
+TWO_CLASS_ROWS = ["1.0,2.0,0,0", "1.5,2.5,1,1", "0.5,1.0,0,0", "0.7,1.9,1,1"]
+
+
+def csv_train_payload(tmp_path, train_rows, test_rows, **extra):
+    """A 3-epoch run on two hand-written CSV splits, classes read off the data."""
+    return tiny_train_payload(tmp_path / "out", dataset={
+        "kind": "csv", "classes": None,
+        "train_path": write_csv(tmp_path / "train.csv", train_rows),
+        "test_path": write_csv(tmp_path / "test.csv", test_rows)},
+        train={"epochs": 3, "warmup_epochs": 1, "batch_size": 2, "hidden_width": 4},
+        **extra)
+
+
 def tiny_train_payload(out_dir=None, **extra):
     """3-class, 24-sample, 3-epoch run: finishes in well under a second."""
     payload = {
@@ -272,6 +298,27 @@ class TestCliDataPipeline:
         assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
         assert not train.exists() and not test.exists()
 
+    @pytest.mark.parametrize("arg", ["--spread=nan", "--spread=inf", "--center-scale=nan",
+                                     "--center-scale=inf", "--center-scale=-inf"])
+    def test_gen_data_non_finite_geometry_exits_2(self, tmp_path, capsys, arg):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        rc = main(["gen-data", "--classes", "3", "--dim", "4", "--per-class", "10", arg,
+                   "--train-out", str(train), "--test-out", str(test)])
+        assert rc == 2
+        assert arg[2:].split("=")[0].replace("-", "_") in only_error(capsys, "config")
+        assert not train.exists() and not test.exists()
+
+    @pytest.mark.parametrize("kind", ["symmetric", "instance"])
+    @pytest.mark.parametrize("epsilon", ["0", "0.3"])
+    def test_inject_single_class_exits_2(self, tmp_path, capsys, kind, epsilon):
+        data = write_csv(tmp_path / "one.csv", ["1.0,2.0,0,0", "1.5,2.5,0,0"])
+        noisy = tmp_path / "n.csv"
+        rc = main(["inject", "--input", data, "--out", str(noisy), "--kind", kind,
+                   "--epsilon", epsilon])
+        assert rc == 2
+        assert "needs at least 2 classes, got 1" in only_error(capsys, "config")
+        assert not noisy.exists()
+
     def test_inject_negative_seed_exits_2(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
         main(["gen-data", "--classes", "3", "--dim", "4", "--per-class", "10",
@@ -371,6 +418,32 @@ class TestCliTrain:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
         assert "seeds entry -1" in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_single_class_csv_with_default_noise_exits_2(self, tmp_path, capsys):
+        one_class = ["1.0,2.0,0,0", "1.5,2.5,0,0", "0.5,1.0,0,0"]
+        cfg = write_json(tmp_path / "cfg.json", csv_train_payload(tmp_path, one_class, one_class))
+        assert main(["train", "--config", cfg]) == 2
+        assert "symmetric noise needs at least 2 classes" in only_error(capsys, "config")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_feature_exits_4(self, tmp_path, capsys, value):
+        rows = [*TWO_CLASS_ROWS[:2], f"0.5,{value},0,0", *TWO_CLASS_ROWS[3:]]
+        cfg = write_json(tmp_path / "cfg.json", csv_train_payload(tmp_path, rows, TWO_CLASS_ROWS))
+        assert main(["train", "--config", cfg]) == 4
+        assert "train.csv line 4: non-finite feature" in only_error(capsys, "io")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("strategy", ["standard", "self_update", "cross_update",
+                                          "jump_update"])
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_csv_split_exits_4(self, tmp_path, capsys, strategy, empty):
+        splits = {"train": TWO_CLASS_ROWS, "test": TWO_CLASS_ROWS, empty: []}
+        cfg = write_json(tmp_path / "cfg.json", csv_train_payload(
+            tmp_path, splits["train"], splits["test"], schedule={"strategy": strategy}))
+        assert main(["train", "--config", cfg]) == 4
+        assert f"{empty}.csv: the {empty} split has no data rows" in only_error(capsys, "io")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -4,7 +4,7 @@ stratified split, every noise model, and CSV round-trips."""
 import numpy as np
 import pytest
 
-from noisylab.data import (NoiseSpec, NoisyDataset, class_centers, gen_blobs,
+from noisylab.data import (NoiseConfig, NoisyDataset, class_centers, gen_blobs,
                            inject_noise, load_csv, make_instance_weights,
                            save_csv)
 from noisylab.errors import ConfigError, LabelError, ParseError, ShapeError
@@ -56,11 +56,6 @@ class TestGenBlobs:
             d = np.linalg.norm(ds.features[:, None, :] - centers[None], axis=2)
             assert np.array_equal(np.argmin(d, axis=1), ds.true_labels)
 
-    def test_accepts_plain_int_seed(self):
-        a, _ = gen_blobs(2, 4, 10, 1.0, 9)
-        b, _ = gen_blobs(2, 4, 10, 1.0, RngStream(9))
-        assert np.array_equal(a.features, b.features)
-
     @pytest.mark.parametrize("kwargs", [
         {"classes": 1}, {"dim": 1}, {"n_per_class": 1}, {"spread": 0.0},
     ])
@@ -72,26 +67,27 @@ class TestGenBlobs:
                       base["spread"], RngStream(0))
 
 
-class TestNoiseSpec:
+class TestNoiseConfig:
     def test_validates_kind_and_epsilon(self):
         with pytest.raises(ConfigError):
-            NoiseSpec(kind="gaussian", epsilon=0.1)
+            NoiseConfig(kind="gaussian", epsilon=0.1)
         with pytest.raises(ConfigError):
-            NoiseSpec(kind="symmetric", epsilon=1.0)
+            NoiseConfig(kind="symmetric", epsilon=1.0)
 
     def test_asymmetric_requires_map(self):
         with pytest.raises(ConfigError):
-            NoiseSpec(kind="asymmetric", epsilon=0.2)
+            NoiseConfig(kind="asymmetric", epsilon=0.2)
 
     def test_instance_requires_weights(self):
-        with pytest.raises(ConfigError):
-            NoiseSpec(kind="instance", epsilon=0.2)
+        train, _ = gen_blobs(3, 4, 10, 1.0, RngStream(4))
+        with pytest.raises(ConfigError, match="idn_weights"):
+            inject_noise(train, NoiseConfig(kind="instance", epsilon=0.2), RngStream(1))
 
 
 class TestInjectNoise:
     def test_epsilon_zero_is_identity(self):
         train, _ = gen_blobs(3, 4, 30, 1.0, RngStream(4))
-        noisy = inject_noise(train, NoiseSpec("symmetric", 0.0), RngStream(1))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.0), RngStream(1))
         assert noisy.clean_mask.all()
         assert np.array_equal(noisy.noisy_labels, train.true_labels)
 
@@ -99,19 +95,19 @@ class TestInjectNoise:
         """epsilon=0.5 over 10k samples: realized rate within +/-0.015."""
         train, _ = gen_blobs(5, 4, 2500, 1.0, RngStream(6))
         assert train.n_samples == 10000
-        noisy = inject_noise(train, NoiseSpec("symmetric", 0.5), RngStream(2))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(2))
         assert abs(noisy.noise_rate() - 0.5) < 0.015
 
     def test_symmetric_never_flips_to_true_class(self):
         train, _ = gen_blobs(4, 4, 500, 1.0, RngStream(7))
-        noisy = inject_noise(train, NoiseSpec("symmetric", 0.8), RngStream(3))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.8), RngStream(3))
         flipped = ~noisy.clean_mask
         assert flipped.any()
         assert np.all(noisy.noisy_labels[flipped] != noisy.true_labels[flipped])
 
     def test_pairflip_full_rate_is_cyclic_shift(self):
         train, _ = gen_blobs(10, 4, 20, 1.0, RngStream(8))
-        noisy = inject_noise(train, NoiseSpec("pairflip", 0.99), RngStream(4))
+        noisy = inject_noise(train, NoiseConfig("pairflip", 0.99), RngStream(4))
         flipped = ~noisy.clean_mask
         want = (noisy.true_labels + 1) % 10
         assert np.array_equal(noisy.noisy_labels[flipped], want[flipped])
@@ -119,7 +115,7 @@ class TestInjectNoise:
     def test_asymmetric_follows_class_map(self):
         train, _ = gen_blobs(3, 4, 200, 1.0, RngStream(9))
         cmap = {0: 1, 1: 0, 2: 2}
-        noisy = inject_noise(train, NoiseSpec("asymmetric", 0.5, class_map=cmap),
+        noisy = inject_noise(train, NoiseConfig("asymmetric", 0.5, class_map=cmap),
                              RngStream(5))
         flipped = ~noisy.clean_mask
         for src, dst in cmap.items():
@@ -131,37 +127,36 @@ class TestInjectNoise:
     def test_asymmetric_incomplete_map_rejected(self):
         train, _ = gen_blobs(3, 4, 10, 1.0, RngStream(10))
         with pytest.raises(ConfigError):
-            inject_noise(train, NoiseSpec("asymmetric", 0.2, class_map={0: 1}),
+            inject_noise(train, NoiseConfig("asymmetric", 0.2, class_map={0: 1}),
                          RngStream(6))
 
     def test_instance_noise_calibrated_to_epsilon(self):
         train, _ = gen_blobs(5, 8, 400, 1.0, RngStream(11))
         w = make_instance_weights(8, 5, RngStream(11).child(6))
-        noisy = inject_noise(train, NoiseSpec("instance", 0.3, idn_weights=w),
-                             RngStream(7))
+        noisy = inject_noise(train, NoiseConfig("instance", 0.3), RngStream(7), w)
         assert abs(noisy.noise_rate() - 0.3) < 0.01 + 3 * 0.5 / np.sqrt(1600)
 
     def test_refuses_test_split(self):
         _, test = gen_blobs(3, 4, 30, 1.0, RngStream(12))
         with pytest.raises(ConfigError):
-            inject_noise(test, NoiseSpec("symmetric", 0.2), RngStream(8))
+            inject_noise(test, NoiseConfig("symmetric", 0.2), RngStream(8))
 
     def test_refuses_double_injection(self):
         train, _ = gen_blobs(3, 4, 200, 1.0, RngStream(13))
-        once = inject_noise(train, NoiseSpec("symmetric", 0.5), RngStream(9))
+        once = inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(9))
         with pytest.raises(ConfigError):
-            inject_noise(once, NoiseSpec("symmetric", 0.5), RngStream(10))
+            inject_noise(once, NoiseConfig("symmetric", 0.5), RngStream(10))
 
     def test_clean_mask_is_label_equality(self):
         train, _ = gen_blobs(4, 4, 100, 1.0, RngStream(14))
-        noisy = inject_noise(train, NoiseSpec("symmetric", 0.4), RngStream(11))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.4), RngStream(11))
         assert np.array_equal(noisy.clean_mask,
                               noisy.true_labels == noisy.noisy_labels)
 
     def test_original_dataset_untouched(self):
         train, _ = gen_blobs(3, 4, 100, 1.0, RngStream(15))
         before = train.noisy_labels.copy()
-        inject_noise(train, NoiseSpec("symmetric", 0.5), RngStream(12))
+        inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(12))
         assert np.array_equal(train.noisy_labels, before)
 
 
@@ -194,7 +189,7 @@ class TestNoisyDatasetValidation:
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
         train, _ = gen_blobs(3, 5, 40, 1.3, RngStream(16))
-        noisy = inject_noise(train, NoiseSpec("symmetric", 0.3), RngStream(13))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.3), RngStream(13))
         path = tmp_path / "data.csv"
         save_csv(noisy, path)
         loaded = load_csv(path, num_classes=3)
@@ -247,6 +242,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError) as exc:
             load_csv(path)
         assert "line 2" in str(exc.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"f0,f1,label_true,label_noisy\n1.0,2.0,0,0\n1.0,{value},0,0\n")
+        with pytest.raises(ParseError, match="line 3: non-finite feature"):
+            load_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "void.csv"

@@ -12,7 +12,7 @@ from noisylab.codebook import derive_codebook
 from noisylab.data import gen_blobs
 from noisylab.errors import (ConfigError, DataIOError, EncodingError,
                              LabelError, NumericError, ShapeError)
-from noisylab.model import (CHECKPOINT_MAGIC, DualHeadNet, SgdState,
+from noisylab.model import (CHECKPOINT_MAGIC, DualHeadNet,
                             TrainConfig, Z_CLAMP, classification_loss,
                             cosine_lr, decompose_bce, detection_loss,
                             load_checkpoint, losses_and_grads_from_forward,
@@ -21,7 +21,7 @@ from noisylab.model import (CHECKPOINT_MAGIC, DualHeadNet, SgdState,
 from noisylab.numeric import RngStream
 from noisylab.selection import SelectionConfig, batch_flags
 from oracles import (backward_per_layer, combined_loss_and_grads,
-                     finite_difference_check)
+                     finite_difference_check, sgd_step_per_parameter)
 
 
 def make_net(seed=0, input_dim=5, classes=3, bits=4, width=6, layers=2, temp=2.0):
@@ -42,7 +42,7 @@ class TestForward:
     def test_matches_layer_by_layer_oracle(self):
         """One sample recomputed with raw numpy ops, no package code."""
         net = make_net(seed=4)
-        x = RngStream(10).normal(size=(1, 5))
+        x = RngStream(10).generator.normal(size=(1, 5))
         res = net.forward(x)
 
         a = x.copy()
@@ -63,14 +63,14 @@ class TestForward:
 
     def test_identical_rows_identical_outputs(self):
         net = make_net(seed=1)
-        row = RngStream(2).normal(size=(1, 5))
+        row = RngStream(2).generator.normal(size=(1, 5))
         res = net.forward(np.repeat(row, 6, axis=0))
         assert np.array_equal(res.probs, np.repeat(res.probs[:1], 6, axis=0))
         assert np.array_equal(res.z, np.repeat(res.z[:1], 6, axis=0))
 
     def test_rows_sum_to_one_and_z_interior(self):
         net = make_net(seed=2)
-        res = net.forward(RngStream(3).normal(size=(32, 5)))
+        res = net.forward(RngStream(3).generator.normal(size=(32, 5)))
         np.testing.assert_allclose(res.probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(res.z > 0.0) and np.all(res.z < 1.0)
 
@@ -80,7 +80,7 @@ class TestForward:
 
     def test_classify_agrees_with_forward(self):
         net = make_net(seed=5)
-        x = RngStream(6).normal(size=(10, 5))
+        x = RngStream(6).generator.normal(size=(10, 5))
         res = net.forward(x)
         probs, preds = net.classify(x)
         assert np.array_equal(probs, res.probs)
@@ -146,7 +146,7 @@ class TestParameterArena:
         """He-scaled trunk, Xavier-scaled heads, drawn one matrix after
         another from the stream; biases zero."""
         net = make_net(seed=37, layers=layers)
-        rng = RngStream(37)
+        rng = RngStream(37).generator
         for name, p in zip(net.parameter_names(), net.parameters()):
             if name.endswith(".b"):
                 assert not p.any()
@@ -157,7 +157,7 @@ class TestParameterArena:
 
     def test_combined_gradients_survive_a_later_call(self):
         net = make_net(seed=33)
-        rng = RngStream(34)
+        rng = RngStream(34).generator
         labels = np.array([0, 2, 1, 1])
         targets = derive_codebook(4, 3).targets_for(labels)
         _, _, _, grads, _ = combined_loss_and_grads(
@@ -171,13 +171,14 @@ class TestParameterArena:
     def test_backward_is_bitwise_the_per_layer_oracle(self, layers, width, rows):
         net = make_net(seed=35, width=width, layers=layers, bits=16, classes=10,
                        input_dim=32)
-        rng = RngStream(36)
+        rng = RngStream(36).generator
         res = net.forward(rng.normal(size=(rows, 32)))
         keep = rng.uniform(size=(rows, 1)) < 0.5  # zero rows, as masked updates do
         dlogits = rng.normal(size=res.logits.shape) * keep
         d_det = rng.normal(size=res.z.shape) * keep
         want = backward_per_layer(net, res, dlogits, d_det)
-        got = net.backward(res, dlogits, d_det)
+        net.backward(res, dlogits, d_det)
+        got = net.gradients()
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g, w)
@@ -208,7 +209,7 @@ class TestClassificationLoss:
     def test_gradient_matches_finite_differences(self):
         """Classification path audited alone (detection weight set to 0)."""
         net = make_net(seed=11)
-        x = RngStream(12).normal(size=(4, 5))
+        x = RngStream(12).generator.normal(size=(4, 5))
         labels = np.array([0, 2, 1, 1])
         targets = derive_codebook(4, 3).targets_for(labels)
 
@@ -270,14 +271,14 @@ class TestDetectionLoss:
     def test_gradient_matches_finite_differences(self):
         """Detection path audited alone (classifier gradient zeroed)."""
         net = make_net(seed=15)
-        x = RngStream(16).normal(size=(4, 5))
+        x = RngStream(16).generator.normal(size=(4, 5))
         targets = derive_codebook(4, 3).targets_for(np.array([0, 1, 2, 0]))
 
         def loss_and_grad():
             res = net.forward(x)
             loss, d_pre = detection_loss(res.z, targets)
-            grads = net.backward(res, np.zeros_like(res.logits), d_pre)
-            return loss, grads
+            net.backward(res, np.zeros_like(res.logits), d_pre)
+            return loss, net.gradients()
 
         assert finite_difference_check(loss_and_grad, net.parameters()) < 1e-4
 
@@ -285,16 +286,16 @@ class TestDetectionLoss:
 class TestMaskedLoss:
     def test_mask_restricts_to_selected_rows(self):
         net = make_net(seed=17)
-        x = RngStream(18).normal(size=(6, 5))
+        x = RngStream(18).generator.normal(size=(6, 5))
         labels = np.array([0, 1, 2, 0, 1, 2])
         targets = derive_codebook(4, 3).targets_for(labels)
         res = net.forward(x)
         mask = np.array([True, False, True, False, False, False])
-        ce_m, bce_m, _ = losses_and_grads_from_forward(net, res, labels, targets,
-                                                       mask=mask)
+        ce_m, bce_m = losses_and_grads_from_forward(net, res, labels, targets,
+                                                    mask=mask)
         sub = net.forward(x[mask])
-        ce_s, bce_s, _ = losses_and_grads_from_forward(net, sub, labels[mask],
-                                                       targets[mask])
+        ce_s, bce_s = losses_and_grads_from_forward(net, sub, labels[mask],
+                                                    targets[mask])
         assert abs(ce_m - ce_s) < 1e-12 and abs(bce_m - bce_s) < 1e-12
 
     def test_empty_mask_rejected(self):
@@ -310,46 +311,42 @@ class TestMaskedLoss:
 class TestSgdStep:
     def test_zero_lr_is_identity(self):
         p = np.array([1.0, -2.0])
-        state = SgdState([p])
-        sgd_step([p], [np.array([5.0, 5.0])], state, lr=0.0, momentum=0.9,
+        sgd_step(p, np.array([5.0, 5.0]), np.zeros(2), lr=0.0, momentum=0.9,
                  weight_decay=0.1)
         assert np.array_equal(p, [1.0, -2.0])
 
     def test_plain_gradient_descent(self):
         p = np.array([1.0, 2.0])
-        state = SgdState([p])
-        sgd_step([p], [np.array([0.5, -0.5])], state, lr=0.1, momentum=0.0,
+        sgd_step(p, np.array([0.5, -0.5]), np.zeros(2), lr=0.1, momentum=0.0,
                  weight_decay=0.0)
         np.testing.assert_allclose(p, [0.95, 2.05], atol=1e-15)
 
     def test_momentum_matches_hand_unrolled_recurrence(self):
         """Two steps on 0.5*theta^2 with momentum 0.9, gradient = theta."""
         p = np.array([2.0])
-        state = SgdState([p])
-        sgd_step([p], [p.copy()], state, lr=0.1, momentum=0.9, weight_decay=0.0)
+        v = np.zeros(1)
+        sgd_step(p, p.copy(), v, lr=0.1, momentum=0.9, weight_decay=0.0)
         assert abs(p[0] - 1.8) < 1e-12       # v1 = 2.0, theta = 2 - 0.2
-        sgd_step([p], [p.copy()], state, lr=0.1, momentum=0.9, weight_decay=0.0)
+        sgd_step(p, p.copy(), v, lr=0.1, momentum=0.9, weight_decay=0.0)
         assert abs(p[0] - 1.44) < 1e-12      # v2 = 0.9*2 + 1.8 = 3.6
 
     def test_weight_decay_term(self):
         p = np.array([10.0])
-        state = SgdState([p])
-        sgd_step([p], [np.zeros(1)], state, lr=0.1, momentum=0.0,
+        sgd_step(p, np.zeros(1), np.zeros(1), lr=0.1, momentum=0.0,
                  weight_decay=0.01)
         assert abs(p[0] - 9.99) < 1e-12
 
     def test_flat_arena_step_matches_per_parameter_steps(self):
         """One step over the flat arenas, in blocks, is bitwise the
-        per-parameter step."""
+        per-parameter reference step."""
         net = make_net(seed=40, width=48)
         ref = [p.copy() for p in net.parameters()]
-        rng = RngStream(41)
-        net.grad[:] = rng.normal(size=net.grad.size)
+        net.grad[:] = RngStream(41).generator.normal(size=net.grad.size)
         ref_grads = [g.copy() for g in net.gradients()]
-        flat_state, ref_state = SgdState([net.flat]), SgdState(ref)
+        v, ref_v = np.zeros_like(net.flat), [np.zeros_like(p) for p in ref]
         for _ in range(3):
-            sgd_step([net.flat], [net.grad], flat_state, 0.05, 0.9, 3e-3)
-            sgd_step(ref, ref_grads, ref_state, 0.05, 0.9, 3e-3)
+            sgd_step(net.flat, net.grad, v, 0.05, 0.9, 3e-3)
+            sgd_step_per_parameter(ref, ref_grads, ref_v, 0.05, 0.9, 3e-3)
         for p, r in zip(net.parameters(), ref):
             assert np.array_equal(p, r)
 
@@ -357,22 +354,20 @@ class TestSgdStep:
         import noisylab.model as model
         monkeypatch.setattr(model, "STEP_BLOCK", 3)
         p = np.arange(8.0)
-        g = np.ones(8)
-        sgd_step([p], [g], SgdState([p]), 0.5, 0.0, 0.0)
+        sgd_step(p, np.ones(8), np.zeros(8), 0.5, 0.0, 0.0)
         assert np.array_equal(p, np.arange(8.0) - 0.5)
 
     def test_nonfinite_gradient_refused_without_mutation(self):
         p = np.array([1.0, 2.0])
-        before = p.copy()
-        state = SgdState([p])
+        v = np.array([0.5, 0.5])
         with pytest.raises(NumericError):
-            sgd_step([p], [np.array([1.0, float("nan")])], state, 0.1, 0.9, 0.0)
-        assert np.array_equal(p, before)
+            sgd_step(p, np.array([1.0, float("nan")]), v, 0.1, 0.9, 0.0)
+        assert np.array_equal(p, [1.0, 2.0]) and np.array_equal(v, [0.5, 0.5])
 
     def test_shape_mismatch(self):
-        p = np.zeros(3)
-        with pytest.raises(ShapeError):
-            sgd_step([p], [np.zeros(2)], SgdState([p]), 0.1, 0.0, 0.0)
+        for g, v in ((np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(2))):
+            with pytest.raises(ShapeError):
+                sgd_step(np.zeros(3), g, v, 0.1, 0.0, 0.0)
 
 
 class TestCosineLr:
@@ -420,16 +415,15 @@ class TestVarianceConvergesOnCleanData:
         cb = derive_codebook(16, 4)
         targets = cb.targets_for(train.noisy_labels)
         net = DualHeadNet.create(8, 4, 16, 16, 2, 2.0, RngStream(11))
-        opt = SgdState(net.parameters())
+        v = np.zeros_like(net.flat)
         sel = SelectionConfig()
         means = []
         for _ in range(30):
             res = net.forward(train.features)
             flags = batch_flags(res.z, targets, res.probs, train.noisy_labels, sel)
             means.append(float(flags.variance.mean()))
-            _, _, grads = losses_and_grads_from_forward(
-                net, res, train.noisy_labels, targets)
-            sgd_step(net.parameters(), grads, opt, 0.5, 0.9, 0.0)
+            losses_and_grads_from_forward(net, res, train.noisy_labels, targets)
+            sgd_step(net.flat, net.grad, v, 0.5, 0.9, 0.0)
         windows = [float(np.mean(means[i:i + 10])) for i in (0, 10, 20)]
         assert windows[0] > windows[1] > windows[2]
         assert windows[2] < 1e-3
@@ -446,7 +440,7 @@ class TestCheckpoint:
         assert meta["epoch"] == 7 and meta["seed"] == 3
         assert meta["layout"] == net.layout()
         # loaded net produces identical outputs
-        x = RngStream(22).normal(size=(4, 5))
+        x = RngStream(22).generator.normal(size=(4, 5))
         assert np.array_equal(net.forward(x).probs, loaded.forward(x).probs)
 
     def test_bad_magic_rejected(self, tmp_path):

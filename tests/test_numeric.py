@@ -179,28 +179,28 @@ class TestFiniteDifferenceCheck:
 class TestRngStream:
     def test_equal_seeds_equal_draws(self):
         """Identical seeds reproduce the first million uniforms exactly."""
-        a = RngStream(123).uniform(size=1_000_000)
-        b = RngStream(123).uniform(size=1_000_000)
+        a = RngStream(123).generator.uniform(size=1_000_000)
+        b = RngStream(123).generator.uniform(size=1_000_000)
         assert np.array_equal(a, b)
 
     def test_child_streams_are_stable(self):
         """A child stream depends only on (seed, key), not on how many
         draws the parent has made."""
         parent = RngStream(7)
-        early = parent.child(2).uniform(size=10)
-        parent.uniform(size=1000)
-        late = parent.child(2).uniform(size=10)
+        early = parent.child(2).generator.uniform(size=10)
+        parent.generator.uniform(size=1000)
+        late = parent.child(2).generator.uniform(size=10)
         assert np.array_equal(early, late)
 
     def test_distinct_keys_distinct_streams(self):
         root = RngStream(7)
-        a = root.child(0).uniform(size=100)
-        b = root.child(1).uniform(size=100)
+        a = root.child(0).generator.uniform(size=100)
+        b = root.child(1).generator.uniform(size=100)
         assert not np.array_equal(a, b)
 
     def test_permutation_reproducible(self):
-        assert np.array_equal(RngStream(1).permutation(50),
-                              RngStream(1).permutation(50))
+        assert np.array_equal(RngStream(1).generator.permutation(50),
+                              RngStream(1).generator.permutation(50))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="non-negative"):

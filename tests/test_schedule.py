@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from noisylab.codebook import derive_codebook
-from noisylab.data import NoiseSpec, gen_blobs, inject_noise
+from noisylab.data import NoiseConfig, gen_blobs, inject_noise
 from noisylab.errors import ConfigError, NumericError, ShapeError
 from noisylab.model import DualHeadNet, TrainConfig
 from noisylab.numeric import RngStream
@@ -23,7 +23,7 @@ def make_state(strategy, epochs=6, warmup=2, jump_step=None, effect_rate=1.0,
                tau=0.001, keep=0.5, seed=5):
     """72-sample, 5-iterations-per-epoch run for fast schedule checks."""
     train, _ = gen_blobs(3, 4, 30, 1.0, RngStream(seed).child(0))
-    noisy = inject_noise(train, NoiseSpec("symmetric", 0.3), RngStream(seed).child(1))
+    noisy = inject_noise(train, NoiseConfig("symmetric", 0.3), RngStream(seed).child(1))
     cb = derive_codebook(16, 3)
     targets = cb.targets_for(noisy.noisy_labels)
     tc = TrainConfig(epochs=epochs, warmup_epochs=warmup, batch_size=16,
@@ -181,7 +181,7 @@ class TestGate:
         for epoch in range(state.train_cfg.epochs):
             stats = run_epoch(state, epoch)
             expected = 0 if epoch < state.train_cfg.warmup_epochs else sum(
-                oracle.uniform() < 0.5 for _ in range(state.iters_per_epoch))
+                oracle.generator.uniform() < 0.5 for _ in range(state.iters_per_epoch))
             assert stats.gate_on == expected
         assert state.gate_rng.generator.bit_generator.state == \
             oracle.generator.bit_generator.state
@@ -396,7 +396,7 @@ class TestFinitenessChecks:
         assert state.global_iter == global_iter  # raised inside the first iteration
         for p, q in zip(state.nets[0].parameters(), params):
             assert np.array_equal(p, q, equal_nan=True)
-        assert np.array_equal(state.opts[0].velocities[0], velocity)
+        assert np.array_equal(state.velocities[0], velocity)
 
     @pytest.mark.parametrize("name", PARAMS)
     def test_nan_weight_refuses_the_update_step(self, name):
@@ -405,7 +405,7 @@ class TestFinitenessChecks:
         run_epoch(state, 1)
         self.plant_nan(state.nets[0], name)
         params = snapshot(state.nets[0])
-        velocity = state.opts[0].velocities[0].copy()
+        velocity = state.velocities[0].copy()
         start = state.global_iter
         with pytest.raises(NumericError, match=rf"parameter {re.escape(name)} is non-finite; step refused"):
             run_epoch(state, 2)
@@ -419,7 +419,7 @@ class TestFinitenessChecks:
         state.table.active[:] = False
         self.plant_nan(state.nets[0], name)
         params = snapshot(state.nets[0])
-        velocity = state.opts[0].velocities[0].copy()
+        velocity = state.velocities[0].copy()
         start = state.global_iter
         with pytest.raises(NumericError, match=rf"skipped batch; parameter {re.escape(name)} is non-finite"):
             run_epoch(state, 2)
@@ -433,7 +433,7 @@ class TestFinitenessChecks:
         net.classifier.b[0] = 1.79e308
         net.classifier.w[:, 0] = 1e308
         params = snapshot(net)
-        velocity = state.opts[0].velocities[0].copy()
+        velocity = state.velocities[0].copy()
         with pytest.raises(NumericError, match=r"non-finite forward outputs on a training "
                                                r"batch; the forward pass overflowed; step refused"), \
                 np.errstate(over="ignore", invalid="ignore"):
@@ -453,7 +453,7 @@ class TestFinitenessChecks:
         k = net.parameter_names().index("classifier.b")
         at = sum(p.size for p in net.parameters()[:k])
         net.flat[at] = 1.79e308
-        state.opts[0].velocities[0][at] = -1e308
+        state.velocities[0][at] = -1e308
         with pytest.raises(NumericError,
                            match=r"parameter classifier\.b became non-finite after the step"), \
                 np.errstate(over="ignore"):
