@@ -54,8 +54,8 @@ class DatasetConfig:
                 raise ConfigError(f"dataset.classes must be >= 2, got {self.classes}")
             if self.dim < 2:
                 raise ConfigError(f"dataset.dim must be >= 2, got {self.dim}")
-            if self.per_class < 2:
-                raise ConfigError(f"dataset.per_class must be >= 2, got {self.per_class}")
+            if self.per_class < 3:  # fewer leaves a class without a test row
+                raise ConfigError(f"dataset.per_class must be >= 3, got {self.per_class}")
             if self.spread <= 0:
                 raise ConfigError(f"dataset.spread must be positive, got {self.spread}")
         elif not self.train_path or not self.test_path:

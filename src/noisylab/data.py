@@ -116,13 +116,13 @@ def class_centers(classes: int, dim: int, scale: float = 1.0) -> np.ndarray:
 def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
               rng: RngStream, center_scale: float = 1.0):
     """Gaussian clusters around the class centers; returns (train, test)
-    with a stratified 80/20 split (test size = round(0.2 * n) per class)."""
+    with a stratified 80/20 split (round(0.2 * n) >= 1 test rows per class)."""
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
     if dim < 2:
         raise ConfigError(f"need at least 2 feature dims, got {dim}")
-    if n_per_class < 2:
-        raise ConfigError(f"need at least 2 samples per class, got {n_per_class}")
+    if n_per_class < 3:
+        raise ConfigError(f"n_per_class must be >= 3 (one test row per class), got {n_per_class}")
     if not (math.isfinite(spread) and spread > 0.0):
         raise ConfigError(f"spread must be a finite positive number, got {spread}")
     if not math.isfinite(center_scale):

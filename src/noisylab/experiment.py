@@ -62,7 +62,8 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
 
     CSV datasets that already contain disagreeing label columns are used
     as-is; injection only happens on clean training data with epsilon > 0.
-    An empty CSV split is refused.
+    An empty CSV split, and a test split whose feature count differs
+    from the train split's, are refused.
     """
     root = RngStream(seed)
     ds_cfg = cfg.dataset
@@ -73,6 +74,9 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
     else:
         train = _load_split(ds_cfg.train_path, ds_cfg.classes, "train")
         test = _load_split(ds_cfg.test_path, train.num_classes, "test")
+        if test.features.shape[1] != train.features.shape[1]:
+            raise DataIOError(f"{ds_cfg.test_path} has {test.features.shape[1]} features "
+                              f"but {ds_cfg.train_path} has {train.features.shape[1]}")
     if train.clean_mask.all() and cfg.noise.epsilon > 0:
         weights = None
         if cfg.noise.kind == "instance":

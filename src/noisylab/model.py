@@ -8,6 +8,10 @@ final output is remapped from (-1, 1) to (0, 1) via (t+1)/2, giving one
 bit-probability per codeword bit; the remap mirrors the {-1,1} -> {0,1}
 remap of the codebook targets so binary cross-entropy is well typed.
 
+Training minimizes CE + bce_weight * BCE through one masked loss whose
+terms come from one kernel each: :func:`per_sample_cross_entropy` and
+:func:`bce_log_likelihood`, which the selection identifiers also read.
+
 During inference only the classification head is consulted
 (:meth:`DualHeadNet.classify`).
 
@@ -103,14 +107,13 @@ class ForwardResult:
     """Everything forward() computed, cached for one backward pass."""
 
     probs: np.ndarray          # (n, C)
-    preds: np.ndarray          # (n,) argmax class indices
     z: np.ndarray              # (n, K) detection outputs in (0, 1)
     logits: np.ndarray         # (n, C)
     trunk_out: np.ndarray      # (n, hidden)
     trunk_inputs: list = field(default_factory=list)
     trunk_derivs: list = field(default_factory=list)  # relu derivatives as bool masks
     det_inputs: list = field(default_factory=list)
-    det_derivs: list = field(default_factory=list)  # tanh derivs of layers 0, 1
+    det_derivs: list = field(default_factory=list)  # tanh derivs of all but the last layer
 
 
 class DualHeadNet:
@@ -219,11 +222,7 @@ class DualHeadNet:
         return twin
 
     def _trunk_forward(self, x, cache=None):
-        a = np.asarray(x, dtype=np.float64)
-        if a.ndim != 2:
-            raise ShapeError(f"batch must be 2-D, got shape {a.shape}")
-        if a.shape[1] != self.input_dim:
-            raise ShapeError(f"batch width {a.shape[1]} != trunk input width {self.input_dim}")
+        a = np.asarray(x, dtype=np.float64)  # matmul refuses a batch of the wrong shape
         for lay in self.trunk:
             pre = matmul(a, lay.w) + lay.b
             val, deriv = activation("relu", pre)
@@ -235,23 +234,20 @@ class DualHeadNet:
 
     def forward(self, x) -> ForwardResult:
         """Full forward pass: class probabilities through the temperature
-        softmax, argmax predictions (lowest-index tie-break), and detection
-        embeddings z strictly inside (0, 1)."""
-        res = ForwardResult(probs=None, preds=None, z=None, logits=None, trunk_out=None)
+        softmax, and detection embeddings z inside [Z_CLAMP, 1 - Z_CLAMP]
+        (the loss gradient is taken below the last tanh: no derivative kept)."""
+        res = ForwardResult(probs=None, z=None, logits=None, trunk_out=None)
         a = self._trunk_forward(x, cache=res)
         res.trunk_out = a
         res.logits = matmul(a, self.classifier.w) + self.classifier.b
         res.probs = softmax_with_temperature(res.logits, self.temperature)
-        res.preds = np.argmax(res.probs, axis=1)
-        da = a
-        for i, lay in enumerate(self.detection):
-            pre = matmul(da, lay.w) + lay.b
-            val, deriv = activation("tanh", pre)
-            res.det_inputs.append(da)
-            if i < len(self.detection) - 1:
-                res.det_derivs.append(deriv)
-            da = val
-        res.z = np.clip((da + 1.0) / 2.0, Z_CLAMP, 1.0 - Z_CLAMP)
+        res.det_inputs.append(a)
+        for lay in self.detection[:-1]:
+            a, deriv = activation("tanh", matmul(a, lay.w) + lay.b)
+            res.det_inputs.append(a)
+            res.det_derivs.append(deriv)
+        last = self.detection[-1]
+        res.z = np.clip((np.tanh(matmul(a, last.w) + last.b) + 1.0) / 2.0, Z_CLAMP, 1.0 - Z_CLAMP)
         return res
 
     def classify(self, x):
@@ -275,6 +271,7 @@ class DualHeadNet:
         ``d_det_pre`` w.r.t. the pre-activation of the final detection
         layer.  The gradients are written in place into ``grad``, which the
         next call overwrites; :meth:`gradients` views them per parameter.
+        The gradient with respect to the input batch is not formed.
         """
         cls = self.classifier
         matmul(res.trunk_out.T, dlogits, out=cls.gw)
@@ -298,7 +295,8 @@ class DualHeadNet:
             dpre = d * res.trunk_derivs[i]
             matmul(res.trunk_inputs[i].T, dpre, out=lay.gw)
             dpre.sum(axis=0, out=lay.gb)
-            d = matmul(dpre, lay.w.T)
+            if i > 0:
+                d = matmul(dpre, lay.w.T)
 
 
 def per_sample_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -311,27 +309,25 @@ def per_sample_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarra
     return -np.log(np.maximum(picked, 1e-300))
 
 
-def classification_loss(probs: np.ndarray, labels: np.ndarray, temperature: float):
-    """Mean cross-entropy and its gradient w.r.t. the logits.
-
-    The gradient carries the 1/temperature factor of the scaled softmax.
+def bce_log_likelihood(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-bit t log z + (1-t) log(1-z), the negated BCE terms, in one
+    temporary.  Unchecked: z in [Z_CLAMP, 1 - Z_CLAMP], targets 0/1 bits.
+    Bitwise ``log(where(t == 1, z, 1 - z))``, since ``|(1 - t) - z|`` is
+    exactly ``z`` or ``1 - z`` for 0/1 bits; negation is exact, so means and
+    squared deviations of these terms match those of the BCE terms bit for bit.
     """
-    n = probs.shape[0]
-    if n == 0:
-        raise ShapeError("classification_loss on an empty batch")
-    ce = per_sample_cross_entropy(probs, labels)
-    loss = float(ce.mean())
-    dlogits = probs.copy()
-    dlogits[np.arange(n), np.asarray(labels)] -= 1.0
-    dlogits /= n * temperature
-    return loss, dlogits
+    log_lik = np.subtract(1.0, targets, dtype=np.float64)
+    np.subtract(log_lik, z, out=log_lik)
+    np.abs(log_lik, out=log_lik)
+    return np.log(log_lik, out=log_lik)
 
 
 def decompose_bce(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-bit binary cross-entropy terms -[t log z + (1-t) log(1-z)].
 
-    Works on a single sample (1-D) or a batch (2-D, rows = samples).
-    ``z`` must already live in [Z_CLAMP, 1 - Z_CLAMP] so the logs are safe.
+    Works on a single sample (1-D) or a batch (2-D, rows = samples).  The
+    checked entry point to :func:`bce_log_likelihood`: shapes must match,
+    targets must be 0/1, and ``z`` is clipped to [Z_CLAMP, 1 - Z_CLAMP].
     """
     z = np.asarray(z, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
@@ -339,53 +335,39 @@ def decompose_bce(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
         raise ShapeError(f"z shape {z.shape} != target shape {t.shape}")
     if not np.all((t == 0.0) | (t == 1.0)):
         raise EncodingError("targets must be 0/1 bit vectors")
-    zc = np.clip(z, Z_CLAMP, 1.0 - Z_CLAMP)
-    # One fused log; identical to -(t*log(z) + (1-t)*log(1-z)) for 0/1 bits.
-    return -np.log(np.where(t == 1.0, zc, 1.0 - zc))
-
-
-def detection_loss(z: np.ndarray, targets: np.ndarray):
-    """Mean binary cross-entropy over bits and samples, plus the gradient
-    w.r.t. the final detection layer's pre-activation.
-
-    The derivative accounts for the (tanh+1)/2 remap; entries pinned at the
-    clamp boundary get zero gradient, matching the implemented loss exactly.
-    """
-    if z.ndim != 2:
-        raise ShapeError(f"detection_loss expects a 2-D batch, got shape {z.shape}")
-    n, k = z.shape
-    if n == 0:
-        raise ShapeError("detection_loss on an empty batch")
-    d = decompose_bce(z, targets)
-    loss = float(d.mean())
-    interior = (z > Z_CLAMP) & (z < 1.0 - Z_CLAMP)
-    d_pre = 2.0 * (z - np.asarray(targets, dtype=np.float64)) * interior / (n * k)
-    return loss, d_pre
+    return -bce_log_likelihood(np.clip(z, Z_CLAMP, 1.0 - Z_CLAMP), t)
 
 
 def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
                                   labels, targets, bce_weight: float = 1.0,
                                   mask=None):
-    """Combined objective (CE + bce_weight * BCE) restricted to the masked
-    rows; returns (ce, bce) and leaves the parameter gradients in
-    ``net.grad``.  ``mask=None`` means all rows."""
-    n = res.probs.shape[0]
-    if mask is None:
-        idx = np.arange(n)
-    else:
-        idx = np.flatnonzero(np.asarray(mask, dtype=bool))
-    if idx.size == 0:
+    """Mean CE and BCE over the masked rows (``mask=None``: all rows); the
+    gradients of CE + bce_weight * BCE are left in ``net.grad``.  Targets
+    are trusted 0/1 bits (``build_run_state`` checks them).  Every term is
+    computed elementwise on every row; a mask then restricts the means and
+    zeroes the unselected rows' upstream gradients.  The detection gradient
+    is zero at entries pinned at the clamp, as the loss is flat there.
+    """
+    rows, k = res.z.shape
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+    n = rows if mask is None else int(np.count_nonzero(mask))
+    if n == 0:
         raise ShapeError("no samples selected for the update")
-    labels = np.asarray(labels)
-    targets = np.asarray(targets, dtype=np.float64)
-    ce, dlog_sub = classification_loss(res.probs[idx], labels[idx], net.temperature)
-    bce, dpre_sub = detection_loss(res.z[idx], targets[idx])
-    dlogits = np.zeros_like(res.logits)
-    dlogits[idx] = dlog_sub
-    d_det = np.zeros_like(res.z)
-    d_det[idx] = bce_weight * dpre_sub
+    t = np.asarray(targets, dtype=np.float64)
+    ce = per_sample_cross_entropy(res.probs, labels)
+    log_lik = bce_log_likelihood(res.z, t)
+    dlogits = res.probs.copy()
+    dlogits[np.arange(rows), labels] -= 1.0
+    dlogits /= n * net.temperature
+    interior = (res.z > Z_CLAMP) & (res.z < 1.0 - Z_CLAMP)
+    d_det = bce_weight * (2.0 * (res.z - t) * interior / (n * k))
+    if mask is not None:
+        ce, log_lik = ce[mask], log_lik[mask]
+        unselected = ~mask
+        dlogits[unselected] = d_det[unselected] = 0.0
     net.backward(res, dlogits, d_det)
-    return ce, bce
+    return float(ce.mean()), -float(log_lik.mean())
 
 
 # The update arithmetic runs over slices of at most this many entries, so

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NoisyDataset
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, EncodingError, NumericError, ShapeError
 from .metrics import EpochRecord
 from .model import (DualHeadNet, TrainConfig, cosine_lr,
                     losses_and_grads_from_forward, per_sample_cross_entropy,
@@ -173,8 +173,11 @@ def build_run_state(data: NoisyDataset, targets: np.ndarray, nets: list,
     if sched_cfg.strategy == "jump_update" and not 2 <= jump_step <= total_train_iters:
         raise ConfigError(
             f"jump_step {jump_step} outside [2, {total_train_iters}] for this run length")
-    if np.asarray(targets).shape[0] != n:
-        raise ShapeError(f"targets rows {np.asarray(targets).shape[0]} != dataset size {n}")
+    t = np.asarray(targets)  # checked once here: the loss and the identifiers trust it
+    if t.shape != (n, nets[0].code_bits):
+        raise ShapeError(f"targets shape {t.shape} != (samples {n}, code bits {nets[0].code_bits})")
+    if not np.all((t == 0) | (t == 1)):
+        raise EncodingError("targets must be 0/1 bit vectors")
     table = IdentifierTable(n, jump_step) if sched_cfg.strategy == "jump_update" else None
     return RunState(strategy=sched_cfg.strategy, data=data, targets=targets,
                     nets=nets, velocities=[np.zeros_like(net.flat) for net in nets],

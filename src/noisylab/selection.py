@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataIOError, LabelError, NumericError, ShapeError
-from .model import decompose_bce
+from .model import bce_log_likelihood
 
 
 @dataclass
@@ -53,23 +53,15 @@ def batch_flags(z: np.ndarray, targets: np.ndarray, probs: np.ndarray,
                 noisy_labels: np.ndarray, cfg: SelectionConfig) -> BatchFlags:
     """Vectorized identifiers for a whole batch.
 
-    Uses the same per-bit decomposition as the scalar helpers, so any row of
-    the result agrees bit-for-bit with calling those helpers on that row.
-    Inputs are trusted (z already clamped, targets already 0/1); this runs
-    once per training iteration, so it skips the defensive re-validation
-    that :func:`decompose_bce` performs.
-
-    The arithmetic is that of ``-log(where(t == 1, z, 1 - z))`` with row
-    means, bit for bit, in fewer passes and temporaries: ``|(1 - t) - z|``
-    is exactly ``z`` or ``1 - z`` for 0/1 bits; the rows are kept as
-    log-likelihoods, the negated BCE terms, because negation is exact, so
-    the negated row mean and the squared deviations come out the same; and
-    ``sum / K`` is how ``ndarray.mean`` divides.
+    Each row's variance and mean BCE are the population variance and mean
+    of that row's :func:`decompose_bce` terms, bit for bit (the argument is
+    on :func:`bce_log_likelihood`; ``sum / K`` is how ``ndarray.mean``
+    divides).  Inputs are trusted (z already clamped, targets already 0/1):
+    this runs once per training iteration, so it calls the unchecked kernel,
+    keeps the rows as log-likelihoods and reuses that one temporary for the
+    deviations.
     """
-    log_lik = np.subtract(1.0, targets, dtype=np.float64)  # (n, K)
-    np.subtract(log_lik, z, out=log_lik)
-    np.abs(log_lik, out=log_lik)
-    np.log(log_lik, out=log_lik)
+    log_lik = bce_log_likelihood(z, targets)  # (n, K)
     k = log_lik.shape[1]
     neg_mean = log_lik.sum(axis=1)
     neg_mean /= k

@@ -13,7 +13,7 @@ import csv
 import numpy as np
 
 from noisylab.errors import ConfigError, LabelError, NumericError, ShapeError
-from noisylab.model import DualHeadNet, losses_and_grads_from_forward
+from noisylab.model import Z_CLAMP, DualHeadNet, losses_and_grads_from_forward
 from noisylab.selection import SelectionConfig
 
 
@@ -47,6 +47,23 @@ def backward_per_layer(net, res, dlogits, d_det_pre) -> list:
     for gw, gb in trunk_grads + [(gw_c, gb_c)] + det_grads:
         grads.extend((gw, gb))
     return grads
+
+
+def upstream_gradients(res, labels, targets, temperature, bce_weight=1.0, mask=None):
+    """Loss gradients at the logits and at the last detection
+    pre-activation, computed on the full batch and zeroed outside the mask:
+    (softmax - onehot) / (k * temperature) and
+    bce_weight * 2 (z - t) [z inside the clamp] / (k * K) over the k
+    selected rows."""
+    n, bits = res.z.shape
+    keep = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    k = int(keep.sum())
+    onehot = np.eye(res.probs.shape[1])[labels]
+    dlogits = (res.probs - onehot) / (k * temperature)
+    inside = (res.z > Z_CLAMP) & (res.z < 1.0 - Z_CLAMP)
+    d_det = bce_weight * (2.0 * (res.z - targets) * inside / (k * bits))
+    return (np.where(keep[:, None], dlogits, 0.0),
+            np.where(keep[:, None], d_det, 0.0))
 
 
 def batch_variance_and_bce(z, targets):

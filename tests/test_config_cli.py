@@ -24,7 +24,8 @@ def write_json(path, payload):
     return str(path)
 
 
-# Values of the wrong type, each with the field path its error names.
+# Values of the wrong type, each with the field path its error names; the
+# last is well typed but out of range (2 per class leaves no test rows).
 WRONG_TYPES = [
     ({"train": {"epochs": 3.0}}, "train.epochs"),
     ({"train": {"batch_size": 64.5}}, "train.batch_size"),
@@ -36,6 +37,7 @@ WRONG_TYPES = [
     ({"dataset": {"spread": float("inf")}}, "dataset.spread"),
     ({"noise": {"epsilon": "0.3"}}, "noise.epsilon"),
     ({"dataset": {"dim": None}}, "dataset.dim"),
+    ({"dataset": {"per_class": 2}}, "dataset.per_class"),
 ]
 
 
@@ -299,7 +301,8 @@ class TestCliDataPipeline:
         assert not train.exists() and not test.exists()
 
     @pytest.mark.parametrize("arg", ["--spread=nan", "--spread=inf", "--center-scale=nan",
-                                     "--center-scale=inf", "--center-scale=-inf"])
+                                     "--center-scale=inf", "--center-scale=-inf",
+                                     "--per-class=2"])
     def test_gen_data_non_finite_geometry_exits_2(self, tmp_path, capsys, arg):
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
         rc = main(["gen-data", "--classes", "3", "--dim", "4", "--per-class", "10", arg,
@@ -433,6 +436,18 @@ class TestCliTrain:
         cfg = write_json(tmp_path / "cfg.json", csv_train_payload(tmp_path, rows, TWO_CLASS_ROWS))
         assert main(["train", "--config", cfg]) == 4
         assert "train.csv line 4: non-finite feature" in only_error(capsys, "io")
+        assert not (tmp_path / "out").exists()
+
+    def test_test_split_feature_width_mismatch_exits_4(self, tmp_path, capsys):
+        """Refused before training: no run directory, one error line
+        naming both files."""
+        cfg = write_json(tmp_path / "cfg.json", csv_train_payload(
+            tmp_path, TWO_CLASS_ROWS, TWO_CLASS_ROWS))
+        (tmp_path / "test.csv").write_text(
+            "f0,f1,f2,label_true,label_noisy\n1.0,2.0,3.0,0,0\n1.5,2.5,3.5,1,1\n")
+        assert main(["train", "--config", cfg]) == 4
+        line = only_error(capsys, "io")
+        assert "test.csv has 3 features" in line and "train.csv has 2" in line
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("strategy", ["standard", "self_update", "cross_update",

@@ -58,6 +58,7 @@ class TestGenBlobs:
 
     @pytest.mark.parametrize("kwargs", [
         {"classes": 1}, {"dim": 1}, {"n_per_class": 1}, {"spread": 0.0},
+        {"n_per_class": 2},
     ])
     def test_rejects_degenerate_inputs(self, kwargs):
         base = {"classes": 3, "dim": 4, "n_per_class": 10, "spread": 1.0}

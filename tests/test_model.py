@@ -12,16 +12,16 @@ from noisylab.codebook import derive_codebook
 from noisylab.data import gen_blobs
 from noisylab.errors import (ConfigError, DataIOError, EncodingError,
                              LabelError, NumericError, ShapeError)
-from noisylab.model import (CHECKPOINT_MAGIC, DualHeadNet,
-                            TrainConfig, Z_CLAMP, classification_loss,
-                            cosine_lr, decompose_bce, detection_loss,
+from noisylab.model import (CHECKPOINT_MAGIC, DualHeadNet, TrainConfig,
+                            Z_CLAMP, cosine_lr, decompose_bce,
                             load_checkpoint, losses_and_grads_from_forward,
                             per_sample_cross_entropy, save_checkpoint,
                             sgd_step)
 from noisylab.numeric import RngStream
 from noisylab.selection import SelectionConfig, batch_flags
 from oracles import (backward_per_layer, combined_loss_and_grads,
-                     finite_difference_check, sgd_step_per_parameter)
+                     finite_difference_check, sgd_step_per_parameter,
+                     upstream_gradients)
 
 
 def make_net(seed=0, input_dim=5, classes=3, bits=4, width=6, layers=2, temp=2.0):
@@ -37,7 +37,7 @@ class TestForward:
         res = net.forward(np.ones((3, 5)))
         np.testing.assert_allclose(res.probs, 1.0 / 3.0, atol=1e-12)
         np.testing.assert_allclose(res.z, 0.5, atol=1e-12)
-        assert np.array_equal(res.preds, [0, 0, 0])  # argmax ties break low
+        assert np.array_equal(np.argmax(res.probs, axis=1), [0, 0, 0])  # ties break low
 
     def test_matches_layer_by_layer_oracle(self):
         """One sample recomputed with raw numpy ops, no package code."""
@@ -84,7 +84,7 @@ class TestForward:
         res = net.forward(x)
         probs, preds = net.classify(x)
         assert np.array_equal(probs, res.probs)
-        assert np.array_equal(preds, res.preds)
+        assert np.array_equal(preds, np.argmax(res.probs, axis=1))
 
     def test_clone_is_independent(self):
         net = make_net(seed=7)
@@ -184,18 +184,35 @@ class TestParameterArena:
             assert g.shape == w.shape and np.array_equal(g, w)
         assert np.array_equal(net.grad, np.concatenate([w.ravel() for w in want]))
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_loss_gradients_are_bitwise_the_oracle_backward(self, layers, masked):
+        """The one loss path leaves in ``grad`` exactly what the per-layer
+        backward makes of the full-batch upstream gradients."""
+        net = make_net(seed=38, width=12, layers=layers, bits=16, classes=10,
+                       input_dim=32)
+        rng = RngStream(39).generator
+        labels = rng.integers(0, 10, size=24)
+        targets = derive_codebook(16, 10).targets_for(labels)
+        res = net.forward(rng.normal(size=(24, 32)))
+        mask = rng.uniform(size=24) < 0.4 if masked else None
+        losses_and_grads_from_forward(net, res, labels, targets, 0.5, mask)
+        want = backward_per_layer(net, res, *upstream_gradients(
+            res, labels, targets, net.temperature, 0.5, mask))
+        for g, w in zip(net.gradients(), want):
+            assert np.array_equal(g, w)
+
 
 class TestClassificationLoss:
     def test_near_perfect_probs_near_zero_loss(self):
         probs = np.full((4, 3), 1e-9)
         labels = np.array([0, 1, 2, 1])
         probs[np.arange(4), labels] = 1.0 - 2e-9
-        loss, _ = classification_loss(probs, labels, temperature=1.0)
-        assert loss < 1e-8
+        assert per_sample_cross_entropy(probs, labels).mean() < 1e-8
 
     def test_uniform_probs_log_c(self):
         probs = np.full((5, 10), 0.1)
-        loss, _ = classification_loss(probs, np.zeros(5, dtype=int), 2.0)
+        loss = per_sample_cross_entropy(probs, np.zeros(5, dtype=int)).mean()
         assert abs(loss - math.log(10)) < 1e-12
 
     def test_label_out_of_range(self):
@@ -203,8 +220,11 @@ class TestClassificationLoss:
             per_sample_cross_entropy(np.full((2, 3), 1 / 3), np.array([0, 3]))
 
     def test_empty_batch_rejected(self):
+        net = make_net()
+        res = net.forward(np.zeros((0, 5)))
         with pytest.raises(ShapeError):
-            classification_loss(np.zeros((0, 3)), np.zeros(0, dtype=int), 1.0)
+            losses_and_grads_from_forward(net, res, np.zeros(0, dtype=int),
+                                          np.zeros((0, 4)))
 
     def test_gradient_matches_finite_differences(self):
         """Classification path audited alone (detection weight set to 0)."""
@@ -239,6 +259,21 @@ class TestDecomposeBce:
         want = -(t * np.log(z) + (1 - t) * np.log(1 - z))
         np.testing.assert_allclose(decompose_bce(z, t), want, atol=1e-12)
 
+    def test_bitwise_the_selected_log_at_random_and_clamp_boundary_z(self):
+        """-log(where(t == 1, z, 1 - z)) on the clipped z, bit for bit,
+        including z at, beyond and one ulp inside either clamp."""
+        rng = np.random.default_rng(24)
+        z = rng.uniform(size=(40, 16))
+        lo, hi = Z_CLAMP, 1.0 - Z_CLAMP
+        z[0], z[1], z[2], z[3] = lo, hi, 0.0, 1.0
+        z[4], z[5] = np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)
+        z[6, ::2], z[6, 1::2] = lo, hi
+        t = (rng.uniform(size=z.shape) < 0.5).astype(float)
+        t[:7, :2] = [1.0, 0.0]
+        zc = np.clip(z, lo, hi)
+        assert np.array_equal(decompose_bce(z, t),
+                              -np.log(np.where(t == 1.0, zc, 1.0 - zc)))
+
     def test_rejects_non_bit_targets(self):
         with pytest.raises(EncodingError):
             decompose_bce(np.array([0.5]), np.array([0.3]))
@@ -252,33 +287,39 @@ class TestDetectionLoss:
     def test_half_z_ln2(self):
         z = np.full((3, 8), 0.5)
         t = (np.arange(24).reshape(3, 8) % 2).astype(float)
-        loss, _ = detection_loss(z, t)
-        assert abs(loss - math.log(2.0)) < 1e-12
+        assert abs(decompose_bce(z, t).mean() - math.log(2.0)) < 1e-12
 
     def test_perfect_match_near_zero(self):
         t = np.array([[1.0, 0.0, 1.0, 1.0]])
         z = np.clip(t, Z_CLAMP, 1.0 - Z_CLAMP)
-        loss, _ = detection_loss(z, t)
-        assert loss < 1e-11
+        assert decompose_bce(z, t).mean() < 1e-11
 
     def test_loss_is_mean_of_decomposition(self):
-        rng = np.random.default_rng(14)
-        z = rng.uniform(0.05, 0.95, size=(6, 16))
-        t = (rng.uniform(size=(6, 16)) < 0.5).astype(float)
-        loss, _ = detection_loss(z, t)
-        assert abs(loss - decompose_bce(z, t).mean()) < 1e-12
+        """The training loss's BCE is the mean of the checked decomposition
+        over the selected rows, bit for bit, with and without a mask."""
+        net = make_net(seed=14, bits=16)
+        rng = RngStream(14).generator
+        labels = rng.integers(0, 3, size=9)
+        t = derive_codebook(16, 3).targets_for(labels)
+        res = net.forward(rng.normal(size=(9, 5)))
+        _, bce = losses_and_grads_from_forward(net, res, labels, t)
+        assert bce == decompose_bce(res.z, t).mean()
+        mask = np.arange(9) % 3 != 1
+        _, bce = losses_and_grads_from_forward(net, res, labels, t, mask=mask)
+        assert bce == decompose_bce(res.z[mask], t[mask]).mean()
 
     def test_gradient_matches_finite_differences(self):
-        """Detection path audited alone (classifier gradient zeroed)."""
+        """Detection path audited alone: the combined objective at detection
+        weight 1 minus the same at weight 0."""
         net = make_net(seed=15)
         x = RngStream(16).generator.normal(size=(4, 5))
-        targets = derive_codebook(4, 3).targets_for(np.array([0, 1, 2, 0]))
+        labels = np.array([0, 1, 2, 0])
+        targets = derive_codebook(4, 3).targets_for(labels)
 
         def loss_and_grad():
-            res = net.forward(x)
-            loss, d_pre = detection_loss(res.z, targets)
-            net.backward(res, np.zeros_like(res.logits), d_pre)
-            return loss, net.gradients()
+            both, _, _, g_both, _ = combined_loss_and_grads(net, x, labels, targets, 1.0)
+            ce, _, _, g_ce, _ = combined_loss_and_grads(net, x, labels, targets, 0.0)
+            return both - ce, [a - b for a, b in zip(g_both, g_ce)]
 
         assert finite_difference_check(loss_and_grad, net.parameters()) < 1e-4
 

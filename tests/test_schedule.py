@@ -10,7 +10,7 @@ import pytest
 
 from noisylab.codebook import derive_codebook
 from noisylab.data import NoiseConfig, gen_blobs, inject_noise
-from noisylab.errors import ConfigError, NumericError, ShapeError
+from noisylab.errors import ConfigError, EncodingError, NumericError, ShapeError
 from noisylab.model import DualHeadNet, TrainConfig
 from noisylab.numeric import RngStream
 from noisylab.schedule import (STRATEGIES, IdentifierTable, ScheduleConfig,
@@ -226,6 +226,20 @@ class TestBuildRunState:
             build_run_state(noisy, cb.targets[:3], state.nets,
                             state.train_cfg, state.sel_cfg, state.sched_cfg,
                             RngStream(0), RngStream(1))
+
+    def test_targets_must_be_bits_of_the_code_width(self):
+        """The loss and the identifiers trust the targets, so they are
+        checked here: a column count other than the net's code bits and a
+        value other than 0/1 are refused before any training."""
+        state, noisy = make_state("jump_update")
+        targets = state.targets
+        bad_bit = targets.copy()
+        bad_bit[5, 3] = 0.5
+        for bad, error in ((targets[:, :8], ShapeError), (targets[:, :1], ShapeError),
+                           (bad_bit, EncodingError), (2.0 * targets - 1.0, EncodingError)):
+            with pytest.raises(error):
+                build_run_state(noisy, bad, state.nets, state.train_cfg, state.sel_cfg,
+                                state.sched_cfg, RngStream(0), RngStream(1))
 
 
 class TestWarmup:

@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Record one point of the performance trajectory in a BENCH_<n>.json file.
+
+    python3 tools/bench_record.py --out BENCH_7.json
+
+Runs from the checkout holding this script, one process at a time, with
+perfbench's own run length and seed:
+
+* ``perfbench/run.py --trace 0`` on every workload BENCHMARK.json declares
+  (the end-to-end metrics);
+* ``perfbench/run.py --trace 1`` on ``jump_dump`` (the per-layer split);
+* the tier-1 test suite, timed.
+
+It writes one JSON object: the last line of each benchmark run (its JSON
+result) under ``"<workload>-trace<0|1>"``, the tier-1 wall time, exit code,
+result line and failed test ids, and the context that makes two files
+comparable: ``nproc``, the 1-minute load average before and after, the
+``src/`` line count, the git sha of HEAD and the git tree ids of the
+``src/``, ``tests/`` and ``perfbench/`` that ran.  A tree id is taken from the
+working tree, so it equals ``git rev-parse <commit>:src`` for the commit that
+holds exactly those files, whether or not they were committed when the file
+was recorded.  Compare two files only when they were taken on the same
+machine.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+TRACED_WORKLOAD = "jump_dump"
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+TREES = ("src", "tests", "perfbench")
+
+
+def _git(*args, env=None) -> str:
+    return subprocess.run(["git", *args], cwd=REPO, env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def worktree_trees() -> dict:
+    """Git tree id of each of TREES as it stands in the working tree
+    (tracked and untracked files, .gitignore applied), staged in a scratch
+    index so the repository's own index is left alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        _git("add", "--", *TREES, env=env)
+        return {d: _git("write-tree", f"--prefix={d}/", env=env) for d in TREES}
+
+
+def bench(workload: str, trace: int) -> dict:
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--trace", str(trace)],
+                          cwd=REPO, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"bench_record: {workload} --trace {trace} exited {proc.returncode}: "
+                 f"{proc.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def tier1() -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=REPO, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1[1:]),
+            "wall_s": round(wall, 3), "returncode": proc.returncode,
+            "result": lines[-1] if lines else "",
+            "failed": [line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
+    args = parser.parse_args(argv)
+
+    workloads = [w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
+    record = {
+        "git_sha": _git("rev-parse", "HEAD"),
+        "git_trees": worktree_trees(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "loadavg_1min_start": os.getloadavg()[0],
+        "src_lines": sum(len(p.read_text().splitlines())
+                         for p in sorted((REPO / "src").rglob("*.py"))),
+    }
+    for workload, trace in [(w, 0) for w in workloads] + [(TRACED_WORKLOAD, 1)]:
+        print(f"bench_record: {workload} --trace {trace}", file=sys.stderr)
+        record[f"{workload}-trace{trace}"] = bench(workload, trace)
+    print("bench_record: tier-1", file=sys.stderr)
+    record["tier1"] = tier1()
+    record["loadavg_1min_end"] = os.getloadavg()[0]
+    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"bench_record: wrote {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

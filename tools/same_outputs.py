@@ -11,6 +11,10 @@ Runs, as fresh ``noisylab`` processes with BLAS pinned to one thread:
   ``cross_update`` on the same config, so batches with the gate off are
   covered;
 * ``compare`` over all four strategies with ``warmup_epochs: 0``;
+* ``compare`` over all four strategies with ``bce_weight: 0.5``, and with
+  ``hidden_layers`` 1 and 3, so a detection weight other than 1 and trunk
+  depths other than 2 (a one-layer trunk has only its input layer) are
+  covered;
 * ``train`` on each of the three benchmark workload configs
   (``perfbench/run.py``), seed 1, with ``--dump-selection`` where the
   workload uses it.
@@ -49,18 +53,26 @@ SMALL = {
     "dump_selection": True,
 }
 
+ALL_STRATEGIES = ["standard", "self_update", "cross_update", "jump_update"]
+
+
+def _with_train(**knobs) -> dict:
+    """SMALL over all four strategies, with some ``train`` fields changed."""
+    return dict(SMALL, train=dict(SMALL["train"], **knobs), strategies=ALL_STRATEGIES)
+
+
 RUNS = [
-    ("strategies", "compare",
-     dict(SMALL, strategies=["standard", "self_update", "cross_update", "jump_update"])),
+    ("strategies", "compare", dict(SMALL, strategies=ALL_STRATEGIES)),
     ("sweep", "compare",
      dict(SMALL, schedule={"strategy": "jump_update"}, effect_rates=[0.3, 0.7, 1.0])),
     ("sweep_self", "compare",
      dict(SMALL, schedule={"strategy": "self_update"}, effect_rates=[0.3, 0.7])),
     ("sweep_cross", "compare",
      dict(SMALL, schedule={"strategy": "cross_update"}, effect_rates=[0.3, 0.7])),
-    ("no_warmup", "compare",
-     dict(SMALL, train=dict(SMALL["train"], warmup_epochs=0),
-          strategies=["standard", "self_update", "cross_update", "jump_update"])),
+    ("no_warmup", "compare", _with_train(warmup_epochs=0)),
+    ("bce_half", "compare", _with_train(bce_weight=0.5)),
+    ("depth1", "compare", _with_train(hidden_layers=1)),
+    ("depth3", "compare", _with_train(hidden_layers=3)),
 ]
 
 
