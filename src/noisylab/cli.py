@@ -120,7 +120,7 @@ def _cmd_report(args) -> int:
                 stored = json.loads(summary_path.read_text())
                 if abs(stored["last10_mean_acc"] - last10_mean(accs)) > 1e-9:
                     line += "  [summary.json disagrees]"
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise DataIOError(f"malformed run artifacts in {path.parent}: "
                               f"{type(exc).__name__}: {exc}") from None
         print(line)

@@ -149,13 +149,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise DataIOError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        raw = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deep
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return parse_config(raw)
 
 

@@ -272,9 +272,16 @@ def load_csv(path, num_classes: int | None = None, split: str = "train") -> Nois
                     raise ParseError(f"{path} line {lineno}: non-finite feature value")
     except OSError as exc:
         raise DataIOError(f"cannot read dataset {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode: {exc}") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"{path} line {reader.line_num}: {exc}") from None
     x = np.array(feats, dtype=np.float64).reshape(len(feats), d)
-    yt = np.array(yt, dtype=np.int64)
-    yn = np.array(yn, dtype=np.int64)
+    try:
+        yt = np.array(yt, dtype=np.int64)
+        yn = np.array(yn, dtype=np.int64)
+    except OverflowError:
+        raise ParseError(f"{path}: label outside the int64 range") from None
     c = num_classes if num_classes is not None else int(max(yt.max(initial=0), yn.max(initial=0))) + 1
     if yt.size and (yt.min() < 0 or yn.min() < 0 or yt.max() >= c or yn.max() >= c):
         raise ParseError(f"{path}: label outside [0, {c})")

@@ -23,7 +23,7 @@ from .metrics import (cell, emit_report, evaluate, iou, peak_memory_bytes,
                       selection_quality, summarize_records)
 from .model import DualHeadNet, save_checkpoint
 from .numeric import RngStream
-from .schedule import STRATEGIES, build_run_state, error_flow, run_epoch
+from .schedule import STRATEGIES, build_run_state, run_epoch
 from .selection import dump_decisions_csv
 
 # Child-stream keys of the per-run root stream.  Fixed so that adding a
@@ -87,8 +87,7 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
 
 
 def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
-             effect_rate: float | None = None, out_dir=None,
-             trace: bool = False) -> CellResult:
+             effect_rate: float | None = None, out_dir=None) -> CellResult:
     """Train one strategy on one seed; write its artifacts to ``out_dir`` if given."""
     root = RngStream(seed)
     train, test = build_dataset(cfg, seed)
@@ -107,7 +106,7 @@ def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
                                 if effect_rate is None else effect_rate)
     state = build_run_state(train, targets, nets, cfg.train, cfg.selection,
                             sched, root.child(STREAM_SHUFFLE),
-                            root.child(STREAM_GATE), trace=trace)
+                            root.child(STREAM_GATE))
 
     out_path = Path(out_dir) if out_dir is not None else None
     clean = train.clean_mask
@@ -144,10 +143,6 @@ def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
 
     summary = summarize_records(records, config_hash(cfg), seed, strategy,
                                 cfg.train.warmup_epochs)
-    flow = error_flow(strategy, state.accumulation_events, train.n_samples)
-    summary["error_flow"] = {"accumulations": flow.accumulations,
-                             "subflows": flow.subflows,
-                             "per_subflow": flow.per_subflow}
     if effect_rate is not None:
         summary["effect_rate"] = effect_rate
     if out_path is not None:

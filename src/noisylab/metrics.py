@@ -188,5 +188,5 @@ def load_jsonl(path):
             return [json.loads(line) for line in fh if line.strip()]
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataIOError(f"{path}: bad JSONL: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
+        raise DataIOError(f"{path}: bad JSONL: {exc}") from None

@@ -37,8 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, DataIOError, EncodingError, LabelError,
-                     NumericError, ShapeError)
+from .errors import ConfigError, DataIOError, NumericError, ShapeError
 from .numeric import RngStream, activation, matmul, softmax_with_temperature
 
 # Detection outputs are kept inside [Z_CLAMP, 1 - Z_CLAMP]; this doubles as
@@ -300,12 +299,9 @@ class DualHeadNet:
 
 
 def per_sample_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """-log p[i, y_i] per sample (the small-loss ranking signal)."""
-    n, c = probs.shape
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise LabelError(f"label out of range [0, {c})")
-    picked = probs[np.arange(n), labels]
+    """-log p[i, y_i] per sample (the small-loss ranking signal).
+    Unchecked: labels in [0, C) (``build_run_state`` checks them once)."""
+    picked = probs[np.arange(probs.shape[0]), labels]
     return -np.log(np.maximum(picked, 1e-300))
 
 
@@ -320,22 +316,6 @@ def bce_log_likelihood(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
     np.subtract(log_lik, z, out=log_lik)
     np.abs(log_lik, out=log_lik)
     return np.log(log_lik, out=log_lik)
-
-
-def decompose_bce(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-bit binary cross-entropy terms -[t log z + (1-t) log(1-z)].
-
-    Works on a single sample (1-D) or a batch (2-D, rows = samples).  The
-    checked entry point to :func:`bce_log_likelihood`: shapes must match,
-    targets must be 0/1, and ``z`` is clipped to [Z_CLAMP, 1 - Z_CLAMP].
-    """
-    z = np.asarray(z, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if z.shape != t.shape:
-        raise ShapeError(f"z shape {z.shape} != target shape {t.shape}")
-    if not np.all((t == 0.0) | (t == 1.0)):
-        raise EncodingError("targets must be 0/1 bit vectors")
-    return -bce_log_likelihood(np.clip(z, Z_CLAMP, 1.0 - Z_CLAMP), t)
 
 
 def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,

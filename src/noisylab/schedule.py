@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NoisyDataset
-from .errors import ConfigError, EncodingError, NumericError, ShapeError
+from .errors import ConfigError, EncodingError, LabelError, NumericError, ShapeError
 from .metrics import EpochRecord
 from .model import (DualHeadNet, TrainConfig, cosine_lr,
                     losses_and_grads_from_forward, per_sample_cross_entropy,
@@ -69,13 +69,10 @@ class IdentifierTable:
     initial sentinel is -1.
     """
 
-    def __init__(self, n_samples: int, jump_step: int):
+    def __init__(self, n_samples: int):
         if n_samples < 1:
             raise ConfigError(f"need at least 1 sample, got {n_samples}")
-        if jump_step < 2:
-            raise ConfigError(f"jump_step must be >= 2, got {jump_step}")
         self.n_samples = n_samples
-        self.jump_step = jump_step
         self.active = np.ones(n_samples, dtype=bool)
         self.pending = np.ones(n_samples, dtype=bool)
         self.produced_at = np.full(n_samples, -1, dtype=np.int64)
@@ -97,44 +94,6 @@ class IdentifierTable:
 
 
 @dataclass
-class ErrorFlow:
-    """How many accumulation events a run routed into how many sub-flows.
-
-    ``per_subflow`` uses floor division; the remainder is not modeled.
-    """
-
-    strategy: str
-    accumulations: int
-    subflows: int
-    per_subflow: int
-
-
-def error_flow(strategy: str, accumulations: int, n_samples: int) -> ErrorFlow:
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    subflows = {"standard": 1, "self_update": 1, "cross_update": 2,
-                "jump_update": n_samples}[strategy]
-    if strategy == "standard":
-        accumulations = 0
-    return ErrorFlow(strategy=strategy, accumulations=accumulations,
-                     subflows=subflows, per_subflow=accumulations // subflows)
-
-
-@dataclass
-class JumpTrace:
-    """Instrumentation log of the jump bookkeeping, for replay validation.
-
-    Within one iteration events happen in the order write -> application ->
-    commit; events carry the global iteration index so a replay can merge
-    the three lists deterministically.
-    """
-
-    writes: list = field(default_factory=list)        # (iter, idx, flags)
-    applications: list = field(default_factory=list)  # (iter, post_index, idx, mask, produced_at)
-    commits: list = field(default_factory=list)       # (iter, post_count, active, active_produced_at)
-
-
-@dataclass
 class RunState:
     """Everything one training run mutates across epochs."""
 
@@ -151,18 +110,16 @@ class RunState:
     jump_step: int
     iters_per_epoch: int
     table: IdentifierTable | None = None
-    trace: JumpTrace | None = None
     selected: list = field(default_factory=list)  # last epoch's flags, one array per net
     flags: BatchFlags | None = None  # jump: last epoch's BatchFlags; combined is selected[0]
     global_iter: int = 0
     post_iter: int = 0
-    accumulation_events: int = 0
 
 
 def build_run_state(data: NoisyDataset, targets: np.ndarray, nets: list,
                     train_cfg: TrainConfig, sel_cfg: SelectionConfig,
                     sched_cfg: ScheduleConfig, shuffle_rng: RngStream,
-                    gate_rng: RngStream, trace: bool = False) -> RunState:
+                    gate_rng: RngStream) -> RunState:
     n = data.n_samples
     need = 2 if sched_cfg.strategy == "cross_update" else 1
     if len(nets) != need:
@@ -173,19 +130,23 @@ def build_run_state(data: NoisyDataset, targets: np.ndarray, nets: list,
     if sched_cfg.strategy == "jump_update" and not 2 <= jump_step <= total_train_iters:
         raise ConfigError(
             f"jump_step {jump_step} outside [2, {total_train_iters}] for this run length")
-    t = np.asarray(targets)  # checked once here: the loss and the identifiers trust it
+    # Labels and targets are checked once here: the loss and the identifiers trust them.
+    c = nets[0].num_classes
+    labels = data.noisy_labels
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise LabelError(f"noisy labels outside [0, {c}) for a {c}-class network")
+    t = np.asarray(targets)
     if t.shape != (n, nets[0].code_bits):
         raise ShapeError(f"targets shape {t.shape} != (samples {n}, code bits {nets[0].code_bits})")
     if not np.all((t == 0) | (t == 1)):
         raise EncodingError("targets must be 0/1 bit vectors")
-    table = IdentifierTable(n, jump_step) if sched_cfg.strategy == "jump_update" else None
+    table = IdentifierTable(n) if sched_cfg.strategy == "jump_update" else None
     return RunState(strategy=sched_cfg.strategy, data=data, targets=targets,
                     nets=nets, velocities=[np.zeros_like(net.flat) for net in nets],
                     train_cfg=train_cfg, sel_cfg=sel_cfg,
                     sched_cfg=sched_cfg, shuffle_rng=shuffle_rng,
                     gate_rng=gate_rng, jump_step=jump_step,
-                    iters_per_epoch=iters_per_epoch, table=table,
-                    trace=JumpTrace() if (trace and sched_cfg.strategy == "jump_update") else None)
+                    iters_per_epoch=iters_per_epoch, table=table)
 
 
 def _batches(state: RunState):
@@ -260,7 +221,7 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
     warm = epoch < cfg.warmup_epochs
     jump = state.strategy == "jump_update"
     gating = not warm and state.strategy != "standard"
-    table, trace = state.table, state.trace
+    table = state.table
     # Fresh buffers every epoch; the batches cover every sample once.
     state.selected = [np.ones(n, dtype=bool) for _ in state.nets]
     if jump:
@@ -278,8 +239,6 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
         if jump:
             flags = batch_flags(results[0].z, targets, results[0].probs, labels, state.sel_cfg)
             table.write(idx, flags.combined, state.global_iter)
-            if trace is not None:
-                trace.writes.append((state.global_iter, idx.copy(), flags.combined.copy()))
             for name, values in vars(flags).items():
                 getattr(state.flags, name)[idx] = values
         elif state.strategy in ("self_update", "cross_update"):
@@ -297,9 +256,6 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
             n_known = int(np.count_nonzero(known))
             lag_sum += n_known * state.global_iter - int(prod_at[known].sum())
             lag_count += n_known
-            if trace is not None:
-                trace.applications.append((state.global_iter, state.post_iter, idx.copy(),
-                                           masks[0].copy(), prod_at.copy()))
         elif gated:
             masks = picks[::-1]  # self: its own pick; cross: the peer's
         for which, (res, mask) in enumerate(zip(results, masks)):
@@ -314,14 +270,10 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
                 trained += out[2]
         if gated:
             gate_on += 1
-            state.accumulation_events += 1
         if not warm:
             state.post_iter += 1
             if jump and state.post_iter % state.jump_step == 0:
                 table.commit()
-                if trace is not None:
-                    trace.commits.append((state.global_iter, state.post_iter,
-                                          table.active.copy(), table.active_produced_at.copy()))
         state.global_iter += 1
     wall = (time.perf_counter() - t0) * 1000.0
     return EpochRecord(epoch=epoch, strategy=state.strategy,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataIOError, LabelError, NumericError, ShapeError
+from .errors import ConfigError, DataIOError, NumericError, ShapeError
 from .model import bce_log_likelihood
 
 
@@ -54,12 +54,13 @@ def batch_flags(z: np.ndarray, targets: np.ndarray, probs: np.ndarray,
     """Vectorized identifiers for a whole batch.
 
     Each row's variance and mean BCE are the population variance and mean
-    of that row's :func:`decompose_bce` terms, bit for bit (the argument is
-    on :func:`bce_log_likelihood`; ``sum / K`` is how ``ndarray.mean``
-    divides).  Inputs are trusted (z already clamped, targets already 0/1):
-    this runs once per training iteration, so it calls the unchecked kernel,
-    keeps the rows as log-likelihoods and reuses that one temporary for the
-    deviations.
+    of that row's per-bit BCE terms, bit for bit with the textbook order of
+    ``tests/oracles.py`` (the argument is on :func:`bce_log_likelihood`;
+    ``sum / K`` is how ``ndarray.mean`` divides).  Unchecked: z already
+    clamped, targets 0/1 bits, labels a (n,) vector in [0, C)
+    (``build_run_state`` checks them once per run).  This runs once per
+    training iteration, so it calls the unchecked kernel, keeps the rows as
+    log-likelihoods and reuses that one temporary for the deviations.
     """
     log_lik = bce_log_likelihood(z, targets)  # (n, K)
     k = log_lik.shape[1]
@@ -69,14 +70,8 @@ def batch_flags(z: np.ndarray, targets: np.ndarray, probs: np.ndarray,
     np.square(log_lik, out=log_lik)
     variance = log_lik.sum(axis=1)
     variance /= k
-    labels = np.asarray(noisy_labels)
-    n, c = probs.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} != ({n},)")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise LabelError(f"label out of range [0, {c})")
     det = variance <= cfg.tau
-    cls = np.argmax(probs, axis=1) == labels
+    cls = np.argmax(probs, axis=1) == noisy_labels
     return BatchFlags(detection=det, classifier=cls, combined=det | cls,
                       variance=variance, bce=-neg_mean)
 

@@ -3,8 +3,8 @@
 Most are plain, allocation-per-result or per-parameter versions of
 routines the package implements in place or in bulk; the package must
 match them bit for bit.
-The per-sample identifiers are the scalar definitions ``batch_flags``
-vectorizes, and ``finite_difference_check`` with
+``decompose_bce`` and the per-sample identifiers are the scalar
+definitions ``batch_flags`` vectorizes, and ``finite_difference_check`` with
 ``combined_loss_and_grads`` audits the model's analytic gradients.
 """
 
@@ -12,8 +12,10 @@ import csv
 
 import numpy as np
 
-from noisylab.errors import ConfigError, LabelError, NumericError, ShapeError
-from noisylab.model import Z_CLAMP, DualHeadNet, losses_and_grads_from_forward
+from noisylab.errors import (ConfigError, EncodingError, LabelError, NumericError,
+                             ShapeError)
+from noisylab.model import (Z_CLAMP, DualHeadNet, bce_log_likelihood,
+                            losses_and_grads_from_forward)
 from noisylab.selection import SelectionConfig
 
 
@@ -88,6 +90,22 @@ def dump_decisions_rows(path, sample_indices, flags, clean_mask=None) -> None:
                              int(bool(flags.detection[row])),
                              int(bool(flags.classifier[row])),
                              int(bool(flags.combined[row])), truly])
+
+
+def decompose_bce(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-bit binary cross-entropy terms -[t log z + (1-t) log(1-z)].
+
+    Works on a single sample (1-D) or a batch (2-D, rows = samples).  The
+    checked entry point to :func:`bce_log_likelihood`: shapes must match,
+    targets must be 0/1, and ``z`` is clipped to [Z_CLAMP, 1 - Z_CLAMP].
+    """
+    z = np.asarray(z, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if z.shape != t.shape:
+        raise ShapeError(f"z shape {z.shape} != target shape {t.shape}")
+    if not np.all((t == 0.0) | (t == 1.0)):
+        raise EncodingError("targets must be 0/1 bit vectors")
+    return -bce_log_likelihood(np.clip(z, Z_CLAMP, 1.0 - Z_CLAMP), t)
 
 
 def intra_loss_variance(per_bit: np.ndarray) -> float:

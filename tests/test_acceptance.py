@@ -13,13 +13,15 @@ import math
 import numpy as np
 import pytest
 
+from noisylab import schedule
 from noisylab.codebook import derive_codebook, pairwise_hamming
 from noisylab.config import parse_config
 from noisylab.experiment import run_cell
-from noisylab.model import DualHeadNet, decompose_bce
+from noisylab.model import DualHeadNet
 from noisylab.numeric import RngStream
-from oracles import (combined_loss_and_grads, finite_difference_check,
-                     intra_loss_variance)
+from noisylab.schedule import IdentifierTable
+from oracles import (combined_loss_and_grads, decompose_bce,
+                     finite_difference_check, intra_loss_variance)
 
 SEEDS = (1, 2, 3)
 
@@ -143,35 +145,57 @@ def test_criterion_03_decomposition_and_variance_identities():
                           f"(both <= 1e-12)")
 
 
-def test_criterion_04_jump_bookkeeping_replay():
-    cfg = parse_config({})
-    res = run_cell(cfg, "jump_update", 1, trace=True)
-    trace = res.state.trace
-    step = res.state.jump_step
-    n = res.state.data.n_samples
+def test_criterion_04_jump_bookkeeping_replay(monkeypatch):
+    """Replays the jump bookkeeping from the calls the loop makes: every
+    table write, every mask handed to an update (skipped batches included)
+    and every commit, in call order.  Each event takes its iteration and
+    batch from the latest write, which opens every jump iteration."""
+    events = []  # (kind, iteration, payload)
+    latest = {}
+    write, commit, update = IdentifierTable.write, IdentifierTable.commit, schedule._update
 
-    merged = []
-    for it, idx, flags in trace.writes:
-        merged.append((it, 0, (idx, flags)))
-    for it, post, idx, mask, prod in trace.applications:
-        merged.append((it, 1, (post, idx, mask, prod)))
-    for it, post_count, active, active_prod in trace.commits:
-        merged.append((it, 2, (post_count, active, active_prod)))
-    merged.sort(key=lambda e: (e[0], e[1]))
+    def spy_write(table, indices, flags, iteration):
+        latest.update(it=iteration, idx=np.array(indices))
+        events.append(("write", iteration, (latest["idx"], np.array(flags, dtype=bool))))
+        write(table, indices, flags, iteration)
+
+    def spy_update(state, which, res, labels, targets, mask, lr):
+        latest["state"] = state
+        if mask is not None:
+            idx = latest["idx"]
+            events.append(("apply", latest["it"], (state.post_iter, idx, np.array(mask),
+                                                   state.table.active_produced_at[idx])))
+        return update(state, which, res, labels, targets, mask, lr)
+
+    def spy_commit(table):
+        commit(table)
+        events.append(("commit", latest["it"], (latest["state"].post_iter, table.active.copy(),
+                                                table.active_produced_at.copy())))
+
+    monkeypatch.setattr(IdentifierTable, "write", spy_write)
+    monkeypatch.setattr(IdentifierTable, "commit", spy_commit)
+    monkeypatch.setattr(schedule, "_update", spy_update)
+    res = run_cell(parse_config({}), "jump_update", 1)
+    step = res.state.jump_step
+    ipe = res.state.iters_per_epoch
+    n = res.state.data.n_samples
 
     pending = np.ones(n, dtype=bool)
     pending_prod = np.full(n, -1, dtype=np.int64)
     active = np.ones(n, dtype=bool)
     active_prod = np.full(n, -1, dtype=np.int64)
     commit_iters = []
+    lag = {}  # epoch -> [lag sum, lag count], from the replayed provenance
     violations = 0
+    counts = {"write": 0, "apply": 0, "commit": 0}
 
-    for it, order, payload in merged:
-        if order == 0:
+    for kind, it, payload in events:
+        counts[kind] += 1
+        if kind == "write":
             idx, flags = payload
             pending[idx] = flags
             pending_prod[idx] = it
-        elif order == 1:
+        elif kind == "apply":
             _, idx, mask, prod = payload
             if not np.array_equal(mask, active[idx]):
                 violations += 1
@@ -179,18 +203,20 @@ def test_criterion_04_jump_bookkeeping_replay():
                 violations += 1
             # window index: number of commits strictly before an iteration
             w_applied = len(commit_iters)
-            known = prod >= 0
+            known = active_prod[idx] >= 0
             if known.any():
-                w_prod = np.searchsorted(commit_iters, prod[known], side="left")
+                w_prod = np.searchsorted(commit_iters, active_prod[idx][known], side="left")
                 violations += int(np.sum(w_prod != w_applied - 1))
             if (~known).any() and w_applied > 0:
                 violations += 1
+            acc = lag.setdefault(it // ipe, [0, 0])
+            acc[0] += int(np.count_nonzero(known)) * it - int(active_prod[idx][known].sum())
+            acc[1] += int(np.count_nonzero(known))
         else:
             post_count, got_active, got_prod = payload
-            pending_copy = pending.copy()
             if post_count % step != 0 or post_count != step * (len(commit_iters) + 1):
                 violations += 1
-            active = pending_copy
+            active = pending.copy()
             active_prod = pending_prod.copy()
             if not np.array_equal(got_active, active):
                 violations += 1
@@ -198,13 +224,22 @@ def test_criterion_04_jump_bookkeeping_replay():
                 violations += 1
             commit_iters.append(it)
 
+    # per-epoch figures the run reported against the replay's
+    for rec in res.records:
+        total, count = lag.get(rec.epoch, (0, 0))
+        if rec.mean_lag != (total / count if count else None):
+            violations += 1
+        if rec.commit_count != int(np.searchsorted(commit_iters, (rec.epoch + 1) * ipe)):
+            violations += 1
+
     post_iters = res.state.post_iter
-    ok = (violations == 0 and len(trace.commits) == post_iters // step
-          and len(trace.applications) == post_iters and post_iters > 0)
+    ok = (violations == 0 and counts["commit"] == post_iters // step
+          and counts["apply"] == post_iters and post_iters > 0)
     assert verdict(4, ok, f"{violations} violations replaying "
-                          f"{len(trace.writes)} writes, "
-                          f"{len(trace.applications)} applications, "
-                          f"{len(trace.commits)} commits (step {step})")
+                          f"{counts['write']} writes, "
+                          f"{counts['apply']} applications, "
+                          f"{counts['commit']} commits and "
+                          f"{len(res.records)} epochs (step {step})")
 
 
 def test_criterion_05_variance_separates_noisy_from_clean(eps04_battery):

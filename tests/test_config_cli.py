@@ -56,6 +56,19 @@ def write_csv(path, rows) -> str:
 
 TWO_CLASS_ROWS = ["1.0,2.0,0,0", "1.5,2.5,1,1", "0.5,1.0,0,0", "0.7,1.9,1,1"]
 
+# Dataset CSVs the reader refuses, each with what its one error line says
+# about the file ({} is its name).
+UNREADABLE_CSVS = {
+    "not-utf8": (b"f0,f1,label_true,label_noisy\n1.0,2.0,0,0\n1.5,2\xff.5,1,1\n",
+                 "{}: cannot decode"),
+    "field-over-limit": (b"f0,f1,label_true,label_noisy\n1.0,2.0,0,0\n1.5,"
+                         + b"1" * 140_000 + b",1,1\n",
+                         "{} line 3: field larger than field limit"),
+    "label-over-int64": (b"f0,f1,label_true,label_noisy\n1.0,2.0,0,0\n"
+                         b"1.5,2.5,99999999999999999999999,1\n",
+                         "{}: label outside the int64 range"),
+}
+
 
 def csv_train_payload(tmp_path, train_rows, test_rows, **extra):
     """A 3-epoch run on two hand-written CSV splits, classes read off the data."""
@@ -322,6 +335,17 @@ class TestCliDataPipeline:
         assert "needs at least 2 classes, got 1" in only_error(capsys, "config")
         assert not noisy.exists()
 
+    @pytest.mark.parametrize("case", UNREADABLE_CSVS)
+    def test_inject_unreadable_csv_exits_4(self, tmp_path, capsys, case):
+        data, detail = UNREADABLE_CSVS[case]
+        (tmp_path / "in.csv").write_bytes(data)
+        noisy = tmp_path / "n.csv"
+        rc = main(["inject", "--input", str(tmp_path / "in.csv"), "--out", str(noisy),
+                   "--epsilon", "0.3"])
+        assert rc == 4
+        assert detail.format("in.csv") in only_error(capsys, "io")
+        assert not noisy.exists()
+
     def test_inject_negative_seed_exits_2(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
         main(["gen-data", "--classes", "3", "--dim", "4", "--per-class", "10",
@@ -404,6 +428,26 @@ class TestCliTrain:
         bad.write_text("{]")
         assert main(["train", "--config", str(bad)]) == 2
         assert "error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [b'{"seeds": [7]\xff}', b"[" * 100_000 + b"]" * 100_000,
+                                      b'{"a": ' * 100_000 + b"1" + b"}" * 100_000],
+                             ids=["not-utf8", "array-too-deep", "object-too-deep"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        assert main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "bad.json: invalid JSON" in only_error(capsys, "config")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", UNREADABLE_CSVS)
+    def test_unreadable_csv_exits_4(self, tmp_path, capsys, case):
+        data, detail = UNREADABLE_CSVS[case]
+        cfg = write_json(tmp_path / "cfg.json", csv_train_payload(
+            tmp_path, TWO_CLASS_ROWS, TWO_CLASS_ROWS))
+        (tmp_path / "train.csv").write_bytes(data)
+        assert main(["train", "--config", cfg]) == 4
+        assert detail.format("train.csv") in only_error(capsys, "io")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("raw,path", WRONG_TYPES)
     def test_wrong_type_exits_2_with_one_stderr_line(self, tmp_path, capsys, raw, path):
@@ -545,11 +589,16 @@ class TestCliReport:
         ('{"strategy": "standard", "test_acc": 0.5}', "{not json"),
         ('{"strategy": "standard", "test_acc": 0.5}', '{"final_acc": 0.5}'),
         ('{"strategy": "standard", "sel_f1": 0.5}', '{"last10_mean_acc": 0.5}'),
-    ], ids=["summary-bad-json", "summary-no-last10", "row-no-test-acc"])
+        ('{"strategy": "standard", "test_acc": 0.5\udcff}', '{"last10_mean_acc": 0.5}'),
+        ("[" * 100_000 + "]" * 100_000, '{"last10_mean_acc": 0.5}'),
+        ('{"strategy": "standard", "test_acc": 0.5}', "[" * 100_000 + "]" * 100_000),
+    ], ids=["summary-bad-json", "summary-no-last10", "row-no-test-acc",
+            "epochs-not-utf8", "epochs-too-deep", "summary-too-deep"])
     def test_malformed_artifacts_exit_4(self, tmp_path, capsys, epochs, summary):
         cell = tmp_path / "out" / "abc" / "standard-seed1"
         cell.mkdir(parents=True)
-        (cell / "epochs.jsonl").write_text(epochs + "\n")
+        # surrogateescape writes the lone surrogate U+DCFF as the byte 0xff
+        (cell / "epochs.jsonl").write_bytes((epochs + "\n").encode("utf-8", "surrogateescape"))
         (cell / "summary.json").write_text(summary)
         assert main(["report", "--run-dir", str(tmp_path / "out")]) == 4
         lines = capsys.readouterr().err.splitlines()

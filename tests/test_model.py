@@ -13,15 +13,16 @@ from noisylab.data import gen_blobs
 from noisylab.errors import (ConfigError, DataIOError, EncodingError,
                              LabelError, NumericError, ShapeError)
 from noisylab.model import (CHECKPOINT_MAGIC, DualHeadNet, TrainConfig,
-                            Z_CLAMP, cosine_lr, decompose_bce,
-                            load_checkpoint, losses_and_grads_from_forward,
+                            Z_CLAMP, cosine_lr, load_checkpoint,
+                            losses_and_grads_from_forward,
                             per_sample_cross_entropy, save_checkpoint,
                             sgd_step)
 from noisylab.numeric import RngStream
+from noisylab.schedule import ScheduleConfig, build_run_state
 from noisylab.selection import SelectionConfig, batch_flags
 from oracles import (backward_per_layer, combined_loss_and_grads,
-                     finite_difference_check, sgd_step_per_parameter,
-                     upstream_gradients)
+                     decompose_bce, finite_difference_check,
+                     sgd_step_per_parameter, upstream_gradients)
 
 
 def make_net(seed=0, input_dim=5, classes=3, bits=4, width=6, layers=2, temp=2.0):
@@ -216,8 +217,15 @@ class TestClassificationLoss:
         assert abs(loss - math.log(10)) < 1e-12
 
     def test_label_out_of_range(self):
+        """The loss trusts its labels; a run refuses a noisy label outside
+        the classifier's classes once, before any training."""
+        train, _ = gen_blobs(3, 5, 10, 1.0, RngStream(0))
+        net = make_net(classes=2)
+        targets = derive_codebook(4, 3).targets_for(train.noisy_labels)
         with pytest.raises(LabelError):
-            per_sample_cross_entropy(np.full((2, 3), 1 / 3), np.array([0, 3]))
+            build_run_state(train, targets, [net], TrainConfig(epochs=2, warmup_epochs=1),
+                            SelectionConfig(), ScheduleConfig(strategy="standard"),
+                            RngStream(1), RngStream(2))
 
     def test_empty_batch_rejected(self):
         net = make_net()

@@ -1,7 +1,7 @@
 """Training-schedule tests: identifier-table semantics, commit replay,
-error-flow accounting, the effect-rate gate, warm-up behavior, reduction
-cases that collapse each strategy onto standard training, and the jump
-schedule's skip/commit bookkeeping."""
+the effect-rate gate, warm-up behavior, reduction cases that collapse each
+strategy onto standard training, and the jump schedule's skip/commit
+bookkeeping."""
 
 import re
 
@@ -15,7 +15,7 @@ from noisylab.model import DualHeadNet, TrainConfig
 from noisylab.numeric import RngStream
 from noisylab.schedule import (STRATEGIES, IdentifierTable, ScheduleConfig,
                                _gate, _step_failure, build_run_state,
-                               error_flow, run_epoch)
+                               run_epoch)
 from noisylab.selection import SelectionConfig
 
 
@@ -70,21 +70,21 @@ class TestScheduleConfig:
 
 class TestIdentifierTable:
     def test_initial_state(self):
-        t = IdentifierTable(5, 2)
+        t = IdentifierTable(5)
         assert t.active.all() and t.pending.all()
         assert np.all(t.produced_at == -1)
         assert np.all(t.active_produced_at == -1)
         assert t.commit_count == 0
 
     def test_write_touches_pending_only(self):
-        t = IdentifierTable(4, 2)
+        t = IdentifierTable(4)
         t.write(np.array([0, 2]), np.array([False, False]), iteration=3)
         assert t.active.all()
         assert np.array_equal(t.pending, [False, True, False, True])
         assert np.array_equal(t.produced_at, [3, -1, 3, -1])
 
     def test_commit_copies_pending(self):
-        t = IdentifierTable(3, 2)
+        t = IdentifierTable(3)
         t.write(np.arange(3), np.zeros(3, dtype=bool), iteration=1)
         t.commit()
         assert not t.active.any()
@@ -97,7 +97,7 @@ class TestIdentifierTable:
         assert t.active[1]
 
     def test_commit_without_writes_idempotent(self):
-        t = IdentifierTable(3, 2)
+        t = IdentifierTable(3)
         t.write(np.arange(3), np.array([True, False, True]), iteration=0)
         t.commit()
         first = t.active.copy()
@@ -109,7 +109,7 @@ class TestIdentifierTable:
         """Random write/commit sequences: active always equals the last
         committed pending snapshot."""
         rng = np.random.default_rng(0)
-        t = IdentifierTable(20, 2)
+        t = IdentifierTable(20)
         mirror_pending = np.ones(20, dtype=bool)
         mirror_active = np.ones(20, dtype=bool)
         for step in range(500):
@@ -125,35 +125,13 @@ class TestIdentifierTable:
             assert np.array_equal(t.pending, mirror_pending)
 
     def test_write_shape_mismatch(self):
-        t = IdentifierTable(4, 2)
+        t = IdentifierTable(4)
         with pytest.raises(ShapeError):
             t.write(np.array([0, 1]), np.array([True]), iteration=0)
 
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(ConfigError):
-            IdentifierTable(0, 2)
-        with pytest.raises(ConfigError):
-            IdentifierTable(5, 1)
-
-
-class TestErrorFlow:
-    def test_subflow_counts(self):
-        assert error_flow("self_update", 100, 640).subflows == 1
-        assert error_flow("cross_update", 100, 640).subflows == 2
-        assert error_flow("jump_update", 100, 640).subflows == 640
-        assert error_flow("standard", 100, 640).subflows == 1
-
-    def test_standard_accumulates_nothing(self):
-        assert error_flow("standard", 500, 10).accumulations == 0
-
-    def test_floor_division(self):
-        flow = error_flow("cross_update", 101, 10)
-        assert flow.per_subflow == 50
-        assert flow.per_subflow * flow.subflows <= flow.accumulations
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ConfigError):
-            error_flow("mystery", 1, 1)
+            IdentifierTable(0)
 
 
 class TestGate:
