@@ -18,9 +18,12 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, LabelError, NoisyLabError
 
+MAX_CODE_BITS = 4096  # a 128 MiB Sylvester matrix; 2048 classes at the default width
 
-def _is_power_of_two(k: int) -> bool:
-    return k >= 1 and (k & (k - 1)) == 0
+
+def next_pow2(v: int) -> int:
+    """Smallest power of two >= v (1 for v <= 1)."""
+    return 1 << max(int(v) - 1, 0).bit_length()
 
 
 def build_sylvester(k: int) -> np.ndarray:
@@ -28,7 +31,7 @@ def build_sylvester(k: int) -> np.ndarray:
 
     Returns a k x k matrix of +/-1 (int64) with mutually orthogonal rows.
     """
-    if not _is_power_of_two(k):
+    if k < 1 or next_pow2(k) != k:
         raise ConfigError(f"Sylvester order must be a power of two, got {k}")
     h = np.array([[1]], dtype=np.int64)
     while h.shape[0] < k:
@@ -38,11 +41,7 @@ def build_sylvester(k: int) -> np.ndarray:
 
 def default_code_bits(num_classes: int) -> int:
     """Smallest power of two >= max(16, 2 * num_classes)."""
-    need = max(16, 2 * num_classes)
-    k = 1
-    while k < need:
-        k *= 2
-    return k
+    return next_pow2(max(16, 2 * num_classes))
 
 
 @dataclass
@@ -59,13 +58,6 @@ class HadamardCodebook:
     num_classes: int
     codewords: np.ndarray
     targets: np.ndarray
-
-    def encode_label(self, y: int):
-        """Return (codeword, target) for class ``y``."""
-        if not 0 <= int(y) < self.num_classes:
-            raise LabelError(f"label {y} out of range [0, {self.num_classes})")
-        y = int(y)
-        return self.codewords[y].copy(), self.targets[y].copy()
 
     def targets_for(self, labels: np.ndarray) -> np.ndarray:
         """Target rows for an integer label array (validated)."""
@@ -90,9 +82,13 @@ def derive_codebook(code_bits: int, num_classes: int) -> HadamardCodebook:
 
     Row selection is deterministic (rows 0..C-1): the distance guarantee
     holds for any subset, so nothing is lost and replays stay identical.
+    Widths above MAX_CODE_BITS are refused before anything is built.
     """
-    if not _is_power_of_two(code_bits) or code_bits < 2:
+    if code_bits < 2 or next_pow2(code_bits) != code_bits:
         raise ConfigError(f"code_bits must be a power of two >= 2, got {code_bits}")
+    if code_bits > MAX_CODE_BITS:
+        raise CapacityError(f"codebook of {code_bits} bits ({num_classes} classes) "
+                            f"exceeds the {MAX_CODE_BITS}-bit limit")
     if num_classes < 1:
         raise ConfigError(f"num_classes must be >= 1, got {num_classes}")
     if num_classes > code_bits:

@@ -12,8 +12,8 @@ Noise models:
 * asymmetric: flips follow a caller-supplied class map (a complete
   class -> class dict), each source label flipping with probability epsilon.
 * pairflip: shorthand for the cyclic map y -> (y+1) mod C.
-* instance: flip probability depends on the sample's features through a
-  random projection, rescaled so the mean flip probability equals epsilon.
+* instance: symmetric noise with a per-sample flip probability, set by the
+  features through a random projection and rescaled to mean epsilon.
 
 Dataset CSV schema (external interface): header f0..f{d-1},label_true,
 label_noisy; floats serialized with repr for exact round-trip; LF endings.
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import build_sylvester
+from .codebook import build_sylvester, next_pow2
 from .errors import ConfigError, DataIOError, LabelError, ParseError, ShapeError
 from .numeric import RngStream
 
@@ -84,16 +84,6 @@ class NoisyDataset:
     def n_samples(self) -> int:
         return self.features.shape[0]
 
-    def noise_rate(self) -> float:
-        return float(1.0 - self.clean_mask.mean()) if self.n_samples else 0.0
-
-
-def _next_pow2(v: int) -> int:
-    p = 1
-    while p < v:
-        p *= 2
-    return p
-
 
 def class_centers(classes: int, dim: int, scale: float = 1.0) -> np.ndarray:
     """Well-separated class centers in R^dim.
@@ -103,12 +93,12 @@ def class_centers(classes: int, dim: int, scale: float = 1.0) -> np.ndarray:
     truncation to stay collision-free, falls back to an axis lattice where
     class i sits at 2*scale*(1 + i//dim) along axis i mod dim.
     """
-    if classes > _next_pow2(dim):
+    if classes > next_pow2(dim):
         centers = np.zeros((classes, dim))
         for i in range(classes):
             centers[i, i % dim] = 2.0 * scale * (1 + i // dim)
         return centers
-    p = _next_pow2(max(classes, dim))
+    p = next_pow2(max(classes, dim))
     h = build_sylvester(p).astype(np.float64)
     return scale * h[:classes, :dim]
 
@@ -201,12 +191,15 @@ def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
     g = rng.generator
     y = ds.true_labels.copy()
     noisy = y.copy()
-    if noise.kind == "symmetric":
-        flips = g.uniform(size=n) < noise.epsilon
+    if noise.kind in ("symmetric", "instance"):
+        # Symmetric noise is instance noise with a constant flip probability.
+        probs = (noise.epsilon if noise.kind == "symmetric"
+                 else _instance_flip_probs(ds, noise.epsilon, idn_weights))
+        flips = g.uniform(size=n) < probs
         draw = g.integers(0, c - 1, size=n)
         draw = draw + (draw >= y)  # skip the true class
         noisy[flips] = draw[flips]
-    elif noise.kind in ("asymmetric", "pairflip"):
+    else:
         cmap = noise.class_map if noise.kind == "asymmetric" else {i: (i + 1) % c for i in range(c)}
         missing = [k for k in range(c) if k not in cmap]
         if missing:
@@ -217,12 +210,6 @@ def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
         flips = g.uniform(size=n) < noise.epsilon
         mapped = np.array([cmap[int(v)] for v in y], dtype=np.int64)
         noisy[flips] = mapped[flips]
-    elif noise.kind == "instance":
-        probs = _instance_flip_probs(ds, noise.epsilon, idn_weights)
-        flips = g.uniform(size=n) < probs
-        draw = g.integers(0, c - 1, size=n)
-        draw = draw + (draw >= y)
-        noisy[flips] = draw[flips]
     return NoisyDataset(features=ds.features.copy(), true_labels=y,
                         noisy_labels=noisy, clean_mask=y == noisy,
                         num_classes=c, split="train")

@@ -19,7 +19,7 @@ from .codebook import default_code_bits, derive_codebook
 from .config import ExperimentConfig, canonical_dict, config_hash
 from .data import gen_blobs, inject_noise, load_csv, make_instance_weights
 from .errors import ConfigError, DataIOError, NumericError
-from .metrics import (cell, emit_report, evaluate, iou, peak_memory_bytes,
+from .metrics import (cell, emit_report, evaluate, iou, mean_or_none, peak_memory_bytes,
                       selection_quality, summarize_records)
 from .model import DualHeadNet, save_checkpoint
 from .numeric import RngStream
@@ -124,10 +124,8 @@ def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
         if state.flags is not None:
             var = state.flags.variance
             ok = np.isfinite(var)
-            if (ok & clean).any():
-                med_clean = float(np.median(var[ok & clean]))
-            if (ok & ~clean).any():
-                med_noisy = float(np.median(var[ok & ~clean]))
+            med_clean, med_noisy = (float(np.median(var[ok & m])) if (ok & m).any() else None
+                                    for m in (clean, ~clean))
         records.append(dataclasses.replace(
             rec, test_acc=acc, sel_precision=precision, sel_recall=recall, sel_f1=f1,
             temporal_iou=iou(selected, prev) if prev is not None else None,
@@ -155,18 +153,19 @@ def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
                       summary=summary, state=state, out_dir=out_path)
 
 
-def _cell_dir(base: Path, label: str, seed: int) -> Path:
-    return base / f"{label}-seed{seed}"
+def _run_cells(cfg: ExperimentConfig, cells, base: Path):
+    """Yield, cell by cell, the CellResults of each ``(label, strategy,
+    effect_rate)`` cell over all seeds, written under <base>/<label>-seed<seed>/."""
+    for label, strategy, rate in cells:
+        yield [run_cell(cfg, strategy, seed, effect_rate=rate,
+                        out_dir=base / f"{label}-seed{seed}") for seed in cfg.seeds]
 
 
 def run_experiment(cfg: ExperimentConfig, out_root=None) -> list:
     """The `train` entry point: the configured strategy over all seeds."""
     base = Path(out_root if out_root is not None else cfg.out_dir) / config_hash(cfg)
-    results = []
-    for seed in cfg.seeds:
-        out = _cell_dir(base, cfg.schedule.strategy, seed)
-        results.append(run_cell(cfg, cfg.schedule.strategy, seed, out_dir=out))
-    return results
+    strategy = cfg.schedule.strategy
+    return next(_run_cells(cfg, [(strategy, strategy, None)], base))
 
 
 def compare_strategies(cfg: ExperimentConfig, out_root=None) -> list:
@@ -186,32 +185,21 @@ def compare_strategies(cfg: ExperimentConfig, out_root=None) -> list:
         cells = [(s, s, None) for s in strategies]
 
     rows = []
-    for label, strategy, rate in cells:
-        cell_results = []
-        for seed in cfg.seeds:
-            out = _cell_dir(base, label, seed)
-            cell_results.append(run_cell(cfg, strategy, seed,
-                                         effect_rate=rate, out_dir=out))
-        last10 = [r.summary["last10_mean_acc"] for r in cell_results]
-        t_ious = [r.summary["mean_temporal_iou"] for r in cell_results
-                  if r.summary["mean_temporal_iou"] is not None]
-        c_ious = [r.summary["mean_cross_iou"] for r in cell_results
-                  if r.summary["mean_cross_iou"] is not None]
-        walls = [r.summary["mean_epoch_ms"] for r in cell_results]
+    for (label, strategy, _), cell_results in zip(cells, _run_cells(cfg, cells, base)):
+        summaries = [r.summary for r in cell_results]
+        last10 = [s["last10_mean_acc"] for s in summaries]
         rows.append({
             "label": label, "strategy": strategy,
             "effect_rate": cell_results[0].effect_rate,
             "n_seeds": len(cfg.seeds),
             "mean_last10_acc": float(np.mean(last10)),
             "std_last10_acc": float(np.std(last10)),
-            "mean_temporal_iou": float(np.mean(t_ious)) if t_ious else None,
-            "mean_cross_iou": float(np.mean(c_ious)) if c_ious else None,
-            "mean_epoch_ms": float(np.mean(walls)),
+            "mean_temporal_iou": mean_or_none(s["mean_temporal_iou"] for s in summaries),
+            "mean_cross_iou": mean_or_none(s["mean_cross_iou"] for s in summaries),
+            "mean_epoch_ms": float(np.mean([s["mean_epoch_ms"] for s in summaries])),
         })
 
-    columns = ["label", "strategy", "effect_rate", "n_seeds", "mean_last10_acc",
-               "std_last10_acc", "mean_temporal_iou", "mean_cross_iou",
-               "mean_epoch_ms"]
+    columns = list(rows[0])  # comparison.csv columns, in row-dict order
     try:
         base.mkdir(parents=True, exist_ok=True)
         with open(base / "comparison.csv", "w", newline="") as fh:

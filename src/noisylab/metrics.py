@@ -147,19 +147,21 @@ def summarize_records(records, config_hash: str, seed, strategy: str,
         raise ShapeError("no records to summarize")
     post = [r for r in records if r.epoch >= warmup_epochs] or list(records)
     accs = [r.test_acc for r in records]
-    f1s = [r.sel_f1 for r in post]
-    t_ious = [r.temporal_iou for r in post if r.temporal_iou is not None]
-    c_ious = [r.cross_iou for r in post if r.cross_iou is not None]
-    walls = [r.epoch_wall_ms for r in post]
     return {"config_hash": config_hash, "seed": seed, "strategy": strategy,
             "final_acc": accs[-1], "last10_mean_acc": last10_mean(accs),
-            "mean_sel_f1": float(np.mean(f1s)),
-            "mean_temporal_iou": float(np.mean(t_ious)) if t_ious else None,
-            "mean_cross_iou": float(np.mean(c_ious)) if c_ious else None,
-            "mean_epoch_ms": float(np.mean(walls))}
+            "mean_sel_f1": float(np.mean([r.sel_f1 for r in post])),
+            "mean_temporal_iou": mean_or_none(r.temporal_iou for r in post),
+            "mean_cross_iou": mean_or_none(r.cross_iou for r in post),
+            "mean_epoch_ms": float(np.mean([r.epoch_wall_ms for r in post]))}
 
 
-def emit_report(records, out_dir, summary: dict) -> dict:
+def mean_or_none(values) -> float | None:
+    """Mean of the values that are not None; None when none are left."""
+    kept = [v for v in values if v is not None]
+    return float(np.mean(kept)) if kept else None
+
+
+def emit_report(records, out_dir, summary: dict) -> None:
     """Write epochs.jsonl, summary.json, and curves.csv under out_dir."""
     out = Path(out_dir)
     try:
@@ -177,8 +179,6 @@ def emit_report(records, out_dir, summary: dict) -> dict:
                 writer.writerow([cell(getattr(rec, col)) for col in CURVE_COLUMNS])
     except OSError as exc:
         raise DataIOError(f"cannot write report under {out}: {exc}") from exc
-    return {"epochs": out / "epochs.jsonl", "summary": out / "summary.json",
-            "curves": out / "curves.csv"}
 
 
 def load_jsonl(path):

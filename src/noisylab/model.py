@@ -12,6 +12,11 @@ Training minimizes CE + bce_weight * BCE through one masked loss whose
 terms come from one kernel each: :func:`per_sample_cross_entropy` and
 :func:`bce_log_likelihood`, which the selection identifiers also read.
 
+The chain rule is written once per direction and serves the relu trunk
+and the tanh detection chain alike: :func:`_chain_forward` caches one
+(input, activation derivative) pair per layer, :func:`_chain_backward`
+walks a chain back through that cache.
+
 During inference only the classification head is consulted
 (:meth:`DualHeadNet.classify`).
 
@@ -32,7 +37,7 @@ array operations and one finiteness check over each vector.
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -103,16 +108,44 @@ class Layer:
 
 @dataclass
 class ForwardResult:
-    """Everything forward() computed, cached for one backward pass."""
+    """Everything forward() computed, cached for one backward pass.
+
+    ``trunk`` and ``detection`` hold one (input, activation derivative) pair
+    per layer.  The last detection derivative is None: the loss gradient
+    arrives at its pre-activation.  ``detection[0][0]`` is the trunk output."""
 
     probs: np.ndarray          # (n, C)
     z: np.ndarray              # (n, K) detection outputs in (0, 1)
     logits: np.ndarray         # (n, C)
-    trunk_out: np.ndarray      # (n, hidden)
-    trunk_inputs: list = field(default_factory=list)
-    trunk_derivs: list = field(default_factory=list)  # relu derivatives as bool masks
-    det_inputs: list = field(default_factory=list)
-    det_derivs: list = field(default_factory=list)  # tanh derivs of all but the last layer
+    trunk: list
+    detection: list
+
+
+def _chain_forward(layers, kind: str, a, cache=None):
+    """Run ``a`` through ``layers`` under activation ``kind``; with a
+    ``cache`` list, append each layer's (input, derivative) pair to it."""
+    a = np.asarray(a, dtype=np.float64)  # matmul refuses a batch of the wrong shape
+    for lay in layers:
+        val, deriv = activation(kind, matmul(a, lay.w) + lay.b)
+        if cache is not None:
+            cache.append((a, deriv))
+        a = val
+    return a
+
+
+def _chain_backward(layers, cache, d):
+    """Walk a chain back from the gradient ``d`` at its output, writing each
+    layer's ``gw``/``gb``; returns the gradient at the first layer's
+    pre-activation (that layer's input gradient is not formed)."""
+    for i in range(len(layers) - 1, -1, -1):
+        lay, (inp, deriv) = layers[i], cache[i]
+        if deriv is not None:
+            d = d * deriv
+        matmul(inp.T, d, out=lay.gw)
+        d.sum(axis=0, out=lay.gb)
+        if i:
+            d = matmul(d, lay.w.T)
+    return d
 
 
 class DualHeadNet:
@@ -215,45 +248,24 @@ class DualHeadNet:
             "temperature": self.temperature,
         }
 
-    def clone(self) -> "DualHeadNet":
-        twin = DualHeadNet(**self.layout())
-        twin.flat[...] = self.flat
-        return twin
-
-    def _trunk_forward(self, x, cache=None):
-        a = np.asarray(x, dtype=np.float64)  # matmul refuses a batch of the wrong shape
-        for lay in self.trunk:
-            pre = matmul(a, lay.w) + lay.b
-            val, deriv = activation("relu", pre)
-            if cache is not None:
-                cache.trunk_inputs.append(a)
-                cache.trunk_derivs.append(deriv)
-            a = val
-        return a
-
     def forward(self, x) -> ForwardResult:
         """Full forward pass: class probabilities through the temperature
-        softmax, and detection embeddings z inside [Z_CLAMP, 1 - Z_CLAMP]
-        (the loss gradient is taken below the last tanh: no derivative kept)."""
-        res = ForwardResult(probs=None, z=None, logits=None, trunk_out=None)
-        a = self._trunk_forward(x, cache=res)
-        res.trunk_out = a
-        res.logits = matmul(a, self.classifier.w) + self.classifier.b
-        res.probs = softmax_with_temperature(res.logits, self.temperature)
-        res.det_inputs.append(a)
-        for lay in self.detection[:-1]:
-            a, deriv = activation("tanh", matmul(a, lay.w) + lay.b)
-            res.det_inputs.append(a)
-            res.det_derivs.append(deriv)
+        softmax, and detection embeddings z inside [Z_CLAMP, 1 - Z_CLAMP]."""
+        trunk, detection = [], []
+        h = _chain_forward(self.trunk, "relu", x, trunk)
+        logits = matmul(h, self.classifier.w) + self.classifier.b
+        a = _chain_forward(self.detection[:-1], "tanh", h, detection)
         last = self.detection[-1]
-        res.z = np.clip((np.tanh(matmul(a, last.w) + last.b) + 1.0) / 2.0, Z_CLAMP, 1.0 - Z_CLAMP)
-        return res
+        detection.append((a, None))
+        z = np.clip((np.tanh(matmul(a, last.w) + last.b) + 1.0) / 2.0, Z_CLAMP, 1.0 - Z_CLAMP)
+        return ForwardResult(softmax_with_temperature(logits, self.temperature), z, logits,
+                             trunk, detection)
 
     def classify(self, x):
         """Inference path: classification head only, detection head skipped.
 
         Raises NumericError when the logits are non-finite."""
-        a = self._trunk_forward(x)
+        a = _chain_forward(self.trunk, "relu", x)
         logits = matmul(a, self.classifier.w) + self.classifier.b
         if not np.all(np.isfinite(logits)):
             bad = self.first_nonfinite(self._params)
@@ -273,29 +285,11 @@ class DualHeadNet:
         The gradient with respect to the input batch is not formed.
         """
         cls = self.classifier
-        matmul(res.trunk_out.T, dlogits, out=cls.gw)
+        matmul(res.detection[0][0].T, dlogits, out=cls.gw)
         dlogits.sum(axis=0, out=cls.gb)
-        dtrunk = matmul(dlogits, cls.w.T)
-
-        d = d_det_pre
-        for i in range(len(self.detection) - 1, -1, -1):
-            lay = self.detection[i]
-            matmul(res.det_inputs[i].T, d, out=lay.gw)
-            d.sum(axis=0, out=lay.gb)
-            back = matmul(d, lay.w.T)
-            if i > 0:
-                d = back * res.det_derivs[i - 1]
-            else:
-                dtrunk = dtrunk + back
-
-        d = dtrunk
-        for i in range(len(self.trunk) - 1, -1, -1):
-            lay = self.trunk[i]
-            dpre = d * res.trunk_derivs[i]
-            matmul(res.trunk_inputs[i].T, dpre, out=lay.gw)
-            dpre.sum(axis=0, out=lay.gb)
-            if i > 0:
-                d = matmul(dpre, lay.w.T)
+        d = _chain_backward(self.detection, res.detection, d_det_pre)
+        dtrunk = matmul(d, self.detection[0].w.T) + matmul(dlogits, cls.w.T)
+        _chain_backward(self.trunk, res.trunk, dtrunk)
 
 
 def per_sample_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

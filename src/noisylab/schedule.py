@@ -41,6 +41,7 @@ from .numeric import RngStream
 from .selection import BatchFlags, SelectionConfig, batch_flags, small_loss_select
 
 STRATEGIES = ("standard", "self_update", "cross_update", "jump_update")
+SMALL_LOSS = ("self_update", "cross_update")  # the strategies that rank by loss
 
 
 @dataclass
@@ -130,6 +131,8 @@ def build_run_state(data: NoisyDataset, targets: np.ndarray, nets: list,
     if sched_cfg.strategy == "jump_update" and not 2 <= jump_step <= total_train_iters:
         raise ConfigError(
             f"jump_step {jump_step} outside [2, {total_train_iters}] for this run length")
+    if sched_cfg.strategy in SMALL_LOSS and sel_cfg.small_loss_keep_ratio is None:
+        raise ConfigError(f"{sched_cfg.strategy} needs selection.small_loss_keep_ratio")
     # Labels and targets are checked once here: the loss and the identifiers trust them.
     c = nets[0].num_classes
     labels = data.noisy_labels
@@ -241,7 +244,7 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
             table.write(idx, flags.combined, state.global_iter)
             for name, values in vars(flags).items():
                 getattr(state.flags, name)[idx] = values
-        elif state.strategy in ("self_update", "cross_update"):
+        elif state.strategy in SMALL_LOSS:
             picks = [small_loss_select(per_sample_cross_entropy(res.probs, labels),
                                        state.sel_cfg.small_loss_keep_ratio)
                      for res in results]

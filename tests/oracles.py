@@ -6,6 +6,7 @@ match them bit for bit.
 ``decompose_bce`` and the per-sample identifiers are the scalar
 definitions ``batch_flags`` vectorizes, and ``finite_difference_check`` with
 ``combined_loss_and_grads`` audits the model's analytic gradients.
+``clone`` and ``encode_label`` are conveniences only tests use.
 """
 
 import csv
@@ -22,17 +23,17 @@ from noisylab.selection import SelectionConfig
 def backward_per_layer(net, res, dlogits, d_det_pre) -> list:
     """Layer-by-layer backward pass returning a fresh array per gradient,
     aligned with ``net.parameters()``."""
-    gw_c = res.trunk_out.T @ dlogits
+    gw_c = res.detection[0][0].T @ dlogits
     gb_c = dlogits.sum(axis=0)
     dtrunk = dlogits @ net.classifier.w.T
 
     det_grads = []
     d = d_det_pre
     for i in range(len(net.detection) - 1, -1, -1):
-        det_grads.append((res.det_inputs[i].T @ d, d.sum(axis=0)))
+        det_grads.append((res.detection[i][0].T @ d, d.sum(axis=0)))
         back = d @ net.detection[i].w.T
         if i > 0:
-            d = back * res.det_derivs[i - 1]
+            d = back * res.detection[i - 1][1]
         else:
             dtrunk = dtrunk + back
     det_grads.reverse()
@@ -40,8 +41,8 @@ def backward_per_layer(net, res, dlogits, d_det_pre) -> list:
     trunk_grads = []
     d = dtrunk
     for i in range(len(net.trunk) - 1, -1, -1):
-        dpre = d * res.trunk_derivs[i]
-        trunk_grads.append((res.trunk_inputs[i].T @ dpre, dpre.sum(axis=0)))
+        dpre = d * res.trunk[i][1]
+        trunk_grads.append((res.trunk[i][0].T @ dpre, dpre.sum(axis=0)))
         d = dpre @ net.trunk[i].w.T
     trunk_grads.reverse()
 
@@ -49,6 +50,20 @@ def backward_per_layer(net, res, dlogits, d_det_pre) -> list:
     for gw, gb in trunk_grads + [(gw_c, gb_c)] + det_grads:
         grads.extend((gw, gb))
     return grads
+
+
+def clone(net: DualHeadNet) -> DualHeadNet:
+    """An independent copy of ``net``: its own arenas, equal parameters."""
+    twin = DualHeadNet(**net.layout())
+    twin.flat[...] = net.flat
+    return twin
+
+
+def encode_label(cb, y: int):
+    """Copies of (codeword, target) for class ``y`` of codebook ``cb``."""
+    if not 0 <= int(y) < cb.num_classes:
+        raise LabelError(f"label {y} out of range [0, {cb.num_classes})")
+    return cb.codewords[int(y)].copy(), cb.targets[int(y)].copy()
 
 
 def upstream_gradients(res, labels, targets, temperature, bce_weight=1.0, mask=None):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from noisylab.codebook import (HadamardCodebook, build_sylvester,
-                               default_code_bits, derive_codebook,
-                               pairwise_hamming, save_codebook_csv)
+                               MAX_CODE_BITS, default_code_bits, derive_codebook,
+                               next_pow2, pairwise_hamming, save_codebook_csv)
 from noisylab.errors import CapacityError, ConfigError, LabelError
+from oracles import encode_label
 
 
 def kron_hadamard(k):
@@ -59,6 +60,11 @@ class TestDefaultCodeBits:
     def test_table(self, classes, bits):
         assert default_code_bits(classes) == bits
 
+    @pytest.mark.parametrize("v,want", [(0, 1), (1, 1), (2, 2), (3, 4), (8, 8),
+                                        (9, 16), (4097, 8192)])
+    def test_next_pow2(self, v, want):
+        assert next_pow2(v) == want
+
 
 class TestDeriveCodebook:
     def test_ten_classes_sixteen_bits(self):
@@ -85,6 +91,13 @@ class TestDeriveCodebook:
             derive_codebook(8, 9)
         assert "8" in str(exc.value) and "9" in str(exc.value)
 
+    def test_width_over_the_cap_refused_before_building(self, monkeypatch):
+        def build(k):
+            raise AssertionError(f"built a {k}-bit Sylvester matrix")
+        monkeypatch.setattr("noisylab.codebook.build_sylvester", build)
+        with pytest.raises(CapacityError, match=f"{2 * MAX_CODE_BITS} bits"):
+            derive_codebook(2 * MAX_CODE_BITS, 3)
+
     def test_rejects_bad_bits(self):
         with pytest.raises(ConfigError):
             derive_codebook(12, 4)
@@ -104,25 +117,25 @@ class TestDeriveCodebook:
 class TestEncodeLabel:
     def test_class_zero_all_ones(self):
         cb = derive_codebook(16, 5)
-        cw, tgt = cb.encode_label(0)
+        cw, tgt = encode_label(cb, 0)
         assert np.all(cw == 1) and np.all(tgt == 1.0)
 
     def test_two_bit_class_one(self):
         cb = derive_codebook(2, 2)
-        cw, tgt = cb.encode_label(1)
+        cw, tgt = encode_label(cb, 1)
         assert np.array_equal(cw, [1, -1])
         assert np.array_equal(tgt, [1.0, 0.0])
 
     def test_row_five_matches_independent_recursion(self):
         cb = derive_codebook(16, 10)
-        cw, _ = cb.encode_label(5)
+        cw, _ = encode_label(cb, 5)
         assert np.array_equal(cw, kron_hadamard(16)[5])
 
     def test_out_of_range(self):
         cb = derive_codebook(16, 10)
         for y in (-1, 10):
             with pytest.raises(LabelError):
-                cb.encode_label(y)
+                encode_label(cb, y)
 
     def test_targets_for_batches(self):
         cb = derive_codebook(16, 4)

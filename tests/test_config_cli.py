@@ -243,6 +243,14 @@ class TestCliCodebook:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error[config]")
 
+    def test_width_over_the_cap_exits_2_before_building(self, tmp_path, capsys):
+        """2049 classes take 8192 bits at the default width, past the cap."""
+        out = tmp_path / "cb.csv"
+        assert main(["codebook", "--classes", "2049", "--out", str(out)]) == 2
+        assert "8192 bits (2049 classes) exceeds the 4096-bit limit" in only_error(
+            capsys, "config")
+        assert not out.exists()
+
 
 class TestCliDataPipeline:
     def test_gen_then_inject(self, tmp_path):
@@ -258,7 +266,7 @@ class TestCliDataPipeline:
         assert rc == 0
         ds = load_csv(noisy)
         assert ds.n_samples == 72
-        assert 0.2 < ds.noise_rate() < 0.6
+        assert 0.2 < (~ds.clean_mask).mean() < 0.6
 
     def test_inject_rejects_malformed_class_map(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
@@ -472,6 +480,21 @@ class TestCliTrain:
         cfg = write_json(tmp_path / "cfg.json", csv_train_payload(tmp_path, one_class, one_class))
         assert main(["train", "--config", cfg]) == 2
         assert "symmetric noise needs at least 2 classes" in only_error(capsys, "config")
+        assert not (tmp_path / "out").exists()
+
+    # Each run needs an 8192-bit codebook, twice the cap: set outright, or
+    # the default width of 2049 classes read off a CSV label.
+    @pytest.mark.parametrize("source", ["code_bits", "csv_label"])
+    def test_codebook_over_the_cap_exits_2_before_training(self, tmp_path, capsys, source):
+        if source == "code_bits":
+            payload = tiny_train_payload(tmp_path / "out", train={
+                "epochs": 3, "warmup_epochs": 1, "batch_size": 8, "hidden_width": 8,
+                "code_bits": 8192})
+        else:
+            payload = csv_train_payload(tmp_path, [*TWO_CLASS_ROWS, "0.2,0.4,2048,2048"],
+                                        TWO_CLASS_ROWS)
+        assert main(["train", "--config", write_json(tmp_path / "cfg.json", payload)]) == 2
+        assert "exceeds the 4096-bit limit" in only_error(capsys, "config")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -46,7 +46,6 @@ class TestGenBlobs:
         for ds in (train, test):
             assert ds.clean_mask.all()
             assert np.array_equal(ds.true_labels, ds.noisy_labels)
-            assert ds.noise_rate() == 0.0
 
     def test_tiny_spread_is_separable(self):
         """Near-zero spread: nearest-center classification is perfect."""
@@ -97,7 +96,7 @@ class TestInjectNoise:
         train, _ = gen_blobs(5, 4, 2500, 1.0, RngStream(6))
         assert train.n_samples == 10000
         noisy = inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(2))
-        assert abs(noisy.noise_rate() - 0.5) < 0.015
+        assert abs((~noisy.clean_mask).mean() - 0.5) < 0.015
 
     def test_symmetric_never_flips_to_true_class(self):
         train, _ = gen_blobs(4, 4, 500, 1.0, RngStream(7))
@@ -135,7 +134,7 @@ class TestInjectNoise:
         train, _ = gen_blobs(5, 8, 400, 1.0, RngStream(11))
         w = make_instance_weights(8, 5, RngStream(11).child(6))
         noisy = inject_noise(train, NoiseConfig("instance", 0.3), RngStream(7), w)
-        assert abs(noisy.noise_rate() - 0.3) < 0.01 + 3 * 0.5 / np.sqrt(1600)
+        assert abs((~noisy.clean_mask).mean() - 0.3) < 0.01 + 3 * 0.5 / np.sqrt(1600)
 
     def test_refuses_test_split(self):
         _, test = gen_blobs(3, 4, 30, 1.0, RngStream(12))

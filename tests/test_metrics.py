@@ -156,8 +156,8 @@ class TestEpochRecord:
     def test_curves_header_is_pinned(self, tmp_path):
         """The column order is read by plotting scripts; it comes from the
         field order of EpochRecord, so moving a field must fail here."""
-        paths = emit_report([make_record(0)], tmp_path, {})
-        with open(paths["curves"], newline="") as fh:
+        emit_report([make_record(0)], tmp_path, {})
+        with open(tmp_path / "curves.csv", newline="") as fh:
             header = next(csv.reader(fh))
         assert header == [
             "epoch", "strategy", "phase", "lr", "selected_count",
@@ -200,22 +200,23 @@ class TestEmitReport:
         records = [make_record(e, mean_lag=None if e == 0 else 5.0)
                    for e in range(4)]
         summary = summarize_records(records, "deadbeef", 1, "jump_update", 1)
-        paths = emit_report(records, tmp_path / "run", summary)
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        run = tmp_path / "run"
+        emit_report(records, run, summary)
+        assert sorted(p.name for p in run.iterdir()) == [
             "curves.csv", "epochs.jsonl", "summary.json"]
 
-        lines = load_jsonl(paths["epochs"])
+        lines = load_jsonl(run / "epochs.jsonl")
         assert len(lines) == 4
         assert lines[0]["mean_lag"] is None
         assert lines[2] == records[2].jsonl_dict()
 
-        with open(paths["summary"]) as fh:
+        with open(run / "summary.json") as fh:
             assert json.load(fh) == summary
 
     def test_curves_csv_floats_round_trip_exactly(self, tmp_path):
         records = [make_record(0, lr=0.1 + 1e-17, test_acc=1 / 3)]
-        paths = emit_report(records, tmp_path, {"seed": 1})
-        with open(paths["curves"], newline="") as fh:
+        emit_report(records, tmp_path, {"seed": 1})
+        with open(tmp_path / "curves.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == CURVE_COLUMNS
         assert float(rows[0]["lr"]) == records[0].lr
@@ -224,8 +225,8 @@ class TestEmitReport:
     def test_none_cells_are_empty_strings(self, tmp_path):
         records = [make_record(0, mean_lag=None, temporal_iou=None,
                                peak_mem_bytes=None)]
-        paths = emit_report(records, tmp_path, {})
-        with open(paths["curves"], newline="") as fh:
+        emit_report(records, tmp_path, {})
+        with open(tmp_path / "curves.csv", newline="") as fh:
             row = list(csv.DictReader(fh))[0]
         assert row["mean_lag"] == ""
         assert row["temporal_iou"] == ""

@@ -20,7 +20,7 @@ from noisylab.model import (CHECKPOINT_MAGIC, DualHeadNet, TrainConfig,
 from noisylab.numeric import RngStream
 from noisylab.schedule import ScheduleConfig, build_run_state
 from noisylab.selection import SelectionConfig, batch_flags
-from oracles import (backward_per_layer, combined_loss_and_grads,
+from oracles import (backward_per_layer, clone, combined_loss_and_grads,
                      decompose_bce, finite_difference_check,
                      sgd_step_per_parameter, upstream_gradients)
 
@@ -89,7 +89,7 @@ class TestForward:
 
     def test_clone_is_independent(self):
         net = make_net(seed=7)
-        twin = net.clone()
+        twin = clone(net)
         net.trunk[0].w += 1.0
         assert not np.array_equal(net.trunk[0].w, twin.trunk[0].w)
 
@@ -132,14 +132,14 @@ class TestParameterArena:
         path = tmp_path / "model.ckpt"
         save_checkpoint(net, path)
         loaded, _ = load_checkpoint(path)
-        for other in (net.clone(), loaded):
+        for other in (clone(net), loaded):
             assert not np.shares_memory(other.flat, net.flat)
             assert not np.shares_memory(other.grad, net.grad)
             assert all(p.base is other.flat for p in other.parameters())
             assert np.array_equal(other.flat, net.flat)
         before = net.flat.copy()
         loaded.flat += 1.0
-        net.clone().flat += 1.0
+        clone(net).flat += 1.0
         assert np.array_equal(net.flat, before)
 
     @pytest.mark.parametrize("layers", [1, 3])

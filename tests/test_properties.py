@@ -1,0 +1,70 @@
+"""Property tests: the model's one backward walk and ``batch_flags`` match
+their oracles bit for bit on generated shapes, depths and masks.
+
+Examples are derandomized and few, so every run checks the same cases and
+tier-1 stays deterministic.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from noisylab.codebook import default_code_bits, derive_codebook
+from noisylab.model import Z_CLAMP, DualHeadNet, losses_and_grads_from_forward
+from noisylab.numeric import RngStream
+from noisylab.selection import SelectionConfig, batch_flags
+from oracles import backward_per_layer, batch_variance_and_bce, upstream_gradients
+
+FEW = settings(derandomize=True, max_examples=25, deadline=None, database=None)
+
+
+@st.composite
+def masked_batches(draw):
+    """A network shape, a batch size and a mask (None, or keeping >= 1 row)."""
+    rows = draw(st.integers(1, 40))
+    mask = draw(st.none() | hnp.arrays(bool, rows).filter(np.any))
+    return dict(depth=draw(st.integers(1, 4)), width=draw(st.integers(1, 24)),
+                input_dim=draw(st.integers(1, 12)), classes=draw(st.integers(2, 12)),
+                temperature=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                bce_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                seed=draw(st.integers(0, 2**16)), rows=rows, mask=mask)
+
+
+@FEW
+@given(masked_batches())
+def test_loss_gradients_are_bitwise_the_per_layer_oracle(case):
+    classes, rows = case["classes"], case["rows"]
+    bits = default_code_bits(classes)
+    rng = RngStream(case["seed"])
+    net = DualHeadNet.create(case["input_dim"], classes, bits, case["width"],
+                             case["depth"], case["temperature"], rng.child(0))
+    g = rng.child(1).generator
+    labels = g.integers(0, classes, size=rows)
+    targets = derive_codebook(bits, classes).targets_for(labels)
+    res = net.forward(g.normal(size=(rows, case["input_dim"])))
+    losses_and_grads_from_forward(net, res, labels, targets, case["bce_weight"],
+                                  case["mask"])
+    want = backward_per_layer(net, res, *upstream_gradients(
+        res, labels, targets, net.temperature, case["bce_weight"], case["mask"]))
+    assert net.grad.tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
+
+
+@FEW
+@given(st.integers(1, 48), st.integers(1, 80), st.integers(2, 10), st.data())
+def test_batch_flags_are_bitwise_the_oracle(rows, bits, classes, data):
+    z = data.draw(hnp.arrays(np.float64, (rows, bits),
+                             elements=st.floats(Z_CLAMP, 1.0 - Z_CLAMP)))
+    targets = data.draw(hnp.arrays(np.float64, (rows, bits),
+                                   elements=st.sampled_from([0.0, 1.0])))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    probs = g.dirichlet(np.ones(classes), size=rows)
+    labels = g.integers(0, classes, size=rows)
+    cfg = SelectionConfig(tau=data.draw(st.sampled_from([1e-6, 1e-3, 0.05])))
+    flags = batch_flags(z, targets, probs, labels, cfg)
+    variance, bce = batch_variance_and_bce(z, targets)
+    assert flags.variance.tobytes() == variance.tobytes()
+    assert flags.bce.tobytes() == bce.tobytes()
+    assert np.array_equal(flags.detection, variance <= cfg.tau)
+    assert np.array_equal(flags.classifier, np.argmax(probs, axis=1) == labels)
+    assert np.array_equal(flags.combined, flags.detection | flags.classifier)

@@ -17,6 +17,7 @@ from noisylab.schedule import (STRATEGIES, IdentifierTable, ScheduleConfig,
                                _gate, _step_failure, build_run_state,
                                run_epoch)
 from noisylab.selection import SelectionConfig
+from oracles import clone
 
 
 def make_state(strategy, epochs=6, warmup=2, jump_step=None, effect_rate=1.0,
@@ -191,11 +192,20 @@ class TestBuildRunState:
         tc = TrainConfig(epochs=4, warmup_epochs=1, batch_size=16, hidden_width=8)
         net = DualHeadNet.create(4, 3, 16, 8, 2, 2.0, RngStream(1).child(2))
         # run_epoch trains every net it is given, so the count must match
-        for strategy, nets in (("cross_update", [net]), ("self_update", [net, net.clone()])):
+        for strategy, nets in (("cross_update", [net]), ("self_update", [net, clone(net)])):
             with pytest.raises(ConfigError, match="network"):
                 build_run_state(train, cb.targets_for(train.noisy_labels), nets,
                                 tc, SelectionConfig(), ScheduleConfig(strategy=strategy),
                                 RngStream(1).child(4), RngStream(1).child(5))
+
+    @pytest.mark.parametrize("strategy", ["self_update", "cross_update"])
+    def test_small_loss_strategies_need_a_keep_ratio(self, strategy):
+        """A hand-built SelectionConfig() leaves the keep ratio None (the
+        experiment config fills it in); the run is refused before its first
+        ranking instead of failing inside it."""
+        with pytest.raises(ConfigError, match="small_loss_keep_ratio"):
+            make_state(strategy, keep=None)
+        make_state("jump_update", keep=None)  # jump does not rank by loss
 
     def test_targets_must_cover_dataset(self):
         state, noisy = make_state("standard")

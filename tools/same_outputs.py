@@ -15,6 +15,8 @@ Runs, as fresh ``noisylab`` processes with BLAS pinned to one thread:
   ``hidden_layers`` 1 and 3, so a detection weight other than 1 and trunk
   depths other than 2 (a one-layer trunk has only its input layer) are
   covered;
+* ``compare`` over all four strategies with ``instance``, ``pairflip`` and
+  ``asymmetric`` noise, so every noise model's label draws are covered;
 * ``train`` on each of the three benchmark workload configs
   (``perfbench/run.py``), seed 1, with ``--dump-selection`` where the
   workload uses it.
@@ -61,6 +63,12 @@ def _with_train(**knobs) -> dict:
     return dict(SMALL, train=dict(SMALL["train"], **knobs), strategies=ALL_STRATEGIES)
 
 
+def _with_noise(kind: str, **extra) -> dict:
+    """SMALL over all four strategies under another noise model."""
+    return dict(SMALL, noise=dict(SMALL["noise"], kind=kind, **extra),
+                strategies=ALL_STRATEGIES)
+
+
 RUNS = [
     ("strategies", "compare", dict(SMALL, strategies=ALL_STRATEGIES)),
     ("sweep", "compare",
@@ -73,6 +81,10 @@ RUNS = [
     ("bce_half", "compare", _with_train(bce_weight=0.5)),
     ("depth1", "compare", _with_train(hidden_layers=1)),
     ("depth3", "compare", _with_train(hidden_layers=3)),
+    ("noise_instance", "compare", _with_noise("instance")),
+    ("noise_pairflip", "compare", _with_noise("pairflip")),
+    ("noise_asymmetric", "compare",
+     _with_noise("asymmetric", class_map={"0": 2, "1": 3, "2": 0, "3": 1})),
 ]
 
 
