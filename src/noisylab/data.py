@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import build_sylvester, next_pow2
-from .errors import ConfigError, DataIOError, LabelError, ParseError, ShapeError
+from .codebook import MAX_CODE_BITS, build_sylvester, next_pow2
+from .errors import (CapacityError, ConfigError, DataIOError, LabelError, ParseError,
+                     ShapeError)
 from .numeric import RngStream
 
 NOISE_KINDS = ("symmetric", "asymmetric", "pairflip", "instance")
@@ -63,6 +64,7 @@ class NoisyDataset:
     split: str = "train"
 
     def __post_init__(self):
+        check_class_count(self.num_classes)
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise ShapeError(f"features must be 2-D, got shape {self.features.shape}")
@@ -83,6 +85,14 @@ class NoisyDataset:
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
+
+
+def check_class_count(classes: int) -> None:
+    """Refuse more classes than the widest codebook holds, before anything
+    takes memory in proportion to the class count (noise injection does)."""
+    if classes > MAX_CODE_BITS:
+        raise CapacityError(f"{classes} classes exceed the {MAX_CODE_BITS}-class limit "
+                            f"(the widest codebook holds {MAX_CODE_BITS})")
 
 
 def class_centers(classes: int, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -109,6 +119,7 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
     with a stratified 80/20 split (round(0.2 * n) >= 1 test rows per class)."""
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
+    check_class_count(classes)
     if dim < 2:
         raise ConfigError(f"need at least 2 feature dims, got {dim}")
     if n_per_class < 3:

@@ -13,9 +13,13 @@ terms come from one kernel each: :func:`per_sample_cross_entropy` and
 :func:`bce_log_likelihood`, which the selection identifiers also read.
 
 The chain rule is written once per direction and serves the relu trunk
-and the tanh detection chain alike: :func:`_chain_forward` caches one
-(input, activation derivative) pair per layer, :func:`_chain_backward`
-walks a chain back through that cache.
+and the tanh detection chain alike: :func:`_chain_forward` caches each
+layer's output, :func:`_chain_backward` walks a chain back through that
+cache and reads each activation derivative off the cached output.  A masked
+update gathers its k selected rows of the cache once and runs the loss and
+the whole backward pass on them (the cross update alone keeps a full-batch
+backward with the dropped rows zeroed); the forward pass stays full-batch,
+since selection reads every row.
 
 During inference only the classification head is consulted
 (:meth:`DualHeadNet.classify`).
@@ -43,7 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataIOError, NumericError, ShapeError
-from .numeric import RngStream, activation, matmul, softmax_with_temperature
+from .numeric import (RngStream, activation, activation_derivative, matmul,
+                      softmax_with_temperature)
 
 # Detection outputs are kept inside [Z_CLAMP, 1 - Z_CLAMP]; this doubles as
 # the log clamp for the binary cross-entropy terms.
@@ -110,38 +115,39 @@ class Layer:
 class ForwardResult:
     """Everything forward() computed, cached for one backward pass.
 
-    ``trunk`` and ``detection`` hold one (input, activation derivative) pair
-    per layer.  The last detection derivative is None: the loss gradient
-    arrives at its pre-activation.  ``detection[0][0]`` is the trunk output."""
+    ``acts`` holds every layer input once: the batch ``x``, each trunk
+    output, then the detection hidden outputs.  The last trunk output
+    (``acts[len(net.trunk)]``) feeds the classifier and the detection head.
+    No derivatives are cached: backward reads them off these outputs."""
 
     probs: np.ndarray          # (n, C)
     z: np.ndarray              # (n, K) detection outputs in (0, 1)
     logits: np.ndarray         # (n, C)
-    trunk: list
-    detection: list
+    acts: list
 
 
 def _chain_forward(layers, kind: str, a, cache=None):
     """Run ``a`` through ``layers`` under activation ``kind``; with a
-    ``cache`` list, append each layer's (input, derivative) pair to it."""
+    ``cache`` list, append each layer's output to it."""
     a = np.asarray(a, dtype=np.float64)  # matmul refuses a batch of the wrong shape
     for lay in layers:
-        val, deriv = activation(kind, matmul(a, lay.w) + lay.b)
+        a = activation(kind, matmul(a, lay.w) + lay.b)
         if cache is not None:
-            cache.append((a, deriv))
-        a = val
+            cache.append(a)
     return a
 
 
-def _chain_backward(layers, cache, d):
-    """Walk a chain back from the gradient ``d`` at its output, writing each
-    layer's ``gw``/``gb``; returns the gradient at the first layer's
-    pre-activation (that layer's input gradient is not formed)."""
+def _chain_backward(layers, kind: str, acts, d):
+    """Walk a chain back from the gradient ``d``, writing each layer's
+    ``gw``/``gb``; returns the gradient at the first layer's pre-activation
+    (that layer's input gradient is not formed).  ``acts[i]`` is layer i's
+    input; when ``acts`` also holds the last layer's output, ``d`` is the
+    gradient at that output, else at the last pre-activation."""
     for i in range(len(layers) - 1, -1, -1):
-        lay, (inp, deriv) = layers[i], cache[i]
-        if deriv is not None:
-            d = d * deriv
-        matmul(inp.T, d, out=lay.gw)
+        lay = layers[i]
+        if i + 1 < len(acts):
+            d = d * activation_derivative(kind, acts[i + 1])
+        matmul(acts[i].T, d, out=lay.gw)
         d.sum(axis=0, out=lay.gb)
         if i:
             d = matmul(d, lay.w.T)
@@ -251,15 +257,14 @@ class DualHeadNet:
     def forward(self, x) -> ForwardResult:
         """Full forward pass: class probabilities through the temperature
         softmax, and detection embeddings z inside [Z_CLAMP, 1 - Z_CLAMP]."""
-        trunk, detection = [], []
-        h = _chain_forward(self.trunk, "relu", x, trunk)
+        acts = [np.asarray(x, dtype=np.float64)]
+        h = _chain_forward(self.trunk, "relu", acts[0], acts)
         logits = matmul(h, self.classifier.w) + self.classifier.b
-        a = _chain_forward(self.detection[:-1], "tanh", h, detection)
+        a = _chain_forward(self.detection[:-1], "tanh", h, acts)
         last = self.detection[-1]
-        detection.append((a, None))
         z = np.clip((np.tanh(matmul(a, last.w) + last.b) + 1.0) / 2.0, Z_CLAMP, 1.0 - Z_CLAMP)
         return ForwardResult(softmax_with_temperature(logits, self.temperature), z, logits,
-                             trunk, detection)
+                             acts)
 
     def classify(self, x):
         """Inference path: classification head only, detection head skipped.
@@ -274,22 +279,24 @@ class DualHeadNet:
         probs = softmax_with_temperature(logits, self.temperature)
         return probs, np.argmax(probs, axis=1)
 
-    def backward(self, res: ForwardResult, dlogits: np.ndarray,
+    def backward(self, acts: list, dlogits: np.ndarray,
                  d_det_pre: np.ndarray) -> None:
         """Backpropagate upstream gradients onto every parameter.
 
-        ``dlogits`` is the loss gradient w.r.t. the classifier logits;
-        ``d_det_pre`` w.r.t. the pre-activation of the final detection
-        layer.  The gradients are written in place into ``grad``, which the
-        next call overwrites; :meth:`gradients` views them per parameter.
-        The gradient with respect to the input batch is not formed.
+        ``acts`` is a forward cache (``ForwardResult.acts``), or some of
+        its rows gathered; ``dlogits`` is the loss gradient w.r.t. the
+        classifier logits and ``d_det_pre`` w.r.t. the pre-activation of the
+        final detection layer, one row per cached row.  The gradients are written
+        in place into ``grad``, which the next call overwrites;
+        :meth:`gradients` views them per parameter.  The gradient with
+        respect to the input batch is not formed.
         """
-        cls = self.classifier
-        matmul(res.detection[0][0].T, dlogits, out=cls.gw)
+        cls, depth = self.classifier, len(self.trunk)
+        matmul(acts[depth].T, dlogits, out=cls.gw)
         dlogits.sum(axis=0, out=cls.gb)
-        d = _chain_backward(self.detection, res.detection, d_det_pre)
+        d = _chain_backward(self.detection, "tanh", acts[depth:], d_det_pre)
         dtrunk = matmul(d, self.detection[0].w.T) + matmul(dlogits, cls.w.T)
-        _chain_backward(self.trunk, res.trunk, dtrunk)
+        _chain_backward(self.trunk, "relu", acts[:depth + 1], dtrunk)
 
 
 def per_sample_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -314,33 +321,47 @@ def bce_log_likelihood(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
                                   labels, targets, bce_weight: float = 1.0,
-                                  mask=None):
+                                  mask=None, *, gather: bool = True):
     """Mean CE and BCE over the masked rows (``mask=None``: all rows); the
     gradients of CE + bce_weight * BCE are left in ``net.grad``.  Targets
-    are trusted 0/1 bits (``build_run_state`` checks them).  Every term is
-    computed elementwise on every row; a mask then restricts the means and
-    zeroes the unselected rows' upstream gradients.  The detection gradient
-    is zero at entries pinned at the clamp, as the loss is flat there.
+    are trusted 0/1 bits (``build_run_state`` checks them).
+
+    A mask that drops rows gathers the selected rows of ``res`` once, and
+    the loss and the backward pass run on those rows only.  With
+    ``gather=False`` they run on the full batch instead, the dropped rows'
+    upstream gradients zeroed: the full-height backward of a loss taken
+    over indexed rows under autograd, which the dual-network baseline
+    keeps (see ``schedule._update``).  A mask keeping every row takes the
+    ``mask=None`` path.  The detection gradient is zero at entries pinned
+    at the clamp, as the loss is flat there.
     """
-    rows, k = res.z.shape
+    probs, z, acts = res.probs, res.z, res.acts
+    rows, k = z.shape
+    n, keep = rows, None
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-    n = rows if mask is None else int(np.count_nonzero(mask))
+        sel = np.flatnonzero(mask)
+        if sel.size < rows and gather:  # take: the fastest row gather at these sizes
+            probs, z, labels, targets, *acts = (a.take(sel, axis=0) for a in
+                                                (probs, z, labels, targets, *acts))
+            rows = n = sel.size
+        elif sel.size < rows:
+            n, keep = sel.size, sel
     if n == 0:
         raise ShapeError("no samples selected for the update")
     t = np.asarray(targets, dtype=np.float64)
-    ce = per_sample_cross_entropy(res.probs, labels)
-    log_lik = bce_log_likelihood(res.z, t)
-    dlogits = res.probs.copy()
+    ce = per_sample_cross_entropy(probs, labels)
+    log_lik = bce_log_likelihood(z, t)
+    dlogits = probs.copy()
     dlogits[np.arange(rows), labels] -= 1.0
     dlogits /= n * net.temperature
-    interior = (res.z > Z_CLAMP) & (res.z < 1.0 - Z_CLAMP)
-    d_det = bce_weight * (2.0 * (res.z - t) * interior / (n * k))
-    if mask is not None:
-        ce, log_lik = ce[mask], log_lik[mask]
-        unselected = ~mask
-        dlogits[unselected] = d_det[unselected] = 0.0
-    net.backward(res, dlogits, d_det)
+    interior = (z > Z_CLAMP) & (z < 1.0 - Z_CLAMP)
+    d_det = bce_weight * (2.0 * (z - t) * interior / (n * k))
+    if keep is not None:  # zero-filled: means over the kept rows only
+        ce, log_lik = ce[keep], log_lik[keep]
+        dropped = np.ones(rows, dtype=bool)
+        dropped[keep] = False
+        dlogits[dropped] = d_det[dropped] = 0.0
+    net.backward(acts, dlogits, d_det)
     return float(ce.mean()), -float(log_lik.mean())
 
 

@@ -42,22 +42,30 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return np.matmul(a, b, out=out)
 
 
-def activation(kind: str, x: np.ndarray):
-    """Elementwise activation value and derivative evaluated at ``x``.
-
-    The relu derivative at exactly 0 is defined as 0 (convention); it is
-    returned as a bool mask, which multiplies like the 0/1 floats.
-    """
+def activation(kind: str, x: np.ndarray) -> np.ndarray:
+    """Elementwise activation value at ``x``.  Its derivative is read off
+    this value by :func:`activation_derivative`, so a forward pass caches
+    outputs only."""
     x = np.asarray(x, dtype=np.float64)
     if kind == "relu":
-        value = np.maximum(x, 0.0)
-        deriv = x > 0.0
-    elif kind == "tanh":
-        value = np.tanh(x)
-        deriv = 1.0 - value * value
-    else:
-        raise ConfigError(f"unknown activation kind {kind!r} (choose from {ACTIVATION_KINDS})")
-    return value, deriv
+        return np.maximum(x, 0.0)
+    if kind == "tanh":
+        return np.tanh(x)
+    raise ConfigError(f"unknown activation kind {kind!r} (choose from {ACTIVATION_KINDS})")
+
+
+def activation_derivative(kind: str, value: np.ndarray) -> np.ndarray:
+    """Derivative of activation ``kind``, read off its output ``value``.
+
+    relu: ``value > 0``, a bool mask that multiplies like 0/1 floats and
+    equals ``x > 0`` for every input x (0, -0.0 and NaN included), so the
+    derivative at exactly 0 is 0 (convention).  tanh: ``1 - value * value``.
+    """
+    if kind == "relu":
+        return value > 0.0
+    if kind == "tanh":
+        return 1.0 - value * value
+    raise ConfigError(f"unknown activation kind {kind!r} (choose from {ACTIVATION_KINDS})")
 
 
 def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:

@@ -20,9 +20,13 @@ cross nets).  Lower r throttles how often selection errors feed back into
 training.  r = 1 always applies the mask.  Warm-up and standard training
 draw nothing from the gate stream.
 
-Every strategy trains both heads with the combined objective, so wall-time
-differences between strategies come from scheduling alone, not from model
-surgery.
+Every strategy trains both heads with the combined objective.  A masked
+jump or self update backpropagates only its selected rows
+(``losses_and_grads_from_forward`` gathers them), so a strategy that trains
+on fewer rows spends less time in backward; the forward pass and the
+selection work stay full-batch.  Cross, the dual-network baseline, keeps
+the full-height backward of Co-teaching, whose loss over the peer's rows
+zero-fills the rest under autograd.
 """
 
 import math
@@ -178,8 +182,11 @@ def _update(state: RunState, which: int, res, labels, targets, mask, lr: float):
                            + ("; step refused" if count else ""))
     if count == 0:
         return None
+    # cross_update is the dual-network baseline (Co-teaching), whose loss over
+    # the peer's rows backpropagates at full height; the others gather.
     ce, bce = losses_and_grads_from_forward(
-        net, res, labels, targets, state.train_cfg.bce_weight, mask)
+        net, res, labels, targets, state.train_cfg.bce_weight, mask,
+        gather=state.strategy != "cross_update")
     try:
         sgd_step(net.flat, net.grad, state.velocities[which], lr,
                  state.train_cfg.momentum, state.train_cfg.weight_decay)

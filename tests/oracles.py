@@ -15,25 +15,29 @@ import numpy as np
 
 from noisylab.errors import (ConfigError, EncodingError, LabelError, NumericError,
                              ShapeError)
-from noisylab.model import (Z_CLAMP, DualHeadNet, bce_log_likelihood,
+from noisylab.model import (Z_CLAMP, DualHeadNet, ForwardResult, bce_log_likelihood,
                             losses_and_grads_from_forward)
 from noisylab.selection import SelectionConfig
 
 
-def backward_per_layer(net, res, dlogits, d_det_pre) -> list:
-    """Layer-by-layer backward pass returning a fresh array per gradient,
-    aligned with ``net.parameters()``."""
-    gw_c = res.detection[0][0].T @ dlogits
+def backward_per_layer(net, acts, dlogits, d_det_pre) -> list:
+    """Layer-by-layer backward pass over a forward cache's activation list,
+    returning a fresh array per gradient, aligned with ``net.parameters()``.
+    Derivatives are formed from the cached outputs: relu ``h > 0``, tanh
+    ``1 - a * a``."""
+    depth = len(net.trunk)
+    gw_c = acts[depth].T @ dlogits
     gb_c = dlogits.sum(axis=0)
     dtrunk = dlogits @ net.classifier.w.T
 
     det_grads = []
     d = d_det_pre
     for i in range(len(net.detection) - 1, -1, -1):
-        det_grads.append((res.detection[i][0].T @ d, d.sum(axis=0)))
+        inp = acts[depth + i]
+        det_grads.append((inp.T @ d, d.sum(axis=0)))
         back = d @ net.detection[i].w.T
         if i > 0:
-            d = back * res.detection[i - 1][1]
+            d = back * (1.0 - inp * inp)
         else:
             dtrunk = dtrunk + back
     det_grads.reverse()
@@ -41,8 +45,8 @@ def backward_per_layer(net, res, dlogits, d_det_pre) -> list:
     trunk_grads = []
     d = dtrunk
     for i in range(len(net.trunk) - 1, -1, -1):
-        dpre = d * res.trunk[i][1]
-        trunk_grads.append((res.trunk[i][0].T @ dpre, dpre.sum(axis=0)))
+        dpre = d * (acts[i + 1] > 0.0)
+        trunk_grads.append((acts[i].T @ dpre, dpre.sum(axis=0)))
         d = dpre @ net.trunk[i].w.T
     trunk_grads.reverse()
 
@@ -50,6 +54,13 @@ def backward_per_layer(net, res, dlogits, d_det_pre) -> list:
     for gw, gb in trunk_grads + [(gw_c, gb_c)] + det_grads:
         grads.extend((gw, gb))
     return grads
+
+
+def select_rows(res, mask):
+    """The rows of a forward result that ``mask`` keeps, by boolean indexing."""
+    keep = np.asarray(mask, dtype=bool)
+    return ForwardResult(res.probs[keep], res.z[keep], res.logits[keep],
+                         [a[keep] for a in res.acts])
 
 
 def clone(net: DualHeadNet) -> DualHeadNet:

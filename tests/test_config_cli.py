@@ -323,7 +323,7 @@ class TestCliDataPipeline:
 
     @pytest.mark.parametrize("arg", ["--spread=nan", "--spread=inf", "--center-scale=nan",
                                      "--center-scale=inf", "--center-scale=-inf",
-                                     "--per-class=2"])
+                                     "--per-class=2", "--classes=4097"])
     def test_gen_data_non_finite_geometry_exits_2(self, tmp_path, capsys, arg):
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
         rc = main(["gen-data", "--classes", "3", "--dim", "4", "--per-class", "10", arg,
@@ -341,6 +341,21 @@ class TestCliDataPipeline:
                    "--epsilon", epsilon])
         assert rc == 2
         assert "needs at least 2 classes, got 1" in only_error(capsys, "config")
+        assert not noisy.exists()
+
+    # A label of 100,000,000 means 100,000,001 classes, read off the data or
+    # configured with --classes; instance and pairflip noise take memory in
+    # proportion to the class count.
+    @pytest.mark.parametrize("kind", ["symmetric", "instance", "pairflip"])
+    @pytest.mark.parametrize("configured", [False, True])
+    def test_inject_class_count_over_the_cap_exits_2(self, tmp_path, capsys, kind, configured):
+        rows = TWO_CLASS_ROWS if configured else [*TWO_CLASS_ROWS, "0.2,0.4,100000000,100000000"]
+        noisy = tmp_path / "n.csv"
+        rc = main(["inject", "--input", write_csv(tmp_path / "big.csv", rows),
+                   "--out", str(noisy), "--kind", kind, "--epsilon", "0.3",
+                   *(["--classes", "100000001"] if configured else [])])
+        assert rc == 2
+        assert "100000001 classes exceed the 4096-class limit" in only_error(capsys, "config")
         assert not noisy.exists()
 
     @pytest.mark.parametrize("case", UNREADABLE_CSVS)
@@ -482,19 +497,33 @@ class TestCliTrain:
         assert "symmetric noise needs at least 2 classes" in only_error(capsys, "config")
         assert not (tmp_path / "out").exists()
 
-    # Each run needs an 8192-bit codebook, twice the cap: set outright, or
-    # the default width of 2049 classes read off a CSV label.
-    @pytest.mark.parametrize("source", ["code_bits", "csv_label"])
+    # code_bits, csv_label: each run needs an 8192-bit codebook, twice the
+    # cap, set outright or the default width of 2049 classes read off a CSV
+    # label.  instance, pairflip: a CSV label of 100,000,000 means more
+    # classes than any codebook holds, refused before noise injection takes
+    # memory in proportion to the class count.  blobs: the class count is
+    # configured.
+    @pytest.mark.parametrize("source", ["code_bits", "csv_label", "instance", "pairflip",
+                                        "blobs"])
     def test_codebook_over_the_cap_exits_2_before_training(self, tmp_path, capsys, source):
+        message = "exceeds the 4096-bit limit"
         if source == "code_bits":
             payload = tiny_train_payload(tmp_path / "out", train={
                 "epochs": 3, "warmup_epochs": 1, "batch_size": 8, "hidden_width": 8,
                 "code_bits": 8192})
-        else:
+        elif source == "csv_label":
             payload = csv_train_payload(tmp_path, [*TWO_CLASS_ROWS, "0.2,0.4,2048,2048"],
                                         TWO_CLASS_ROWS)
+        elif source == "blobs":
+            payload = tiny_train_payload(tmp_path / "out", dataset={"classes": 4097})
+            message = "4097 classes exceed the 4096-class limit"
+        else:
+            payload = csv_train_payload(
+                tmp_path, [*TWO_CLASS_ROWS, "0.2,0.4,100000000,100000000"], TWO_CLASS_ROWS,
+                noise={"kind": source, "epsilon": 0.3})
+            message = "100000001 classes exceed the 4096-class limit"
         assert main(["train", "--config", write_json(tmp_path / "cfg.json", payload)]) == 2
-        assert "exceeds the 4096-bit limit" in only_error(capsys, "config")
+        assert message in only_error(capsys, "config")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

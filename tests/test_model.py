@@ -21,13 +21,23 @@ from noisylab.numeric import RngStream
 from noisylab.schedule import ScheduleConfig, build_run_state
 from noisylab.selection import SelectionConfig, batch_flags
 from oracles import (backward_per_layer, clone, combined_loss_and_grads,
-                     decompose_bce, finite_difference_check,
+                     decompose_bce, finite_difference_check, select_rows,
                      sgd_step_per_parameter, upstream_gradients)
 
 
 def make_net(seed=0, input_dim=5, classes=3, bits=4, width=6, layers=2, temp=2.0):
     return DualHeadNet.create(input_dim, classes, bits, width, layers, temp,
                               RngStream(seed))
+
+
+def forwarded_batch(seed, layers):
+    """A 10-class, 16-bit net of trunk depth ``layers`` and one forwarded
+    24-row batch: (net, forward result, labels, targets)."""
+    net = make_net(seed=seed, width=12, layers=layers, bits=16, classes=10, input_dim=32)
+    rng = RngStream(seed + 1).generator
+    labels = rng.integers(0, 10, size=24)
+    res = net.forward(rng.normal(size=(24, 32)))
+    return net, res, labels, derive_codebook(16, 10).targets_for(labels)
 
 
 class TestForward:
@@ -177,8 +187,8 @@ class TestParameterArena:
         keep = rng.uniform(size=(rows, 1)) < 0.5  # zero rows, as masked updates do
         dlogits = rng.normal(size=res.logits.shape) * keep
         d_det = rng.normal(size=res.z.shape) * keep
-        want = backward_per_layer(net, res, dlogits, d_det)
-        net.backward(res, dlogits, d_det)
+        want = backward_per_layer(net, res.acts, dlogits, d_det)
+        net.backward(res.acts, dlogits, d_det)
         got = net.gradients()
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -189,7 +199,8 @@ class TestParameterArena:
     @pytest.mark.parametrize("masked", [False, True])
     def test_loss_gradients_are_bitwise_the_oracle_backward(self, layers, masked):
         """The one loss path leaves in ``grad`` exactly what the per-layer
-        backward makes of the full-batch upstream gradients."""
+        backward makes of the upstream gradients of the trained rows: the
+        full batch, or the rows a mask selects."""
         net = make_net(seed=38, width=12, layers=layers, bits=16, classes=10,
                        input_dim=32)
         rng = RngStream(39).generator
@@ -198,10 +209,78 @@ class TestParameterArena:
         res = net.forward(rng.normal(size=(24, 32)))
         mask = rng.uniform(size=24) < 0.4 if masked else None
         losses_and_grads_from_forward(net, res, labels, targets, 0.5, mask)
-        want = backward_per_layer(net, res, *upstream_gradients(
+        if masked:
+            res, labels, targets = select_rows(res, mask), labels[mask], targets[mask]
+        want = backward_per_layer(net, res.acts, *upstream_gradients(
+            res, labels, targets, net.temperature, 0.5))
+        for g, w in zip(net.gradients(), want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("keep", ["one", "first_half", "every_third", "all_but_one",
+                                      "random"])
+    def test_gathered_gradients_match_the_zero_filled_full_batch(self, layers, keep):
+        """Backward on the k selected rows gives the gradients the full batch
+        gives with the other rows' upstream gradients zeroed, to 1e-12: only
+        the rounding of the row sums differs."""
+        net, res, labels, targets = forwarded_batch(40, layers)
+        rows = np.arange(24)
+        mask = {"one": rows == 17, "first_half": rows < 12, "every_third": rows % 3 == 0,
+                "all_but_one": rows != 5,
+                "random": RngStream(41).generator.uniform(size=24) < 0.4}[keep]
+        losses_and_grads_from_forward(net, res, labels, targets, 0.5, mask)
+        want = backward_per_layer(net, res.acts, *upstream_gradients(
+            res, labels, targets, net.temperature, 0.5, mask))
+        np.testing.assert_allclose(net.grad, np.concatenate([w.ravel() for w in want]),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_zero_filled_loss_gradients_are_bitwise_the_oracle_backward(self, layers):
+        """``gather=False`` leaves in ``grad`` exactly what the per-layer
+        backward makes of the full-batch upstream gradients zeroed outside
+        the mask, and returns the gathered path's means bit for bit."""
+        net, res, labels, targets = forwarded_batch(46, layers)
+        mask = RngStream(47).generator.uniform(size=24) < 0.4
+        losses = losses_and_grads_from_forward(net, res, labels, targets, 0.5, mask,
+                                               gather=False)
+        want = backward_per_layer(net, res.acts, *upstream_gradients(
             res, labels, targets, net.temperature, 0.5, mask))
         for g, w in zip(net.gradients(), want):
             assert np.array_equal(g, w)
+        assert losses == losses_and_grads_from_forward(net, res, labels, targets, 0.5, mask)
+        with pytest.raises(ShapeError):
+            losses_and_grads_from_forward(net, res, labels, targets, 0.5,
+                                          np.zeros(24, dtype=bool), gather=False)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_masked_backward_runs_on_the_selected_rows(self, layers, monkeypatch):
+        """With k of n rows selected, every backward product spans k rows on
+        its batch dimension: 2 * depth + 7 products, none of n rows."""
+        import noisylab.model as model
+        net, res, labels, targets = forwarded_batch(42, layers)
+        mask = np.arange(24) % 3 == 0
+        shapes, real_matmul = [], model.matmul
+
+        def recording_matmul(a, b, out=None):
+            shapes.append((a.shape, b.shape))
+            return real_matmul(a, b, out=out)
+
+        monkeypatch.setattr(model, "matmul", recording_matmul)
+        losses_and_grads_from_forward(net, res, labels, targets, 0.5, mask)
+        assert len(shapes) == 2 * layers + 7
+        for a, b in shapes:
+            # d @ w.T has k rows; act.T @ d sums over k rows
+            assert a[0] == 8 or a[1] == b[0] == 8, (a, b)
+            assert 24 not in (*a, *b), (a, b)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_all_true_mask_is_the_full_batch_path(self, layers):
+        net, res, labels, targets = forwarded_batch(44, layers)
+        full = losses_and_grads_from_forward(net, res, labels, targets, 0.5)
+        grad = net.grad.tobytes()
+        assert losses_and_grads_from_forward(
+            net, res, labels, targets, 0.5, np.ones(24, dtype=bool)) == full
+        assert net.grad.tobytes() == grad
 
 
 class TestClassificationLoss:

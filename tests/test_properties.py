@@ -14,7 +14,8 @@ from noisylab.codebook import default_code_bits, derive_codebook
 from noisylab.model import Z_CLAMP, DualHeadNet, losses_and_grads_from_forward
 from noisylab.numeric import RngStream
 from noisylab.selection import SelectionConfig, batch_flags
-from oracles import backward_per_layer, batch_variance_and_bce, upstream_gradients
+from oracles import (backward_per_layer, batch_variance_and_bce, select_rows,
+                     upstream_gradients)
 
 FEW = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -43,10 +44,12 @@ def test_loss_gradients_are_bitwise_the_per_layer_oracle(case):
     labels = g.integers(0, classes, size=rows)
     targets = derive_codebook(bits, classes).targets_for(labels)
     res = net.forward(g.normal(size=(rows, case["input_dim"])))
-    losses_and_grads_from_forward(net, res, labels, targets, case["bce_weight"],
-                                  case["mask"])
-    want = backward_per_layer(net, res, *upstream_gradients(
-        res, labels, targets, net.temperature, case["bce_weight"], case["mask"]))
+    mask = case["mask"]
+    losses_and_grads_from_forward(net, res, labels, targets, case["bce_weight"], mask)
+    if mask is not None:  # a masked update trains on the selected rows only
+        res, labels, targets = select_rows(res, mask), labels[mask], targets[mask]
+    want = backward_per_layer(net, res.acts, *upstream_gradients(
+        res, labels, targets, net.temperature, case["bce_weight"]))
     assert net.grad.tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
 
 

@@ -325,6 +325,29 @@ class TestCrossUpdate:
         for net, prev in zip(state.nets, before):
             assert not params_equal(snapshot(net), prev)
 
+    @pytest.mark.parametrize("strategy", ["self_update", "cross_update"])
+    def test_masked_backward_height(self, strategy, monkeypatch):
+        """Self backpropagates only its picked rows; cross, the dual-network
+        baseline, backpropagates every row with the peer's dropped rows
+        zeroed, as Co-teaching's index-select loss does under autograd."""
+        state, _ = make_state(strategy, keep=0.5)
+        run_epoch(state, 0)
+        run_epoch(state, 1)
+        seen, real_backward = [], DualHeadNet.backward
+
+        def recording_backward(net, acts, dlogits, d_det_pre):
+            seen.append((dlogits.shape[0], int(np.count_nonzero(dlogits.any(axis=1)))))
+            return real_backward(net, acts, dlogits, d_det_pre)
+
+        monkeypatch.setattr(DualHeadNet, "backward", recording_backward)
+        stats = run_epoch(state, 2)
+        assert stats.gate_on == state.iters_per_epoch
+        picked = [8, 8, 8, 8, 4]  # ceil(0.5 * batch) of 16, 16, 16, 16, 8 rows
+        if strategy == "self_update":
+            assert seen == [(k, k) for k in picked]
+        else:
+            assert seen == [(2 * k, k) for k in picked for _ in state.nets]
+
 
 class TestJumpUpdate:
     def test_commit_cadence_one_per_epoch_at_default_step(self):
