@@ -6,7 +6,7 @@ from .data import NoiseConfig, NoisyDataset, gen_blobs, inject_noise, load_csv, 
 from .errors import (CapacityError, ConfigError, DataIOError, EncodingError,
                      LabelError, NoisyLabError, NumericError, ParseError,
                      ShapeError)
-from .experiment import compare_strategies, run_cell, run_experiment
+from .experiment import compare_strategies, run_cell, run_experiment, start_run
 from .metrics import evaluate, iou, selection_quality
 from .model import DualHeadNet, TrainConfig, load_checkpoint, save_checkpoint
 from .numeric import RngStream
@@ -25,5 +25,5 @@ __all__ = [
     "derive_codebook", "evaluate", "gen_blobs", "inject_noise", "iou",
     "load_checkpoint", "load_config", "load_csv", "parse_config", "run_cell",
     "run_experiment", "save_checkpoint", "save_csv", "selection_quality",
-    "small_loss_select",
+    "small_loss_select", "start_run",
 ]

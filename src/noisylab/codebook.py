@@ -19,6 +19,7 @@ import numpy as np
 from .errors import CapacityError, ConfigError, LabelError, NoisyLabError
 
 MAX_CODE_BITS = 4096  # a 128 MiB Sylvester matrix; 2048 classes at the default width
+MAX_ELEMENTS = 1 << 26  # the largest net arena or dataset: 512 MiB of float64
 
 
 def next_pow2(v: int) -> int:

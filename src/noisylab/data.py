@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import MAX_CODE_BITS, build_sylvester, next_pow2
+from .codebook import MAX_CODE_BITS, MAX_ELEMENTS, build_sylvester, next_pow2
 from .errors import (CapacityError, ConfigError, DataIOError, LabelError, ParseError,
                      ShapeError)
 from .numeric import RngStream
@@ -54,12 +54,13 @@ class NoiseConfig:
 
 @dataclass
 class NoisyDataset:
-    """Features plus both label columns; clean_mask marks agreement."""
+    """Features plus both label columns.  Construction guarantees what
+    training trusts unchecked: both label columns are (n,) vectors in
+    [0, num_classes); a test split is also noise-free."""
 
     features: np.ndarray      # (n, d) float64
     true_labels: np.ndarray   # (n,) int64
     noisy_labels: np.ndarray  # (n,) int64
-    clean_mask: np.ndarray    # (n,) bool, true == noisy
     num_classes: int
     split: str = "train"
 
@@ -69,22 +70,22 @@ class NoisyDataset:
         if self.features.ndim != 2:
             raise ShapeError(f"features must be 2-D, got shape {self.features.shape}")
         for name, arr in (("true_labels", self.true_labels),
-                          ("noisy_labels", self.noisy_labels),
-                          ("clean_mask", self.clean_mask)):
+                          ("noisy_labels", self.noisy_labels)):
             if arr.shape != (n,):
                 raise ShapeError(f"{name} shape {arr.shape} != ({n},)")
-        for name, arr in (("true_labels", self.true_labels),
-                          ("noisy_labels", self.noisy_labels)):
             if arr.size and (arr.min() < 0 or arr.max() >= self.num_classes):
                 raise LabelError(f"{name} outside [0, {self.num_classes})")
-        if not np.array_equal(self.clean_mask, self.true_labels == self.noisy_labels):
-            raise ShapeError("clean_mask inconsistent with the label columns")
         if self.split == "test" and not self.clean_mask.all():
             raise ConfigError("test split must stay noise-free")
 
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def clean_mask(self) -> np.ndarray:
+        """(n,) bool: where the noisy label equals the true one."""
+        return self.true_labels == self.noisy_labels
 
 
 def check_class_count(classes: int) -> None:
@@ -128,6 +129,9 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
         raise ConfigError(f"spread must be a finite positive number, got {spread}")
     if not math.isfinite(center_scale):
         raise ConfigError(f"center_scale must be a finite number, got {center_scale}")
+    if classes * n_per_class * dim > MAX_ELEMENTS:
+        raise CapacityError(f"classes x n_per_class x dim = {classes}x{n_per_class}x{dim} "
+                            f"exceeds the {MAX_ELEMENTS}-element limit")
     centers = class_centers(classes, dim, center_scale)
     feats, labels = [], []
     for c in range(classes):
@@ -144,7 +148,6 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
     def build(sel):
         return NoisyDataset(features=np.ascontiguousarray(x[sel]),
                             true_labels=y[sel].copy(), noisy_labels=y[sel].copy(),
-                            clean_mask=np.ones(sel.sum(), dtype=bool),
                             num_classes=classes,
                             split="test" if sel is test_idx else "train")
     train = build(~test_idx)
@@ -222,22 +225,21 @@ def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
         mapped = np.array([cmap[int(v)] for v in y], dtype=np.int64)
         noisy[flips] = mapped[flips]
     return NoisyDataset(features=ds.features.copy(), true_labels=y,
-                        noisy_labels=noisy, clean_mask=y == noisy,
-                        num_classes=c, split="train")
+                        noisy_labels=noisy, num_classes=c, split="train")
 
 
 def save_csv(ds: NoisyDataset, path) -> None:
     """Write the dataset in the documented CSV schema (repr floats, LF)."""
     path = Path(path)
     d = ds.features.shape[1]
+    header = [f"f{j}" for j in range(d)] + ["label_true", "label_noisy"]
+    line = ",".join(["%r"] * d + ["%d", "%d"]) + "\n"
+    rows = zip(*ds.features.T.tolist(), ds.true_labels.tolist(), ds.noisy_labels.tolist())
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"f{j}" for j in range(d)] + ["label_true", "label_noisy"])
-            for i in range(ds.n_samples):
-                row = [repr(float(v)) for v in ds.features[i]]
-                row += [int(ds.true_labels[i]), int(ds.noisy_labels[i])]
-                writer.writerow(row)
+            fh.write(",".join(header) + "\n")
+            # %r gives repr(float), as csv.writer wrote it.
+            fh.writelines(map(line.__mod__, rows))
     except OSError as exc:
         raise DataIOError(f"cannot write dataset {path}: {exc}") from exc
 
@@ -284,5 +286,4 @@ def load_csv(path, num_classes: int | None = None, split: str = "train") -> Nois
     if yt.size and (yt.min() < 0 or yn.min() < 0 or yt.max() >= c or yn.max() >= c):
         raise ParseError(f"{path}: label outside [0, {c})")
     return NoisyDataset(features=np.ascontiguousarray(x), true_labels=yt,
-                        noisy_labels=yn, clean_mask=yt == yn,
-                        num_classes=c, split=split)
+                        noisy_labels=yn, num_classes=c, split=split)

@@ -18,7 +18,8 @@ class ConfigError(NoisyLabError):
 
 
 class CapacityError(ConfigError):
-    """More classes requested than the codebook can hold."""
+    """A requested size exceeds a fixed limit: more classes or code bits
+    than a codebook holds, or more elements than a net or dataset may take."""
 
 
 class LabelError(NoisyLabError):

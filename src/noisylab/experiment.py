@@ -23,7 +23,7 @@ from .metrics import (cell, emit_report, evaluate, iou, mean_or_none, peak_memor
                       selection_quality, summarize_records)
 from .model import DualHeadNet, save_checkpoint
 from .numeric import RngStream
-from .schedule import STRATEGIES, build_run_state, run_epoch
+from .schedule import STRATEGIES, RunState, run_epoch
 from .selection import dump_decisions_csv
 
 # Child-stream keys of the per-run root stream.  Fixed so that adding a
@@ -41,12 +41,9 @@ STREAM_IDN = 6
 class CellResult:
     """Output of one strategy x seed cell."""
 
-    strategy: str
-    seed: int
-    effect_rate: float
     records: list
     summary: dict
-    state: object
+    state: RunState
     out_dir: Path | None
 
 
@@ -86,28 +83,32 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
     return train, test
 
 
-def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
-             effect_rate: float | None = None, out_dir=None) -> CellResult:
-    """Train one strategy on one seed; write its artifacts to ``out_dir`` if given."""
+def start_run(cfg: ExperimentConfig, strategy: str, seed: int,
+              effect_rate: float | None = None):
+    """Build one run from ``cfg``: the data, the codebook targets, the net(s)
+    and the schedule state, each from its own child stream of ``seed``.
+    Returns ``(RunState, test split)``."""
     root = RngStream(seed)
     train, test = build_dataset(cfg, seed)
     n_classes = train.num_classes
     code_bits = cfg.train.code_bits or default_code_bits(n_classes)
-    codebook = derive_codebook(code_bits, n_classes)
-    targets = codebook.targets_for(train.noisy_labels)
-
+    targets = derive_codebook(code_bits, n_classes).targets_for(train.noisy_labels)
     net_keys = (STREAM_NET_A, STREAM_NET_B) if strategy == "cross_update" else (STREAM_NET_A,)
     nets = [DualHeadNet.create(train.features.shape[1], n_classes, code_bits,
                                cfg.train.hidden_width, cfg.train.hidden_layers,
                                cfg.train.temperature, root.child(key)) for key in net_keys]
-
     sched = dataclasses.replace(cfg.schedule, strategy=strategy,
                                 effect_rate=cfg.schedule.effect_rate
                                 if effect_rate is None else effect_rate)
-    state = build_run_state(train, targets, nets, cfg.train, cfg.selection,
-                            sched, root.child(STREAM_SHUFFLE),
-                            root.child(STREAM_GATE))
+    return RunState(train, targets, nets, cfg.train, cfg.selection, sched,
+                    root.child(STREAM_SHUFFLE), root.child(STREAM_GATE)), test
 
+
+def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
+             effect_rate: float | None = None, out_dir=None) -> CellResult:
+    """Train one strategy on one seed; write its artifacts to ``out_dir`` if given."""
+    state, test = start_run(cfg, strategy, seed, effect_rate)
+    train, nets = state.data, state.nets
     out_path = Path(out_dir) if out_dir is not None else None
     clean = train.clean_mask
     records = []
@@ -148,9 +149,7 @@ def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
         save_checkpoint(nets[0], out_path / "model.ckpt",
                         epoch=cfg.train.epochs - 1, seed=seed,
                         config=canonical_dict(cfg))
-    return CellResult(strategy=strategy, seed=seed,
-                      effect_rate=sched.effect_rate, records=records,
-                      summary=summary, state=state, out_dir=out_path)
+    return CellResult(records=records, summary=summary, state=state, out_dir=out_path)
 
 
 def _run_cells(cfg: ExperimentConfig, cells, base: Path):
@@ -190,7 +189,7 @@ def compare_strategies(cfg: ExperimentConfig, out_root=None) -> list:
         last10 = [s["last10_mean_acc"] for s in summaries]
         rows.append({
             "label": label, "strategy": strategy,
-            "effect_rate": cell_results[0].effect_rate,
+            "effect_rate": cell_results[0].state.sched_cfg.effect_rate,
             "n_seeds": len(cfg.seeds),
             "mean_last10_acc": float(np.mean(last10)),
             "std_last10_acc": float(np.std(last10)),

@@ -46,7 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataIOError, NumericError, ShapeError
+from .codebook import MAX_ELEMENTS
+from .errors import CapacityError, ConfigError, DataIOError, NumericError, ShapeError
 from .numeric import (RngStream, activation, activation_derivative, matmul,
                       softmax_with_temperature)
 
@@ -165,6 +166,12 @@ class DualHeadNet:
 
     def __init__(self, input_dim: int, num_classes: int, code_bits: int,
                  hidden_width: int, hidden_layers: int, temperature: float):
+        w = hidden_width  # the arena's size, before any list or array exists
+        size = (input_dim + hidden_layers + 2 + num_classes + code_bits
+                + (hidden_layers + 1) * w) * w + num_classes + code_bits
+        if size > MAX_ELEMENTS:
+            raise CapacityError(f"a network of {size} parameters exceeds the "
+                                f"{MAX_ELEMENTS}-element limit")
         widths = [input_dim] + [hidden_width] * hidden_layers
         shapes = [*zip(widths[:-1], widths[1:]), (hidden_width, num_classes),
                   (hidden_width, hidden_width), (hidden_width, hidden_width),
@@ -230,10 +237,6 @@ class DualHeadNet:
     def gradients(self) -> list:
         """Views into ``grad`` aligned with :meth:`parameters`."""
         return list(self._grads)
-
-    def parameter_names(self) -> list:
-        """Names aligned with :meth:`parameters`, e.g. ``detection[2].w``."""
-        return list(self._names)
 
     def first_nonfinite(self, arrays) -> str | None:
         """Name of the first of ``arrays`` (aligned with :meth:`parameters`)
@@ -301,7 +304,7 @@ class DualHeadNet:
 
 def per_sample_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """-log p[i, y_i] per sample (the small-loss ranking signal).
-    Unchecked: labels in [0, C) (``build_run_state`` checks them once)."""
+    Unchecked: labels in [0, C), as ``NoisyDataset`` guarantees."""
     picked = probs[np.arange(probs.shape[0]), labels]
     return -np.log(np.maximum(picked, 1e-300))
 
@@ -324,7 +327,8 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
                                   mask=None, *, gather: bool = True):
     """Mean CE and BCE over the masked rows (``mask=None``: all rows); the
     gradients of CE + bce_weight * BCE are left in ``net.grad``.  Targets
-    are trusted 0/1 bits (``build_run_state`` checks them).
+    are trusted 0/1 bits (codebook rows) and labels lie in [0, C)
+    (``NoisyDataset`` guarantees them).
 
     A mask that drops rows gathers the selected rows of ``res`` once, and
     the loss and the backward pass run on those rows only.  With
@@ -435,7 +439,8 @@ def load_checkpoint(path):
         with open(path, "rb") as fh:
             blob = fh.read()
         net = DualHeadNet(**meta["layout"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, KeyError, TypeError,  # JSONDecodeError is a ValueError
+            CapacityError) as exc:
         raise DataIOError(f"cannot read checkpoint {path}: {type(exc).__name__}: {exc}") from None
     if blob[:8] != CHECKPOINT_MAGIC:
         raise DataIOError(f"{path}: bad checkpoint magic")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NoisyDataset
-from .errors import ConfigError, EncodingError, LabelError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .metrics import EpochRecord
 from .model import (DualHeadNet, TrainConfig, cosine_lr,
                     losses_and_grads_from_forward, per_sample_cross_entropy,
@@ -77,7 +77,6 @@ class IdentifierTable:
     def __init__(self, n_samples: int):
         if n_samples < 1:
             raise ConfigError(f"need at least 1 sample, got {n_samples}")
-        self.n_samples = n_samples
         self.active = np.ones(n_samples, dtype=bool)
         self.pending = np.ones(n_samples, dtype=bool)
         self.produced_at = np.full(n_samples, -1, dtype=np.int64)
@@ -100,60 +99,38 @@ class IdentifierTable:
 
 @dataclass
 class RunState:
-    """Everything one training run mutates across epochs."""
+    """Everything one training run mutates across epochs, as
+    ``experiment.start_run`` builds it; ``__post_init__`` derives the
+    schedule fields and refuses a jump step the run cannot reach."""
 
-    strategy: str
     data: NoisyDataset
     targets: np.ndarray  # (n, K) codeword bit targets for the noisy labels
-    nets: list
-    velocities: list  # one SGD velocity arena per net, shaped like net.flat
+    nets: list  # two for cross_update, else one
     train_cfg: TrainConfig
     sel_cfg: SelectionConfig
     sched_cfg: ScheduleConfig
     shuffle_rng: RngStream
     gate_rng: RngStream
-    jump_step: int
-    iters_per_epoch: int
-    table: IdentifierTable | None = None
+    velocities: list = field(init=False)  # one SGD velocity arena per net
+    iters_per_epoch: int = field(init=False)
+    jump_step: int = field(init=False)
+    table: IdentifierTable | None = field(init=False)
     selected: list = field(default_factory=list)  # last epoch's flags, one array per net
     flags: BatchFlags | None = None  # jump: last epoch's BatchFlags; combined is selected[0]
     global_iter: int = 0
     post_iter: int = 0
 
-
-def build_run_state(data: NoisyDataset, targets: np.ndarray, nets: list,
-                    train_cfg: TrainConfig, sel_cfg: SelectionConfig,
-                    sched_cfg: ScheduleConfig, shuffle_rng: RngStream,
-                    gate_rng: RngStream) -> RunState:
-    n = data.n_samples
-    need = 2 if sched_cfg.strategy == "cross_update" else 1
-    if len(nets) != need:
-        raise ConfigError(f"{sched_cfg.strategy} needs {need} network(s), got {len(nets)}")
-    iters_per_epoch = math.ceil(n / train_cfg.batch_size)
-    jump_step = sched_cfg.jump_step if sched_cfg.jump_step is not None else max(2, iters_per_epoch)
-    total_train_iters = (train_cfg.epochs - train_cfg.warmup_epochs) * iters_per_epoch
-    if sched_cfg.strategy == "jump_update" and not 2 <= jump_step <= total_train_iters:
-        raise ConfigError(
-            f"jump_step {jump_step} outside [2, {total_train_iters}] for this run length")
-    if sched_cfg.strategy in SMALL_LOSS and sel_cfg.small_loss_keep_ratio is None:
-        raise ConfigError(f"{sched_cfg.strategy} needs selection.small_loss_keep_ratio")
-    # Labels and targets are checked once here: the loss and the identifiers trust them.
-    c = nets[0].num_classes
-    labels = data.noisy_labels
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise LabelError(f"noisy labels outside [0, {c}) for a {c}-class network")
-    t = np.asarray(targets)
-    if t.shape != (n, nets[0].code_bits):
-        raise ShapeError(f"targets shape {t.shape} != (samples {n}, code bits {nets[0].code_bits})")
-    if not np.all((t == 0) | (t == 1)):
-        raise EncodingError("targets must be 0/1 bit vectors")
-    table = IdentifierTable(n) if sched_cfg.strategy == "jump_update" else None
-    return RunState(strategy=sched_cfg.strategy, data=data, targets=targets,
-                    nets=nets, velocities=[np.zeros_like(net.flat) for net in nets],
-                    train_cfg=train_cfg, sel_cfg=sel_cfg,
-                    sched_cfg=sched_cfg, shuffle_rng=shuffle_rng,
-                    gate_rng=gate_rng, jump_step=jump_step,
-                    iters_per_epoch=iters_per_epoch, table=table)
+    def __post_init__(self):
+        n, cfg, sched = self.data.n_samples, self.train_cfg, self.sched_cfg
+        self.velocities = [np.zeros_like(net.flat) for net in self.nets]
+        self.iters_per_epoch = math.ceil(n / cfg.batch_size)
+        self.jump_step = sched.jump_step or max(2, self.iters_per_epoch)
+        jump = sched.strategy == "jump_update"
+        total_train_iters = (cfg.epochs - cfg.warmup_epochs) * self.iters_per_epoch
+        if jump and not 2 <= self.jump_step <= total_train_iters:
+            raise ConfigError(
+                f"jump_step {self.jump_step} outside [2, {total_train_iters}] for this run length")
+        self.table = IdentifierTable(n) if jump else None
 
 
 def _batches(state: RunState):
@@ -186,7 +163,7 @@ def _update(state: RunState, which: int, res, labels, targets, mask, lr: float):
     # the peer's rows backpropagates at full height; the others gather.
     ce, bce = losses_and_grads_from_forward(
         net, res, labels, targets, state.train_cfg.bce_weight, mask,
-        gather=state.strategy != "cross_update")
+        gather=state.sched_cfg.strategy != "cross_update")
     try:
         sgd_step(net.flat, net.grad, state.velocities[which], lr,
                  state.train_cfg.momentum, state.train_cfg.weight_decay)
@@ -229,8 +206,9 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
     lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.lr_min)
     n = state.data.n_samples
     warm = epoch < cfg.warmup_epochs
-    jump = state.strategy == "jump_update"
-    gating = not warm and state.strategy != "standard"
+    strategy = state.sched_cfg.strategy
+    jump = strategy == "jump_update"
+    gating = not warm and strategy != "standard"
     table = state.table
     # Fresh buffers every epoch; the batches cover every sample once.
     state.selected = [np.ones(n, dtype=bool) for _ in state.nets]
@@ -251,7 +229,7 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
             table.write(idx, flags.combined, state.global_iter)
             for name, values in vars(flags).items():
                 getattr(state.flags, name)[idx] = values
-        elif state.strategy in SMALL_LOSS:
+        elif strategy in SMALL_LOSS:
             picks = [small_loss_select(per_sample_cross_entropy(res.probs, labels),
                                        state.sel_cfg.small_loss_keep_ratio)
                      for res in results]
@@ -286,7 +264,7 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
                 table.commit()
         state.global_iter += 1
     wall = (time.perf_counter() - t0) * 1000.0
-    return EpochRecord(epoch=epoch, strategy=state.strategy,
+    return EpochRecord(epoch=epoch, strategy=strategy,
                        phase="warmup" if warm else "train", lr=lr,
                        selected_count=int(state.selected[0].sum()),
                        trained_samples=trained, skipped_batches=skipped,

@@ -57,8 +57,8 @@ def batch_flags(z: np.ndarray, targets: np.ndarray, probs: np.ndarray,
     of that row's per-bit BCE terms, bit for bit with the textbook order of
     ``tests/oracles.py`` (the argument is on :func:`bce_log_likelihood`;
     ``sum / K`` is how ``ndarray.mean`` divides).  Unchecked: z already
-    clamped, targets 0/1 bits, labels a (n,) vector in [0, C)
-    (``build_run_state`` checks them once per run).  This runs once per
+    clamped, targets 0/1 bits (codebook rows), labels a (n,) vector in
+    [0, C) (``NoisyDataset`` guarantees them).  This runs once per
     training iteration, so it calls the unchecked kernel, keeps the rows as
     log-likelihoods and reuses that one temporary for the deviations.
     """

@@ -6,7 +6,8 @@ match them bit for bit.
 ``decompose_bce`` and the per-sample identifiers are the scalar
 definitions ``batch_flags`` vectorizes, and ``finite_difference_check`` with
 ``combined_loss_and_grads`` audits the model's analytic gradients.
-``clone`` and ``encode_label`` are conveniences only tests use.
+``clone``, ``encode_label`` and ``parameter_names`` are conveniences only
+tests use.
 """
 
 import csv
@@ -68,6 +69,13 @@ def clone(net: DualHeadNet) -> DualHeadNet:
     twin = DualHeadNet(**net.layout())
     twin.flat[...] = net.flat
     return twin
+
+
+def parameter_names(net: DualHeadNet) -> list:
+    """Names aligned with ``net.parameters()``, e.g. ``detection[2].w``."""
+    layers = ([f"trunk[{i}]" for i in range(len(net.trunk))] + ["classifier"]
+              + [f"detection[{i}]" for i in range(len(net.detection))])
+    return [f"{name}.{part}" for name in layers for part in "wb"]
 
 
 def encode_label(cb, y: int):

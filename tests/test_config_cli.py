@@ -323,7 +323,8 @@ class TestCliDataPipeline:
 
     @pytest.mark.parametrize("arg", ["--spread=nan", "--spread=inf", "--center-scale=nan",
                                      "--center-scale=inf", "--center-scale=-inf",
-                                     "--per-class=2", "--classes=4097"])
+                                     "--per-class=2", "--classes=4097",
+                                     "--per-class=1000000000000"])
     def test_gen_data_non_finite_geometry_exits_2(self, tmp_path, capsys, arg):
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
         rc = main(["gen-data", "--classes", "3", "--dim", "4", "--per-class", "10", arg,
@@ -502,12 +503,24 @@ class TestCliTrain:
     # label.  instance, pairflip: a CSV label of 100,000,000 means more
     # classes than any codebook holds, refused before noise injection takes
     # memory in proportion to the class count.  blobs: the class count is
-    # configured.
+    # configured.  hidden_width, hidden_layers, per_class: the net arena or
+    # the features would take petabytes, refused before anything that size
+    # (or a list of 10**12 layers) exists.
     @pytest.mark.parametrize("source", ["code_bits", "csv_label", "instance", "pairflip",
-                                        "blobs"])
+                                        "blobs", "hidden_width", "hidden_layers",
+                                        "per_class"])
     def test_codebook_over_the_cap_exits_2_before_training(self, tmp_path, capsys, source):
         message = "exceeds the 4096-bit limit"
-        if source == "code_bits":
+        if source in ("hidden_width", "hidden_layers"):
+            payload = tiny_train_payload(tmp_path / "out", train={
+                "epochs": 3, "warmup_epochs": 1, "batch_size": 8, "hidden_width": 8,
+                source: 10**8 if source == "hidden_width" else 10**12})
+            message = "parameters exceeds the 67108864-element limit"
+        elif source == "per_class":
+            payload = tiny_train_payload(tmp_path / "out", dataset={
+                "classes": 3, "dim": 4, "per_class": 10**12})
+            message = "3x1000000000000x4 exceeds the 67108864-element limit"
+        elif source == "code_bits":
             payload = tiny_train_payload(tmp_path / "out", train={
                 "epochs": 3, "warmup_epochs": 1, "batch_size": 8, "hidden_width": 8,
                 "code_bits": 8192})

@@ -7,7 +7,7 @@ import pytest
 from noisylab.data import (NoiseConfig, NoisyDataset, class_centers, gen_blobs,
                            inject_noise, load_csv, make_instance_weights,
                            save_csv)
-from noisylab.errors import ConfigError, LabelError, ParseError, ShapeError
+from noisylab.errors import ConfigError, LabelError, ParseError
 from noisylab.numeric import RngStream
 
 
@@ -161,20 +161,11 @@ class TestInjectNoise:
 
 
 class TestNoisyDatasetValidation:
-    def test_inconsistent_clean_mask_rejected(self):
-        with pytest.raises(ShapeError):
-            NoisyDataset(features=np.zeros((2, 3)),
-                         true_labels=np.array([0, 1]),
-                         noisy_labels=np.array([0, 0]),
-                         clean_mask=np.array([True, True]),
-                         num_classes=2)
-
     def test_noisy_test_split_rejected(self):
         with pytest.raises(ConfigError):
             NoisyDataset(features=np.zeros((2, 3)),
                          true_labels=np.array([0, 1]),
                          noisy_labels=np.array([0, 0]),
-                         clean_mask=np.array([True, False]),
                          num_classes=2, split="test")
 
     def test_label_out_of_range_rejected(self):
@@ -182,7 +173,6 @@ class TestNoisyDatasetValidation:
             NoisyDataset(features=np.zeros((1, 3)),
                          true_labels=np.array([5]),
                          noisy_labels=np.array([5]),
-                         clean_mask=np.array([True]),
                          num_classes=2)
 
 
@@ -201,8 +191,7 @@ class TestCsvRoundTrip:
     def test_empty_dataset_header_only(self, tmp_path):
         ds = NoisyDataset(features=np.zeros((0, 3)),
                           true_labels=np.zeros(0, dtype=np.int64),
-                          noisy_labels=np.zeros(0, dtype=np.int64),
-                          clean_mask=np.zeros(0, dtype=bool), num_classes=2)
+                          noisy_labels=np.zeros(0, dtype=np.int64), num_classes=2)
         path = tmp_path / "empty.csv"
         save_csv(ds, path)
         assert path.read_text() == "f0,f1,f2,label_true,label_noisy\n"

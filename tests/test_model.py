@@ -10,19 +10,19 @@ import pytest
 
 from noisylab.codebook import derive_codebook
 from noisylab.data import gen_blobs
-from noisylab.errors import (ConfigError, DataIOError, EncodingError,
-                             LabelError, NumericError, ShapeError)
+from noisylab.errors import (CapacityError, ConfigError, DataIOError, EncodingError,
+                             NumericError, ShapeError)
+from noisylab import model
 from noisylab.model import (CHECKPOINT_MAGIC, DualHeadNet, TrainConfig,
                             Z_CLAMP, cosine_lr, load_checkpoint,
                             losses_and_grads_from_forward,
                             per_sample_cross_entropy, save_checkpoint,
                             sgd_step)
 from noisylab.numeric import RngStream
-from noisylab.schedule import ScheduleConfig, build_run_state
 from noisylab.selection import SelectionConfig, batch_flags
 from oracles import (backward_per_layer, clone, combined_loss_and_grads,
-                     decompose_bce, finite_difference_check, select_rows,
-                     sgd_step_per_parameter, upstream_gradients)
+                     decompose_bce, finite_difference_check, parameter_names,
+                     select_rows, sgd_step_per_parameter, upstream_gradients)
 
 
 def make_net(seed=0, input_dim=5, classes=3, bits=4, width=6, layers=2, temp=2.0):
@@ -134,8 +134,18 @@ class TestParameterArena:
         layers = [*net.trunk, net.classifier, *net.detection]
         assert [a for lay in layers for a in (lay.w, lay.b)] == net.parameters()
         assert [a for lay in layers for a in (lay.gw, lay.gb)] == net.gradients()
-        assert net.parameter_names()[:2] == ["trunk[0].w", "trunk[0].b"]
-        assert net.parameter_names()[-1] == "detection[2].b"
+        assert parameter_names(net)[:2] == ["trunk[0].w", "trunk[0].b"]
+        assert parameter_names(net)[-1] == "detection[2].b"
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_arena_cap_counts_every_parameter(self, layers, monkeypatch):
+        """The size refused before building is exactly the arena's size."""
+        size = make_net(layers=layers).flat.size
+        monkeypatch.setattr(model, "MAX_ELEMENTS", size)
+        make_net(layers=layers)
+        monkeypatch.setattr(model, "MAX_ELEMENTS", size - 1)
+        with pytest.raises(CapacityError, match=f"a network of {size} parameters"):
+            make_net(layers=layers)
 
     def test_clone_and_load_do_not_alias_the_source(self, tmp_path):
         net = make_net(seed=32)
@@ -158,7 +168,7 @@ class TestParameterArena:
         another from the stream; biases zero."""
         net = make_net(seed=37, layers=layers)
         rng = RngStream(37).generator
-        for name, p in zip(net.parameter_names(), net.parameters()):
+        for name, p in zip(parameter_names(net), net.parameters()):
             if name.endswith(".b"):
                 assert not p.any()
                 continue
@@ -294,17 +304,6 @@ class TestClassificationLoss:
         probs = np.full((5, 10), 0.1)
         loss = per_sample_cross_entropy(probs, np.zeros(5, dtype=int)).mean()
         assert abs(loss - math.log(10)) < 1e-12
-
-    def test_label_out_of_range(self):
-        """The loss trusts its labels; a run refuses a noisy label outside
-        the classifier's classes once, before any training."""
-        train, _ = gen_blobs(3, 5, 10, 1.0, RngStream(0))
-        net = make_net(classes=2)
-        targets = derive_codebook(4, 3).targets_for(train.noisy_labels)
-        with pytest.raises(LabelError):
-            build_run_state(train, targets, [net], TrainConfig(epochs=2, warmup_epochs=1),
-                            SelectionConfig(), ScheduleConfig(strategy="standard"),
-                            RngStream(1), RngStream(2))
 
     def test_empty_batch_rejected(self):
         net = make_net()
@@ -632,7 +631,11 @@ class TestCheckpoint:
         with pytest.raises(DataIOError, match="shapes"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("meta", ['{"format": 1}', '[]', '{"layout": {"depth": 3}}'])
+    # The last layout is well formed but over the element cap.
+    @pytest.mark.parametrize("meta", ['{"format": 1}', '[]', '{"layout": {"depth": 3}}',
+                                      '{"layout": {"input_dim": 5, "num_classes": 3, '
+                                      '"code_bits": 4, "hidden_width": 100000000, '
+                                      '"hidden_layers": 2, "temperature": 2.0}}'])
     def test_sidecar_without_usable_layout_rejected(self, tmp_path, meta):
         _, path = self.saved(tmp_path)
         (tmp_path / "model.ckpt.json").write_text(meta)

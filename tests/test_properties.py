@@ -1,5 +1,7 @@
 """Property tests: the model's one backward walk and ``batch_flags`` match
-their oracles bit for bit on generated shapes, depths and masks.
+their oracles bit for bit on generated shapes, depths and masks, and
+``start_run`` builds every run with the invariants the training loop
+trusts without re-checking.
 
 Examples are derandomized and few, so every run checks the same cases and
 tier-1 stays deterministic.
@@ -11,8 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from noisylab.codebook import default_code_bits, derive_codebook
+from noisylab.config import parse_config
+from noisylab.data import NOISE_KINDS
+from noisylab.experiment import start_run
 from noisylab.model import Z_CLAMP, DualHeadNet, losses_and_grads_from_forward
 from noisylab.numeric import RngStream
+from noisylab.schedule import SMALL_LOSS, STRATEGIES
 from noisylab.selection import SelectionConfig, batch_flags
 from oracles import (backward_per_layer, batch_variance_and_bce, select_rows,
                      upstream_gradients)
@@ -71,3 +77,39 @@ def test_batch_flags_are_bitwise_the_oracle(rows, bits, classes, data):
     assert np.array_equal(flags.detection, variance <= cfg.tau)
     assert np.array_equal(flags.classifier, np.argmax(probs, axis=1) == labels)
     assert np.array_equal(flags.combined, flags.detection | flags.classifier)
+
+
+@st.composite
+def small_runs(draw):
+    """A small blob config under any noise model, a strategy and a seed."""
+    classes = draw(st.integers(2, 6))
+    noise = {"kind": draw(st.sampled_from(NOISE_KINDS)),
+             "epsilon": draw(st.sampled_from([0.0, 0.3, 0.7]))}
+    if noise["kind"] == "asymmetric":
+        noise["class_map"] = {str(c): (c + 1) % classes for c in range(classes)}
+    cfg = parse_config({
+        "dataset": {"classes": classes, "dim": draw(st.integers(2, 6)),
+                    "per_class": draw(st.integers(3, 12))},
+        "noise": noise,
+        "train": {"epochs": 3, "warmup_epochs": 1, "batch_size": draw(st.integers(1, 16)),
+                  "hidden_width": draw(st.integers(1, 8)),
+                  "hidden_layers": draw(st.integers(1, 3))},
+    })
+    return cfg, draw(st.sampled_from(STRATEGIES)), draw(st.integers(0, 2**16))
+
+
+@FEW
+@given(small_runs())
+def test_start_run_builds_what_the_loop_trusts(run):
+    cfg, strategy, seed = run
+    state, test = start_run(cfg, strategy, seed)
+    data, net = state.data, state.nets[0]
+    assert len(state.nets) == (2 if strategy == "cross_update" else 1)
+    assert state.targets.shape == (data.n_samples, net.code_bits)
+    assert np.isin(state.targets, (0.0, 1.0)).all()
+    for labels in (data.noisy_labels, data.true_labels, test.true_labels):
+        assert 0 <= labels.min() and labels.max() < net.num_classes
+    if strategy in SMALL_LOSS:
+        assert state.sel_cfg.small_loss_keep_ratio is not None
+    assert np.array_equal(data.clean_mask, data.true_labels == data.noisy_labels)
+    assert test.clean_mask.all()

@@ -8,38 +8,30 @@ import re
 import numpy as np
 import pytest
 
-from noisylab.codebook import derive_codebook
-from noisylab.data import NoiseConfig, gen_blobs, inject_noise
-from noisylab.errors import ConfigError, EncodingError, NumericError, ShapeError
-from noisylab.model import DualHeadNet, TrainConfig
+from noisylab.config import parse_config
+from noisylab.errors import ConfigError, NumericError, ShapeError
+from noisylab.experiment import start_run
+from noisylab.model import DualHeadNet
 from noisylab.numeric import RngStream
 from noisylab.schedule import (STRATEGIES, IdentifierTable, ScheduleConfig,
-                               _gate, _step_failure, build_run_state,
-                               run_epoch)
-from noisylab.selection import SelectionConfig
-from oracles import clone
+                               _gate, _step_failure, run_epoch)
+from oracles import parameter_names
 
 
 def make_state(strategy, epochs=6, warmup=2, jump_step=None, effect_rate=1.0,
                tau=0.001, keep=0.5, seed=5):
-    """72-sample, 5-iterations-per-epoch run for fast schedule checks."""
-    train, _ = gen_blobs(3, 4, 30, 1.0, RngStream(seed).child(0))
-    noisy = inject_noise(train, NoiseConfig("symmetric", 0.3), RngStream(seed).child(1))
-    cb = derive_codebook(16, 3)
-    targets = cb.targets_for(noisy.noisy_labels)
-    tc = TrainConfig(epochs=epochs, warmup_epochs=warmup, batch_size=16,
-                     hidden_width=8)
-    nets = [DualHeadNet.create(4, 3, 16, 8, 2, tc.temperature,
-                               RngStream(seed).child(2))]
-    if strategy == "cross_update":
-        nets.append(DualHeadNet.create(4, 3, 16, 8, 2, tc.temperature,
-                                       RngStream(seed).child(3)))
-    sc = ScheduleConfig(strategy=strategy, effect_rate=effect_rate,
-                        jump_step=jump_step)
-    sel = SelectionConfig(tau=tau, small_loss_keep_ratio=keep)
-    state = build_run_state(noisy, targets, nets, tc, sel, sc,
-                            RngStream(seed).child(4), RngStream(seed).child(5))
-    return state, noisy
+    """72-sample, 5-iterations-per-epoch run for fast schedule checks,
+    built the way ``run_cell`` builds it: (state, its noisy train split)."""
+    cfg = parse_config({
+        "dataset": {"classes": 3, "dim": 4, "per_class": 30},
+        "noise": {"kind": "symmetric", "epsilon": 0.3},
+        "train": {"epochs": epochs, "warmup_epochs": warmup, "batch_size": 16,
+                  "hidden_width": 8},
+        "selection": {"tau": tau, "small_loss_keep_ratio": keep},
+        "schedule": {"jump_step": jump_step},
+    })
+    state, _ = start_run(cfg, strategy, seed, effect_rate)
+    return state, state.data
 
 
 def snapshot(net):
@@ -173,7 +165,7 @@ class TestGate:
             RngStream(5).child(5).generator.bit_generator.state
 
 
-class TestBuildRunState:
+class TestStartRun:
     def test_default_jump_step_is_iterations_per_epoch(self):
         state, _ = make_state("jump_update")
         assert state.iters_per_epoch == 5
@@ -185,49 +177,6 @@ class TestBuildRunState:
             make_state("jump_update", jump_step=21)
         state, _ = make_state("jump_update", jump_step=20)
         assert state.jump_step == 20
-
-    def test_cross_update_needs_two_nets(self):
-        train, _ = gen_blobs(3, 4, 30, 1.0, RngStream(1).child(0))
-        cb = derive_codebook(16, 3)
-        tc = TrainConfig(epochs=4, warmup_epochs=1, batch_size=16, hidden_width=8)
-        net = DualHeadNet.create(4, 3, 16, 8, 2, 2.0, RngStream(1).child(2))
-        # run_epoch trains every net it is given, so the count must match
-        for strategy, nets in (("cross_update", [net]), ("self_update", [net, clone(net)])):
-            with pytest.raises(ConfigError, match="network"):
-                build_run_state(train, cb.targets_for(train.noisy_labels), nets,
-                                tc, SelectionConfig(), ScheduleConfig(strategy=strategy),
-                                RngStream(1).child(4), RngStream(1).child(5))
-
-    @pytest.mark.parametrize("strategy", ["self_update", "cross_update"])
-    def test_small_loss_strategies_need_a_keep_ratio(self, strategy):
-        """A hand-built SelectionConfig() leaves the keep ratio None (the
-        experiment config fills it in); the run is refused before its first
-        ranking instead of failing inside it."""
-        with pytest.raises(ConfigError, match="small_loss_keep_ratio"):
-            make_state(strategy, keep=None)
-        make_state("jump_update", keep=None)  # jump does not rank by loss
-
-    def test_targets_must_cover_dataset(self):
-        state, noisy = make_state("standard")
-        cb = derive_codebook(16, 3)
-        with pytest.raises(ShapeError):
-            build_run_state(noisy, cb.targets[:3], state.nets,
-                            state.train_cfg, state.sel_cfg, state.sched_cfg,
-                            RngStream(0), RngStream(1))
-
-    def test_targets_must_be_bits_of_the_code_width(self):
-        """The loss and the identifiers trust the targets, so they are
-        checked here: a column count other than the net's code bits and a
-        value other than 0/1 are refused before any training."""
-        state, noisy = make_state("jump_update")
-        targets = state.targets
-        bad_bit = targets.copy()
-        bad_bit[5, 3] = 0.5
-        for bad, error in ((targets[:, :8], ShapeError), (targets[:, :1], ShapeError),
-                           (bad_bit, EncodingError), (2.0 * targets - 1.0, EncodingError)):
-            with pytest.raises(error):
-                build_run_state(noisy, bad, state.nets, state.train_cfg, state.sel_cfg,
-                                state.sched_cfg, RngStream(0), RngStream(1))
 
 
 class TestWarmup:
@@ -413,7 +362,7 @@ class TestFinitenessChecks:
 
     @staticmethod
     def plant_nan(net, name):
-        param = net.parameters()[net.parameter_names().index(name)]
+        param = net.parameters()[parameter_names(net).index(name)]
         param.reshape(-1)[0] = np.nan
 
     @staticmethod
@@ -468,14 +417,14 @@ class TestFinitenessChecks:
     def test_nonfinite_gradient_is_named(self):
         state, _ = make_state("standard")
         net = state.nets[0]
-        net.gradients()[net.parameter_names().index("detection[1].w")][2, 3] = np.inf
+        net.gradients()[parameter_names(net).index("detection[1].w")][2, 3] = np.inf
         assert _step_failure(net) == "gradient of detection[1].w is non-finite; step refused"
 
     def test_overflowing_step_names_the_parameter(self):
         """Finite gradients, but the step itself overflows one entry."""
         state, _ = make_state("standard")
         net = state.nets[0]
-        k = net.parameter_names().index("classifier.b")
+        k = parameter_names(net).index("classifier.b")
         at = sum(p.size for p in net.parameters()[:k])
         net.flat[at] = 1.79e308
         state.velocities[0][at] = -1e308

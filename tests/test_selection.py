@@ -12,11 +12,8 @@ from oracles import (batch_variance_and_bce, classifier_identifier,
                      combine_identifiers, decompose_bce, detection_identifier,
                      dump_decisions_rows, intra_loss_variance)
 from noisylab.codebook import derive_codebook
-from noisylab.data import NoiseConfig, gen_blobs, inject_noise
 from noisylab.errors import ConfigError, LabelError, NumericError, ShapeError
-from noisylab.model import Z_CLAMP, DualHeadNet, TrainConfig
-from noisylab.numeric import RngStream
-from noisylab.schedule import ScheduleConfig, build_run_state
+from noisylab.model import Z_CLAMP
 from noisylab.selection import (BatchFlags, SelectionConfig, auto_keep_ratio,
                                 batch_flags, dump_decisions_csv,
                                 small_loss_select)
@@ -151,18 +148,6 @@ class TestBatchFlags:
         z, targets, probs, labels = self._batch(seed=4)
         flags = batch_flags(z, targets, probs, labels, SelectionConfig(tau=0.05))
         assert np.array_equal(flags.combined, flags.detection | flags.classifier)
-
-    def test_label_validation(self):
-        """batch_flags trusts its labels; a jump run refuses a noisy label
-        outside the classifier's classes once, before any training."""
-        train, _ = gen_blobs(5, 4, 10, 1.0, RngStream(3))
-        noisy = inject_noise(train, NoiseConfig("symmetric", 0.3), RngStream(4))
-        net = DualHeadNet.create(4, 3, 16, 8, 2, 2.0, RngStream(5))
-        targets = derive_codebook(16, 5).targets_for(noisy.noisy_labels)
-        with pytest.raises(LabelError):
-            build_run_state(noisy, targets, [net], TrainConfig(epochs=4, warmup_epochs=1),
-                            SelectionConfig(), ScheduleConfig(strategy="jump_update"),
-                            RngStream(6), RngStream(7))
 
 
 class TestSmallLossSelect:

@@ -19,13 +19,15 @@ Runs, as fresh ``noisylab`` processes with BLAS pinned to one thread:
   ``asymmetric`` noise, so every noise model's label draws are covered;
 * ``train`` on each of the three benchmark workload configs
   (``perfbench/run.py``), seed 1, with ``--dump-selection`` where the
-  workload uses it.
+  workload uses it;
+* the standalone tools, in ``tools/``: ``codebook``, ``gen-data``, and an
+  ``inject`` of each noise kind into the generated train split.
 
 It then prints ``sha256  relative/path`` for every file written, sorted by
 path.  Wall-time and memory fields are dropped before hashing: the
 ``epoch_wall_ms`` and ``peak_mem_bytes`` columns and keys, and any key or
-column ending in ``_ms``.  Everything else, including ``model.ckpt`` and the
-selection CSVs, is hashed byte for byte.
+column ending in ``_ms``.  Everything else, including ``model.ckpt``, the
+selection CSVs and the tools' CSVs, is hashed byte for byte.
 
 ``--root`` names the source checkout whose ``src/`` is run (default: the
 checkout holding this script).  Running it on two commits and diffing the
@@ -87,6 +89,19 @@ RUNS = [
      _with_noise("asymmetric", class_map={"0": 2, "1": 3, "2": 0, "3": 1})),
 ]
 
+ASYMMETRIC_MAP = '{"0": 2, "1": 3, "2": 0, "3": 1}'
+
+# Standalone tool invocations, run in this order in <work>/tools/: every
+# inject reads the train split gen-data writes.
+TOOL_RUNS = [
+    ["codebook", "--classes", "6", "--out", "codebook.csv"],
+    ["gen-data", "--classes", "4", "--dim", "5", "--per-class", "30", "--spread", "1.5",
+     "--seed", "2", "--train-out", "train.csv", "--test-out", "test.csv"],
+] + [["inject", "--input", "train.csv", "--out", f"inject_{kind}.csv", "--kind", kind,
+      "--epsilon", "0.3", "--seed", "4"]
+     + (["--class-map", ASYMMETRIC_MAP] if kind == "asymmetric" else [])
+     for kind in ("symmetric", "asymmetric", "pairflip", "instance")]
+
 
 def volatile(name: str) -> bool:
     """Fields that hold wall time or memory and so differ between runs."""
@@ -110,10 +125,11 @@ def normalized_bytes(path: Path) -> bytes:
     if path.suffix == ".csv":
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        keep = [i for i, name in enumerate(rows[0]) if not volatile(name)] if rows else []
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([[r[i] for i in keep] for r in rows])
-        return out.getvalue().encode()
+        if rows and any(map(volatile, rows[0])):
+            keep = [i for i, name in enumerate(rows[0]) if not volatile(name)]
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerows([[r[i] for i in keep] for r in rows])
+            return out.getvalue().encode()
     return path.read_bytes()
 
 
@@ -130,15 +146,24 @@ def run_all(root: Path, work: Path) -> None:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     env.pop("NOISYLAB_OUT_DIR", None)
+
+    def noisylab(name, args, cwd):
+        proc = subprocess.run([sys.executable, "-m", "noisylab.cli", *args], env=env,
+                              cwd=cwd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.exit(f"{name}: noisylab {args[0]} exited {proc.returncode}: "
+                     f"{proc.stderr.strip()}")
+
     runs = [(name, cmd, cfg, False) for name, cmd, cfg in RUNS] + workload_runs()
     for name, cmd, cfg, dump in runs:
         cfg_path = work / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg))
-        argv = [sys.executable, "-m", "noisylab.cli", cmd, "--config", str(cfg_path),
-                "--out-dir", str(work / name)] + (["--dump-selection"] if dump else [])
-        proc = subprocess.run(argv, env=env, cwd=work, capture_output=True, text=True)
-        if proc.returncode != 0:
-            sys.exit(f"{name}: noisylab {cmd} exited {proc.returncode}: {proc.stderr.strip()}")
+        noisylab(name, [cmd, "--config", str(cfg_path), "--out-dir", str(work / name)]
+                 + (["--dump-selection"] if dump else []), work)
+    tools = work / "tools"
+    tools.mkdir()
+    for args in TOOL_RUNS:
+        noisylab("tools", args, tools)
 
 
 def main(argv=None) -> int:
