@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, LabelError, NoisyLabError
+from .errors import CapacityError, ConfigError, NoisyLabError
 
 MAX_CODE_BITS = 4096  # a 128 MiB Sylvester matrix; 2048 classes at the default width
 MAX_ELEMENTS = 1 << 26  # the largest net arena or dataset: 512 MiB of float64
@@ -59,14 +59,6 @@ class HadamardCodebook:
     num_classes: int
     codewords: np.ndarray
     targets: np.ndarray
-
-    def targets_for(self, labels: np.ndarray) -> np.ndarray:
-        """Target rows for an integer label array (validated)."""
-        labels = np.asarray(labels)
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            bad = labels[(labels < 0) | (labels >= self.num_classes)][0]
-            raise LabelError(f"label {bad} out of range [0, {self.num_classes})")
-        return self.targets[labels]
 
 
 def pairwise_hamming(codewords: np.ndarray) -> np.ndarray:

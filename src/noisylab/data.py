@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import MAX_CODE_BITS, MAX_ELEMENTS, build_sylvester, next_pow2
+from .codebook import MAX_CODE_BITS, MAX_ELEMENTS, next_pow2
 from .errors import (CapacityError, ConfigError, DataIOError, LabelError, ParseError,
                      ShapeError)
 from .numeric import RngStream
@@ -103,15 +103,21 @@ def class_centers(classes: int, dim: int, scale: float = 1.0) -> np.ndarray:
     sqrt(2*dim / overlap-bound)); when the class count is too large for the
     truncation to stay collision-free, falls back to an axis lattice where
     class i sits at 2*scale*(1 + i//dim) along axis i mod dim.
+
+    The Hadamard block is formed in ``classes x dim`` memory: Sylvester
+    entry (i, j) is ``(-1) ** popcount(i & j)``, with the parity summed bit
+    by bit (``np.bitwise_count`` needs numpy 2).
     """
     if classes > next_pow2(dim):
         centers = np.zeros((classes, dim))
         for i in range(classes):
             centers[i, i % dim] = 2.0 * scale * (1 + i // dim)
         return centers
-    p = next_pow2(max(classes, dim))
-    h = build_sylvester(p).astype(np.float64)
-    return scale * h[:classes, :dim]
+    both = np.arange(classes)[:, None] & np.arange(dim)
+    parity = np.zeros_like(both)
+    for bit in range((max(classes, dim) - 1).bit_length()):
+        parity ^= (both >> bit) & 1
+    return scale * (1.0 - 2.0 * parity)
 
 
 def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,

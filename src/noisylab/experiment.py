@@ -85,14 +85,14 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
 
 def start_run(cfg: ExperimentConfig, strategy: str, seed: int,
               effect_rate: float | None = None):
-    """Build one run from ``cfg``: the data, the codebook targets, the net(s)
-    and the schedule state, each from its own child stream of ``seed``.
-    Returns ``(RunState, test split)``."""
+    """Build one run from ``cfg``: the data, the codebook's per-class target
+    table, the net(s) and the schedule state, each from its own child stream
+    of ``seed``.  Returns ``(RunState, test split)``."""
     root = RngStream(seed)
     train, test = build_dataset(cfg, seed)
     n_classes = train.num_classes
     code_bits = cfg.train.code_bits or default_code_bits(n_classes)
-    targets = derive_codebook(code_bits, n_classes).targets_for(train.noisy_labels)
+    target_table = derive_codebook(code_bits, n_classes).targets
     net_keys = (STREAM_NET_A, STREAM_NET_B) if strategy == "cross_update" else (STREAM_NET_A,)
     nets = [DualHeadNet.create(train.features.shape[1], n_classes, code_bits,
                                cfg.train.hidden_width, cfg.train.hidden_layers,
@@ -100,7 +100,7 @@ def start_run(cfg: ExperimentConfig, strategy: str, seed: int,
     sched = dataclasses.replace(cfg.schedule, strategy=strategy,
                                 effect_rate=cfg.schedule.effect_rate
                                 if effect_rate is None else effect_rate)
-    return RunState(train, targets, nets, cfg.train, cfg.selection, sched,
+    return RunState(train, target_table, nets, cfg.train, cfg.selection, sched,
                     root.child(STREAM_SHUFFLE), root.child(STREAM_GATE)), test
 
 

@@ -21,6 +21,14 @@ the whole backward pass on them (the cross update alone keeps a full-batch
 backward with the dropped rows zeroed); the forward pass stays full-batch,
 since selection reads every row.
 
+The step writes into arrays it already owns: bias and activation on each
+layer's fresh matmul result, the ``z`` remap, the softmax, the backward
+chain's running gradient, the detection gradient, and one temporary per
+block in :func:`sgd_step`.  Each in-place form applies the same IEEE
+operations to the same operands as the allocating expression, so results
+are bitwise unchanged.  Nothing writes into a :class:`ForwardResult` after
+forward returns, so one can be reused.
+
 During inference only the classification head is consulted
 (:meth:`DualHeadNet.classify`).
 
@@ -132,7 +140,9 @@ def _chain_forward(layers, kind: str, a, cache=None):
     ``cache`` list, append each layer's output to it."""
     a = np.asarray(a, dtype=np.float64)  # matmul refuses a batch of the wrong shape
     for lay in layers:
-        a = activation(kind, matmul(a, lay.w) + lay.b)
+        a = matmul(a, lay.w)  # a fresh array: the bias and activation go in place
+        a += lay.b
+        activation(kind, a, out=a)
         if cache is not None:
             cache.append(a)
     return a
@@ -143,11 +153,15 @@ def _chain_backward(layers, kind: str, acts, d):
     ``gw``/``gb``; returns the gradient at the first layer's pre-activation
     (that layer's input gradient is not formed).  ``acts[i]`` is layer i's
     input; when ``acts`` also holds the last layer's output, ``d`` is the
-    gradient at that output, else at the last pre-activation."""
+    gradient at that output, else at the last pre-activation.
+
+    Each activation derivative is multiplied into ``d`` in place, so a
+    ``d`` given at the last output is overwritten; the later ``d`` are this
+    walk's own matmul results.  ``acts`` is only read."""
     for i in range(len(layers) - 1, -1, -1):
         lay = layers[i]
         if i + 1 < len(acts):
-            d = d * activation_derivative(kind, acts[i + 1])
+            d *= activation_derivative(kind, acts[i + 1])
         matmul(acts[i].T, d, out=lay.gw)
         d.sum(axis=0, out=lay.gb)
         if i:
@@ -262,10 +276,16 @@ class DualHeadNet:
         softmax, and detection embeddings z inside [Z_CLAMP, 1 - Z_CLAMP]."""
         acts = [np.asarray(x, dtype=np.float64)]
         h = _chain_forward(self.trunk, "relu", acts[0], acts)
-        logits = matmul(h, self.classifier.w) + self.classifier.b
+        logits = matmul(h, self.classifier.w)
+        logits += self.classifier.b
         a = _chain_forward(self.detection[:-1], "tanh", h, acts)
         last = self.detection[-1]
-        z = np.clip((np.tanh(matmul(a, last.w) + last.b) + 1.0) / 2.0, Z_CLAMP, 1.0 - Z_CLAMP)
+        z = matmul(a, last.w)  # z = clip((tanh(a w + b) + 1) / 2), step by step in place
+        z += last.b
+        np.tanh(z, out=z)
+        z += 1.0
+        z /= 2.0
+        np.clip(z, Z_CLAMP, 1.0 - Z_CLAMP, out=z)
         return ForwardResult(softmax_with_temperature(logits, self.temperature), z, logits,
                              acts)
 
@@ -274,7 +294,8 @@ class DualHeadNet:
 
         Raises NumericError when the logits are non-finite."""
         a = _chain_forward(self.trunk, "relu", x)
-        logits = matmul(a, self.classifier.w) + self.classifier.b
+        logits = matmul(a, self.classifier.w)
+        logits += self.classifier.b
         if not np.all(np.isfinite(logits)):
             bad = self.first_nonfinite(self._params)
             raise NumericError("non-finite logits in classify"
@@ -298,7 +319,8 @@ class DualHeadNet:
         matmul(acts[depth].T, dlogits, out=cls.gw)
         dlogits.sum(axis=0, out=cls.gb)
         d = _chain_backward(self.detection, "tanh", acts[depth:], d_det_pre)
-        dtrunk = matmul(d, self.detection[0].w.T) + matmul(dlogits, cls.w.T)
+        dtrunk = matmul(d, self.detection[0].w.T)
+        dtrunk += matmul(dlogits, cls.w.T)
         _chain_backward(self.trunk, "relu", acts[:depth + 1], dtrunk)
 
 
@@ -358,8 +380,15 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
     dlogits = probs.copy()
     dlogits[np.arange(rows), labels] -= 1.0
     dlogits /= n * net.temperature
-    interior = (z > Z_CLAMP) & (z < 1.0 - Z_CLAMP)
-    d_det = bce_weight * (2.0 * (z - t) * interior / (n * k))
+    # d_det = bce_weight * (2 (z - t) * interior / (n k)), one step at a time
+    # in one array, in that operand order.
+    interior = z > Z_CLAMP
+    interior &= z < 1.0 - Z_CLAMP
+    d_det = np.subtract(z, t)
+    d_det *= 2.0
+    d_det *= interior
+    d_det /= n * k
+    d_det *= bce_weight
     if keep is not None:  # zero-filled: means over the kept rows only
         ce, log_lik = ce[keep], log_lik[keep]
         dropped = np.ones(rows, dtype=bool)
@@ -392,8 +421,11 @@ def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float,
         hi = lo + STEP_BLOCK
         pb, vb = p[lo:hi], v[lo:hi]
         vb *= momentum
-        vb += g[lo:hi] + weight_decay * pb
-        pb -= lr * vb
+        t = weight_decay * pb  # the block's one temporary
+        t += g[lo:hi]
+        vb += t
+        np.multiply(lr, vb, out=t)
+        pb -= t
     if not np.all(np.isfinite(p)):
         raise NumericError("parameters became non-finite after the step")
 

@@ -42,15 +42,16 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return np.matmul(a, b, out=out)
 
 
-def activation(kind: str, x: np.ndarray) -> np.ndarray:
-    """Elementwise activation value at ``x``.  Its derivative is read off
-    this value by :func:`activation_derivative`, so a forward pass caches
+def activation(kind: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise activation value at ``x``, written into ``out`` when
+    given (``out=x`` applies it in place).  Its derivative is read off this
+    value by :func:`activation_derivative`, so a forward pass caches
     outputs only."""
     x = np.asarray(x, dtype=np.float64)
     if kind == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
     if kind == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=out)
     raise ConfigError(f"unknown activation kind {kind!r} (choose from {ACTIVATION_KINDS})")
 
 
@@ -59,26 +60,30 @@ def activation_derivative(kind: str, value: np.ndarray) -> np.ndarray:
 
     relu: ``value > 0``, a bool mask that multiplies like 0/1 floats and
     equals ``x > 0`` for every input x (0, -0.0 and NaN included), so the
-    derivative at exactly 0 is 0 (convention).  tanh: ``1 - value * value``.
+    derivative at exactly 0 is 0 (convention).  tanh: ``1 - value * value``,
+    formed in one temporary.
     """
     if kind == "relu":
         return value > 0.0
     if kind == "tanh":
-        return 1.0 - value * value
+        square = np.multiply(value, value)
+        return np.subtract(1.0, square, out=square)
     raise ConfigError(f"unknown activation kind {kind!r} (choose from {ACTIVATION_KINDS})")
 
 
 def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-scaled softmax over the last axis, with max-subtraction.
 
-    ``temperature == 1`` reduces to the standard softmax.
+    ``temperature == 1`` reduces to the standard softmax.  The steps after
+    the scaling run in place on the scaled copy; ``logits`` is not written.
     """
     if temperature <= 0.0:
         raise ConfigError(f"softmax temperature must be positive, got {temperature}")
-    scaled = np.asarray(logits, dtype=np.float64) / temperature
-    shifted = scaled - scaled.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.asarray(logits, dtype=np.float64) / temperature  # its one full-size array
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 class RngStream:

@@ -20,6 +20,11 @@ cross nets).  Lower r throttles how often selection errors feed back into
 training.  r = 1 always applies the mask.  Warm-up and standard training
 draw nothing from the gate stream.
 
+A run keeps its codeword bit targets as the codebook's (C, K) table, one
+row per class, on ``RunState.target_table``; each batch takes
+``target_table[labels]``, the same float64 rows a per-sample (n, K) array
+would hold, at C rows of memory instead of n.
+
 Every strategy trains both heads with the combined objective.  A masked
 jump or self update backpropagates only its selected rows
 (``losses_and_grads_from_forward`` gathers them), so a strategy that trains
@@ -104,7 +109,7 @@ class RunState:
     schedule fields and refuses a jump step the run cannot reach."""
 
     data: NoisyDataset
-    targets: np.ndarray  # (n, K) codeword bit targets for the noisy labels
+    target_table: np.ndarray  # (C, K) codeword bit targets, one row per class
     nets: list  # two for cross_update, else one
     train_cfg: TrainConfig
     sel_cfg: SelectionConfig
@@ -222,7 +227,7 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
     for idx in _batches(state):
         x = state.data.features[idx]
         labels = state.data.noisy_labels[idx]
-        targets = state.targets[idx]
+        targets = state.target_table[labels]
         results = [net.forward(x) for net in state.nets]
         if jump:
             flags = batch_flags(results[0].z, targets, results[0].probs, labels, state.sel_cfg)

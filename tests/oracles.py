@@ -6,8 +6,9 @@ match them bit for bit.
 ``decompose_bce`` and the per-sample identifiers are the scalar
 definitions ``batch_flags`` vectorizes, and ``finite_difference_check`` with
 ``combined_loss_and_grads`` audits the model's analytic gradients.
-``clone``, ``encode_label`` and ``parameter_names`` are conveniences only
-tests use.
+``clone``, ``encode_label``, ``parameter_names`` and ``targets_for`` are
+conveniences only tests use; ``targets_for`` is also the per-row target
+array a run's per-class table must reproduce.
 """
 
 import csv
@@ -83,6 +84,16 @@ def encode_label(cb, y: int):
     if not 0 <= int(y) < cb.num_classes:
         raise LabelError(f"label {y} out of range [0, {cb.num_classes})")
     return cb.codewords[int(y)].copy(), cb.targets[int(y)].copy()
+
+
+def targets_for(cb, labels) -> np.ndarray:
+    """Validated target rows for an integer label array, one per label: the
+    per-row target array a run kept before it kept one row per class."""
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= cb.num_classes):
+        bad = labels[(labels < 0) | (labels >= cb.num_classes)][0]
+        raise LabelError(f"label {bad} out of range [0, {cb.num_classes})")
+    return cb.targets[labels]
 
 
 def upstream_gradients(res, labels, targets, temperature, bce_weight=1.0, mask=None):

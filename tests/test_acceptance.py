@@ -21,7 +21,7 @@ from noisylab.model import DualHeadNet
 from noisylab.numeric import RngStream
 from noisylab.schedule import IdentifierTable
 from oracles import (combined_loss_and_grads, decompose_bce,
-                     finite_difference_check, intra_loss_variance)
+                     finite_difference_check, intra_loss_variance, targets_for)
 
 SEEDS = (1, 2, 3)
 
@@ -104,7 +104,7 @@ def test_criterion_02_gradients_match_finite_differences():
         net = DualHeadNet.create(5, 3, 8, 6, 2, 2.0, rng.child(0))
         x = rng.child(1).generator.normal(0.0, 1.0, (6, 5))
         labels = rng.child(2).generator.integers(0, 3, 6)
-        targets = cb.targets_for(labels)
+        targets = targets_for(cb, labels)
 
         def loss_and_grad():
             total, _, _, grads, _ = combined_loss_and_grads(net, x, labels, targets)

@@ -10,7 +10,7 @@ from noisylab.codebook import (HadamardCodebook, build_sylvester,
                                MAX_CODE_BITS, default_code_bits, derive_codebook,
                                next_pow2, pairwise_hamming, save_codebook_csv)
 from noisylab.errors import CapacityError, ConfigError, LabelError
-from oracles import encode_label
+from oracles import encode_label, targets_for
 
 
 def kron_hadamard(k):
@@ -140,11 +140,12 @@ class TestEncodeLabel:
     def test_targets_for_batches(self):
         cb = derive_codebook(16, 4)
         labels = np.array([3, 0, 3, 1])
-        tgt = cb.targets_for(labels)
+        tgt = cb.targets[labels]  # how a run indexes its per-class table
         assert tgt.shape == (4, 16)
         assert np.array_equal(tgt[0], tgt[2])
+        assert tgt.tobytes() == targets_for(cb, labels).tobytes()
         with pytest.raises(LabelError):
-            cb.targets_for(np.array([0, 4]))
+            targets_for(cb, np.array([0, 4]))
 
 
 def test_codebook_csv_round_trip(tmp_path):

@@ -4,6 +4,7 @@ stratified split, every noise model, and CSV round-trips."""
 import numpy as np
 import pytest
 
+from noisylab.codebook import build_sylvester, next_pow2
 from noisylab.data import (NoiseConfig, NoisyDataset, class_centers, gen_blobs,
                            inject_noise, load_csv, make_instance_weights,
                            save_csv)
@@ -18,6 +19,20 @@ class TestClassCenters:
         assert set(np.unique(centers)) == {-2.0, 2.0}
         # pairwise distinct
         assert len({tuple(r) for r in centers}) == 4
+
+    @pytest.mark.parametrize("classes,dim", [(2, 2), (3, 5), (4, 8), (5, 6), (7, 12),
+                                             (16, 16), (9, 33), (2, 100)])
+    def test_hadamard_block_is_the_truncated_sylvester_matrix(self, classes, dim):
+        p = next_pow2(max(classes, dim))
+        want = -1.5 * build_sylvester(p)[:classes, :dim].astype(np.float64)
+        assert class_centers(classes, dim, scale=-1.5).tobytes() == want.tobytes()
+
+    def test_wide_feature_space_takes_classes_by_dim_memory(self):
+        # The full Sylvester matrix of order 32,768 would take 8 GiB.
+        centers = class_centers(2, 20000)
+        assert centers.shape == (2, 20000)
+        assert np.array_equal(centers[0], np.ones(20000))
+        assert np.array_equal(centers[1, :4], [1.0, -1.0, 1.0, -1.0])
 
     def test_lattice_fallback_for_many_classes(self):
         centers = class_centers(10, 4)

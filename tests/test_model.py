@@ -22,7 +22,8 @@ from noisylab.numeric import RngStream
 from noisylab.selection import SelectionConfig, batch_flags
 from oracles import (backward_per_layer, clone, combined_loss_and_grads,
                      decompose_bce, finite_difference_check, parameter_names,
-                     select_rows, sgd_step_per_parameter, upstream_gradients)
+                     select_rows, sgd_step_per_parameter, targets_for,
+                     upstream_gradients)
 
 
 def make_net(seed=0, input_dim=5, classes=3, bits=4, width=6, layers=2, temp=2.0):
@@ -37,7 +38,7 @@ def forwarded_batch(seed, layers):
     rng = RngStream(seed + 1).generator
     labels = rng.integers(0, 10, size=24)
     res = net.forward(rng.normal(size=(24, 32)))
-    return net, res, labels, derive_codebook(16, 10).targets_for(labels)
+    return net, res, labels, targets_for(derive_codebook(16, 10), labels)
 
 
 class TestForward:
@@ -180,7 +181,7 @@ class TestParameterArena:
         net = make_net(seed=33)
         rng = RngStream(34).generator
         labels = np.array([0, 2, 1, 1])
-        targets = derive_codebook(4, 3).targets_for(labels)
+        targets = targets_for(derive_codebook(4, 3), labels)
         _, _, _, grads, _ = combined_loss_and_grads(
             net, rng.normal(size=(4, 5)), labels, targets)
         kept = [g.copy() for g in grads]
@@ -215,7 +216,7 @@ class TestParameterArena:
                        input_dim=32)
         rng = RngStream(39).generator
         labels = rng.integers(0, 10, size=24)
-        targets = derive_codebook(16, 10).targets_for(labels)
+        targets = targets_for(derive_codebook(16, 10), labels)
         res = net.forward(rng.normal(size=(24, 32)))
         mask = rng.uniform(size=24) < 0.4 if masked else None
         losses_and_grads_from_forward(net, res, labels, targets, 0.5, mask)
@@ -317,7 +318,7 @@ class TestClassificationLoss:
         net = make_net(seed=11)
         x = RngStream(12).generator.normal(size=(4, 5))
         labels = np.array([0, 2, 1, 1])
-        targets = derive_codebook(4, 3).targets_for(labels)
+        targets = targets_for(derive_codebook(4, 3), labels)
 
         def loss_and_grad():
             loss, _, _, grads, _ = combined_loss_and_grads(
@@ -386,7 +387,7 @@ class TestDetectionLoss:
         net = make_net(seed=14, bits=16)
         rng = RngStream(14).generator
         labels = rng.integers(0, 3, size=9)
-        t = derive_codebook(16, 3).targets_for(labels)
+        t = targets_for(derive_codebook(16, 3), labels)
         res = net.forward(rng.normal(size=(9, 5)))
         _, bce = losses_and_grads_from_forward(net, res, labels, t)
         assert bce == decompose_bce(res.z, t).mean()
@@ -400,7 +401,7 @@ class TestDetectionLoss:
         net = make_net(seed=15)
         x = RngStream(16).generator.normal(size=(4, 5))
         labels = np.array([0, 1, 2, 0])
-        targets = derive_codebook(4, 3).targets_for(labels)
+        targets = targets_for(derive_codebook(4, 3), labels)
 
         def loss_and_grad():
             both, _, _, g_both, _ = combined_loss_and_grads(net, x, labels, targets, 1.0)
@@ -415,7 +416,7 @@ class TestMaskedLoss:
         net = make_net(seed=17)
         x = RngStream(18).generator.normal(size=(6, 5))
         labels = np.array([0, 1, 2, 0, 1, 2])
-        targets = derive_codebook(4, 3).targets_for(labels)
+        targets = targets_for(derive_codebook(4, 3), labels)
         res = net.forward(x)
         mask = np.array([True, False, True, False, False, False])
         ce_m, bce_m = losses_and_grads_from_forward(net, res, labels, targets,
@@ -425,10 +426,21 @@ class TestMaskedLoss:
                                                     targets[mask])
         assert abs(ce_m - ce_s) < 1e-12 and abs(bce_m - bce_s) < 1e-12
 
+    @pytest.mark.parametrize("mask, gather", [(None, True), ("half", True), ("half", False)])
+    def test_forward_result_is_left_unchanged(self, mask, gather):
+        """The loss and the in-place backward read the forward cache and
+        write only their own arrays and the gradient arena."""
+        net, res, labels, targets = forwarded_batch(48, 2)
+        if mask == "half":
+            mask = np.arange(24) % 2 == 0
+        before = [a.tobytes() for a in (res.probs, res.z, res.logits, *res.acts)]
+        losses_and_grads_from_forward(net, res, labels, targets, 0.5, mask, gather=gather)
+        assert [a.tobytes() for a in (res.probs, res.z, res.logits, *res.acts)] == before
+
     def test_empty_mask_rejected(self):
         net = make_net(seed=19)
         x = np.zeros((2, 5))
-        targets = derive_codebook(4, 3).targets_for(np.array([0, 1]))
+        targets = targets_for(derive_codebook(4, 3), np.array([0, 1]))
         res = net.forward(x)
         with pytest.raises(ShapeError):
             losses_and_grads_from_forward(net, res, np.array([0, 1]), targets,
@@ -540,7 +552,7 @@ class TestVarianceConvergesOnCleanData:
         1e-3: with nothing mislabeled, per-bit losses become uniform."""
         train, _ = gen_blobs(4, 8, 50, 0.6, RngStream(3))
         cb = derive_codebook(16, 4)
-        targets = cb.targets_for(train.noisy_labels)
+        targets = targets_for(cb, train.noisy_labels)
         net = DualHeadNet.create(8, 4, 16, 16, 2, 2.0, RngStream(11))
         v = np.zeros_like(net.flat)
         sel = SelectionConfig()

@@ -1,10 +1,18 @@
 """Tests for the dense numeric kernel: matmul, activations, softmax,
-the finite-difference gradient auditor, and the seeded RNG streams."""
+the finite-difference gradient auditor, the seeded RNG streams, and the
+malloc thresholds the package fixes at import."""
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import noisylab
 
 from noisylab.errors import ConfigError, NumericError, ShapeError
 from noisylab.numeric import (RngStream, activation, activation_derivative, matmul,
@@ -82,6 +90,15 @@ class TestActivation:
             activation("swish", np.zeros((1, 1)))
         with pytest.raises(ConfigError):
             activation_derivative("swish", np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("kind", ["relu", "tanh"])
+    def test_in_place_form_is_bitwise_the_fresh_one(self, kind):
+        x = 5.0 * np.random.default_rng(3).normal(size=(50, 7))
+        x[0, :3] = (0.0, -0.0, np.nan)
+        fresh = activation(kind, x)
+        out = x.copy()
+        assert activation(kind, out, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("kind", ["relu", "tanh"])
     def test_derivative_matches_finite_differences(self, kind):
@@ -207,3 +224,48 @@ class TestRngStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="non-negative"):
             RngStream(-1)
+
+
+# Run in a fresh interpreter, so no earlier free has moved glibc's dynamic
+# thresholds: prints how many blocks of 16 MiB and of 40 MiB were mmap'd.
+MMAP_PROBE = """
+import ctypes
+import numpy as np
+import noisylab
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = MallInfo2
+
+def mmapped(nbytes):
+    before = mallinfo2().hblks
+    block = np.ones(nbytes // 8)  # alive until counted
+    return mallinfo2().hblks - before
+
+print(mmapped(16 << 20), mmapped(40 << 20))
+"""
+
+
+def _glibc_with_mallinfo2() -> bool:
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return False
+    if not libc.startswith("glibc"):
+        return False
+    return hasattr(ctypes.CDLL(None), "mallinfo2")  # glibc >= 2.33
+
+
+@pytest.mark.skipif(not _glibc_with_mallinfo2(), reason="needs glibc's mallinfo2")
+def test_import_fixes_the_mmap_threshold_at_32_mib():
+    """Importing the package serves every block under 32 MiB from the heap
+    (glibc's default would mmap a first 16 MiB block) and still mmaps
+    larger ones."""
+    env = dict(os.environ, PYTHONPATH=str(Path(noisylab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", MMAP_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "1"]

@@ -21,7 +21,7 @@ from noisylab.numeric import RngStream
 from noisylab.schedule import SMALL_LOSS, STRATEGIES
 from noisylab.selection import SelectionConfig, batch_flags
 from oracles import (backward_per_layer, batch_variance_and_bce, select_rows,
-                     upstream_gradients)
+                     targets_for, upstream_gradients)
 
 FEW = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -48,7 +48,7 @@ def test_loss_gradients_are_bitwise_the_per_layer_oracle(case):
                              case["depth"], case["temperature"], rng.child(0))
     g = rng.child(1).generator
     labels = g.integers(0, classes, size=rows)
-    targets = derive_codebook(bits, classes).targets_for(labels)
+    targets = targets_for(derive_codebook(bits, classes), labels)
     res = net.forward(g.normal(size=(rows, case["input_dim"])))
     mask = case["mask"]
     losses_and_grads_from_forward(net, res, labels, targets, case["bce_weight"], mask)
@@ -105,8 +105,9 @@ def test_start_run_builds_what_the_loop_trusts(run):
     state, test = start_run(cfg, strategy, seed)
     data, net = state.data, state.nets[0]
     assert len(state.nets) == (2 if strategy == "cross_update" else 1)
-    assert state.targets.shape == (data.n_samples, net.code_bits)
-    assert np.isin(state.targets, (0.0, 1.0)).all()
+    targets = state.target_table[data.noisy_labels]  # what each training row trains on
+    assert targets.shape == (data.n_samples, net.code_bits)
+    assert np.isin(targets, (0.0, 1.0)).all()
     for labels in (data.noisy_labels, data.true_labels, test.true_labels):
         assert 0 <= labels.min() and labels.max() < net.num_classes
     if strategy in SMALL_LOSS:

@@ -8,6 +8,8 @@ import re
 import numpy as np
 import pytest
 
+from noisylab import schedule
+from noisylab.codebook import derive_codebook
 from noisylab.config import parse_config
 from noisylab.errors import ConfigError, NumericError, ShapeError
 from noisylab.experiment import start_run
@@ -15,7 +17,7 @@ from noisylab.model import DualHeadNet
 from noisylab.numeric import RngStream
 from noisylab.schedule import (STRATEGIES, IdentifierTable, ScheduleConfig,
                                _gate, _step_failure, run_epoch)
-from oracles import parameter_names
+from oracles import parameter_names, targets_for
 
 
 def make_state(strategy, epochs=6, warmup=2, jump_step=None, effect_rate=1.0,
@@ -177,6 +179,34 @@ class TestStartRun:
             make_state("jump_update", jump_step=21)
         state, _ = make_state("jump_update", jump_step=20)
         assert state.jump_step == 20
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_batch_targets_are_the_per_row_targets(self, strategy, monkeypatch):
+        """Each batch's rows of the per-class table are bit for bit the rows
+        of the per-row target array, ``targets_for(noisy_labels)[idx]``."""
+        state, data = make_state(strategy)
+        cb = derive_codebook(state.nets[0].code_bits, data.num_classes)
+        per_row = targets_for(cb, data.noisy_labels)
+        batches, seen = [], []
+        real_batches, real_update = schedule._batches, schedule._update
+
+        def recording_batches(st):
+            epoch_batches = real_batches(st)
+            batches.extend(epoch_batches)
+            return epoch_batches
+
+        def recording_update(st, which, res, labels, targets, *rest):
+            seen.append(targets)  # one call per net and batch, in batch order
+            return real_update(st, which, res, labels, targets, *rest)
+
+        monkeypatch.setattr(schedule, "_batches", recording_batches)
+        monkeypatch.setattr(schedule, "_update", recording_update)
+        for epoch in range(3):  # warm-up and gated epochs
+            run_epoch(state, epoch)
+        nets = len(state.nets)
+        assert len(seen) == len(batches) * nets
+        for i, targets in enumerate(seen):
+            assert targets.tobytes() == per_row[batches[i // nets]].tobytes()
 
 
 class TestWarmup:

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import (batch_variance_and_bce, classifier_identifier,
                      combine_identifiers, decompose_bce, detection_identifier,
-                     dump_decisions_rows, intra_loss_variance)
+                     dump_decisions_rows, intra_loss_variance, targets_for)
 from noisylab.codebook import derive_codebook
 from noisylab.errors import ConfigError, LabelError, NumericError, ShapeError
 from noisylab.model import Z_CLAMP
@@ -105,7 +105,7 @@ class TestBatchFlags:
         z = rng.uniform(1e-6, 1 - 1e-6, size=(n, bits))
         cb = derive_codebook(bits, classes)
         labels = rng.integers(0, classes, size=n)
-        targets = cb.targets_for(labels)
+        targets = targets_for(cb, labels)
         probs = rng.dirichlet(np.ones(classes), size=n)
         return z, targets, probs, labels
 

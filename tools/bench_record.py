@@ -9,6 +9,10 @@ perfbench's own run length and seed:
 * ``perfbench/run.py --trace 0`` on every workload BENCHMARK.json declares
   (the end-to-end metrics);
 * ``perfbench/run.py --trace 1`` on ``jump_dump`` (the per-layer split);
+* one in-process ``jump_wide`` run: ``experiment.run_cell`` on perfbench's
+  ``jump_wide`` config and seed in a fresh interpreter, BLAS pinned to one
+  thread, storing the minor page faults taken during ``run_cell`` and the
+  process's ``ru_maxrss`` (how steady the training step's heap is);
 * the tier-1 test suite, timed.
 
 It writes one JSON object: the last line of each benchmark run (its JSON
@@ -34,6 +38,23 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 TRACED_WORKLOAD = "jump_dump"
+INPROCESS_WORKLOAD = "jump_wide"
+# argv: perfbench/run.py, workload.  Prints one JSON line.  Loading
+# perfbench/run.py pins the BLAS threads before noisylab imports numpy.
+INPROCESS_PROBE = """
+import importlib.util, json, resource, sys
+spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+from noisylab.config import parse_config
+from noisylab.experiment import run_cell
+cfg = parse_config(bench.make_config(sys.argv[2], bench.DEFAULT_SEED))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_cell(cfg, cfg.schedule.strategy, bench.DEFAULT_SEED)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({"minor_faults": usage.ru_minflt - before,
+                  "ru_maxrss_mb": usage.ru_maxrss * 1024 / 1e6}))
+"""
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 TREES = ("src", "tests", "perfbench")
 
@@ -64,11 +85,26 @@ def bench(workload: str, trace: int) -> dict:
     return json.loads(lines[-1])
 
 
-def tier1() -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def inprocess(workload: str) -> dict:
+    """Minor faults and peak RSS of one ``run_cell`` of ``workload``."""
+    proc = subprocess.run([sys.executable, "-c", INPROCESS_PROBE,
+                           str(REPO / "perfbench" / "run.py"), workload],
+                          cwd=REPO, env=src_env(),
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench_record: in-process {workload} exited {proc.returncode}: "
+                 f"{proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def tier1() -> dict:
     t0 = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=REPO, env=env, capture_output=True, text=True)
+    proc = subprocess.run(TIER1, cwd=REPO, env=src_env(), capture_output=True, text=True)
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
     return {"command": "PYTHONPATH=src python " + " ".join(TIER1[1:]),
@@ -94,6 +130,8 @@ def main(argv=None) -> int:
     for workload, trace in [(w, 0) for w in workloads] + [(TRACED_WORKLOAD, 1)]:
         print(f"bench_record: {workload} --trace {trace}", file=sys.stderr)
         record[f"{workload}-trace{trace}"] = bench(workload, trace)
+    print(f"bench_record: in-process {INPROCESS_WORKLOAD}", file=sys.stderr)
+    record[f"{INPROCESS_WORKLOAD}-inprocess"] = inprocess(INPROCESS_WORKLOAD)
     print("bench_record: tier-1", file=sys.stderr)
     record["tier1"] = tier1()
     record["loadavg_1min_end"] = os.getloadavg()[0]
