@@ -2,8 +2,9 @@
 
 Subcommands: codebook, gen-data, inject, train, compare, report.
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure,
-4 I/O error.  Every failure prints a single machine-parsable line to
-stderr: ``error[config|numeric|io]: <detail>``.
+4 I/O error, one per family of package errors (``noisylab.errors``).
+Every failure prints a single machine-parsable line to stderr:
+``error[config|numeric|io]: <detail>``.
 
 The environment variable NOISYLAB_OUT_DIR, when set, overrides the
 config's out_dir for train and compare.
@@ -19,8 +20,7 @@ import numpy as np
 
 from .codebook import default_code_bits, derive_codebook, save_codebook_csv
 from .config import from_json, load_config
-from .data import (NOISE_KINDS, NoiseConfig, gen_blobs, inject_noise, load_csv,
-                   make_instance_weights, save_csv)
+from .data import NOISE_KINDS, NoiseConfig, gen_blobs, inject_noise, load_csv, save_csv
 from .errors import ConfigError, DataIOError, NumericError
 from .experiment import compare_strategies, run_experiment
 from .metrics import last10_mean, load_jsonl
@@ -56,12 +56,8 @@ def _cmd_inject(args) -> int:
         except json.JSONDecodeError:
             raise ConfigError(f"--class-map must be a JSON object of int->int, got {args.class_map!r}") from None
         class_map = from_json(raw, dict[int, int], "--class-map")
-    weights = None
-    if args.kind == "instance":
-        weights = make_instance_weights(ds.features.shape[1], ds.num_classes,
-                                        RngStream(args.seed).child(1))
     noise = NoiseConfig(kind=args.kind, epsilon=args.epsilon, class_map=class_map)
-    noisy = inject_noise(ds, noise, RngStream(args.seed), weights)
+    noisy = inject_noise(ds, noise, RngStream(args.seed), RngStream(args.seed).child(1))
     save_csv(noisy, args.out)
     print(f"inject: {args.kind} eps={args.epsilon} flipped "
           f"{int((~noisy.clean_mask).sum())}/{noisy.n_samples} -> {args.out}")

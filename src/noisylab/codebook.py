@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, NoisyLabError
+from .errors import CapacityError, ConfigError
 
 MAX_CODE_BITS = 4096  # a 128 MiB Sylvester matrix; 2048 classes at the default width
 MAX_ELEMENTS = 1 << 26  # the largest net arena or dataset: 512 MiB of float64
@@ -30,10 +30,9 @@ def next_pow2(v: int) -> int:
 def build_sylvester(k: int) -> np.ndarray:
     """Sylvester construction: H1 = [[1]], H2m = [[H, H], [H, -H]].
 
-    Returns a k x k matrix of +/-1 (int64) with mutually orthogonal rows.
+    Returns a k x k matrix of +/-1 (int64) with mutually orthogonal rows;
+    ``k`` is a power of two (:func:`derive_codebook` refuses any other).
     """
-    if k < 1 or next_pow2(k) != k:
-        raise ConfigError(f"Sylvester order must be a power of two, got {k}")
     h = np.array([[1]], dtype=np.int64)
     while h.shape[0] < k:
         h = np.block([[h, h], [h, -h]])
@@ -61,20 +60,14 @@ class HadamardCodebook:
     targets: np.ndarray
 
 
-def pairwise_hamming(codewords: np.ndarray) -> np.ndarray:
-    """All-pairs Hamming distances between +/-1 rows (exact integers)."""
-    cw = np.asarray(codewords, dtype=np.int64)
-    k = cw.shape[1]
-    return (k - cw @ cw.T) // 2
-
-
 def derive_codebook(code_bits: int, num_classes: int) -> HadamardCodebook:
     """Select the first ``num_classes`` rows of the order-``code_bits``
-    Sylvester matrix as codewords and validate the distance invariant by
-    an exhaustive pair check.
+    Sylvester matrix as codewords.
 
     Row selection is deterministic (rows 0..C-1): the distance guarantee
     holds for any subset, so nothing is lost and replays stay identical.
+    The guarantee is a theorem of the construction, verified exhaustively
+    for K up to 64 by the acceptance tests rather than on every call.
     Widths above MAX_CODE_BITS are refused before anything is built.
     """
     if code_bits < 2 or next_pow2(code_bits) != code_bits:
@@ -88,12 +81,7 @@ def derive_codebook(code_bits: int, num_classes: int) -> HadamardCodebook:
         raise CapacityError(
             f"codebook with {code_bits} bits holds at most {code_bits} classes, "
             f"got {num_classes}")
-    h = build_sylvester(code_bits)
-    codewords = h[:num_classes].copy()
-    dist = pairwise_hamming(codewords)
-    off_diag = dist[~np.eye(num_classes, dtype=bool)]
-    if off_diag.size and not np.all(off_diag == code_bits // 2):
-        raise NoisyLabError("codebook construction violated the K/2 distance invariant")
+    codewords = build_sylvester(code_bits)[:num_classes].copy()
     targets = ((codewords + 1) // 2).astype(np.float64)
     return HadamardCodebook(code_bits, num_classes, codewords, targets)
 

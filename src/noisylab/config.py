@@ -85,6 +85,10 @@ class ExperimentConfig:
             _expect(s in STRATEGIES, f"strategies entry {s!r} not in {STRATEGIES}")
         for r in self.effect_rates or ():
             _expect(0.0 < r <= 1.0, f"effect_rates entry {r!r} must lie in (0, 1]")
+        if self.effect_rates:  # a sweep runs schedule.strategy at each rate
+            _expect(self.strategies is None, "set strategies or effect_rates, not both")
+            _expect(self.schedule.strategy != "standard",
+                    "effect_rates needs a selecting schedule.strategy (standard draws no gate)")
         _expect(self.out_dir, "out_dir must be a non-empty string")
         if self.selection.small_loss_keep_ratio is None:
             self.selection = dataclasses.replace(

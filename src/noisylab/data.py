@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import MAX_CODE_BITS, MAX_ELEMENTS, next_pow2
-from .errors import (CapacityError, ConfigError, DataIOError, LabelError, ParseError,
-                     ShapeError)
+from .errors import CapacityError, ConfigError, DataIOError, ParseError
 from .numeric import RngStream
 
 NOISE_KINDS = ("symmetric", "asymmetric", "pairflip", "instance")
@@ -55,8 +54,9 @@ class NoiseConfig:
 @dataclass
 class NoisyDataset:
     """Features plus both label columns.  Construction guarantees what
-    training trusts unchecked: both label columns are (n,) vectors in
-    [0, num_classes); a test split is also noise-free."""
+    training trusts unchecked, refusing anything else with DataIOError: 2-D
+    features, both label columns (n,) vectors in [0, num_classes); a test
+    split is also noise-free (ConfigError)."""
 
     features: np.ndarray      # (n, d) float64
     true_labels: np.ndarray   # (n,) int64
@@ -66,15 +66,15 @@ class NoisyDataset:
 
     def __post_init__(self):
         check_class_count(self.num_classes)
-        n = self.features.shape[0]
         if self.features.ndim != 2:
-            raise ShapeError(f"features must be 2-D, got shape {self.features.shape}")
+            raise DataIOError(f"features must be 2-D, got shape {self.features.shape}")
+        n = self.features.shape[0]
         for name, arr in (("true_labels", self.true_labels),
                           ("noisy_labels", self.noisy_labels)):
             if arr.shape != (n,):
-                raise ShapeError(f"{name} shape {arr.shape} != ({n},)")
+                raise DataIOError(f"{name} shape {arr.shape} != ({n},)")
             if arr.size and (arr.min() < 0 or arr.max() >= self.num_classes):
-                raise LabelError(f"{name} outside [0, {self.num_classes})")
+                raise DataIOError(f"{name} outside [0, {self.num_classes})")
         if self.split == "test" and not self.clean_mask.all():
             raise ConfigError("test split must stay noise-free")
 
@@ -161,18 +161,8 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
     return train, test
 
 
-def make_instance_weights(dim: int, classes: int, rng: RngStream) -> np.ndarray:
-    """Random projection used by instance-dependent noise; shape (dim, classes)."""
-    return rng.generator.normal(size=(dim, classes))
-
-
-def _instance_flip_probs(ds: NoisyDataset, epsilon: float, idn_weights) -> np.ndarray:
-    if idn_weights is None:
-        raise ConfigError("instance noise requires idn_weights")
-    w = np.asarray(idn_weights, dtype=np.float64)
-    if w.shape != (ds.features.shape[1], ds.num_classes):
-        raise ConfigError(
-            f"idn_weights shape {w.shape} != ({ds.features.shape[1]}, {ds.num_classes})")
+def _instance_flip_probs(ds: NoisyDataset, epsilon: float, idn_rng: RngStream) -> np.ndarray:
+    w = idn_rng.generator.normal(size=(ds.features.shape[1], ds.num_classes))  # the projection
     scores = (ds.features @ w)[np.arange(ds.n_samples), ds.true_labels]
     mu, sd = scores.mean(), scores.std()
     z = (scores - mu) / sd if sd > 0 else np.zeros_like(scores)
@@ -193,10 +183,11 @@ def _instance_flip_probs(ds: NoisyDataset, epsilon: float, idn_weights) -> np.nd
 
 
 def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
-                 idn_weights=None) -> NoisyDataset:
+                 idn_rng: RngStream) -> NoisyDataset:
     """Return a copy of the train split with noisy labels written in.
 
-    Instance noise needs ``idn_weights`` (see :func:`make_instance_weights`).
+    Flips are drawn from ``rng``; instance noise draws its (dim, classes)
+    random projection from ``idn_rng``, which the other kinds leave unused.
     Refuses test splits and datasets that already carry noise, so a second
     injection cannot silently compound, and symmetric or instance noise on
     fewer than 2 classes, where no other class exists to flip to.
@@ -214,7 +205,7 @@ def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
     if noise.kind in ("symmetric", "instance"):
         # Symmetric noise is instance noise with a constant flip probability.
         probs = (noise.epsilon if noise.kind == "symmetric"
-                 else _instance_flip_probs(ds, noise.epsilon, idn_weights))
+                 else _instance_flip_probs(ds, noise.epsilon, idn_rng))
         flips = g.uniform(size=n) < probs
         draw = g.integers(0, c - 1, size=n)
         draw = draw + (draw >= y)  # skip the true class

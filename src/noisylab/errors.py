@@ -1,16 +1,15 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, NumericError -> 3,
-DataIOError -> 4.
+Every package error belongs to one of three families, and each family is
+one CLI exit code: ConfigError -> 2, NumericError -> 3, DataIOError -> 4.
+Input is checked where it enters: config parsing, CLI arguments, the CSV,
+JSON and checkpoint readers, and the public constructors ``NoisyDataset``
+and ``DualHeadNet``.  Code below that boundary trusts what they built.
 """
 
 
 class NoisyLabError(Exception):
     """Base class for all package errors."""
-
-
-class ShapeError(NoisyLabError):
-    """Array dimensions do not match what an operation requires."""
 
 
 class ConfigError(NoisyLabError):
@@ -22,20 +21,13 @@ class CapacityError(ConfigError):
     than a codebook holds, or more elements than a net or dataset may take."""
 
 
-class LabelError(NoisyLabError):
-    """Class label outside the valid range."""
-
-
-class EncodingError(NoisyLabError):
-    """Training target is not a valid bit vector."""
-
-
 class NumericError(NoisyLabError):
     """Non-finite value produced where finite math is required."""
 
 
 class DataIOError(NoisyLabError):
-    """Dataset or report file could not be read or written."""
+    """Dataset or report file could not be read or written, or holds data
+    of the wrong shape or labels outside the class range."""
 
 
 class ParseError(DataIOError):

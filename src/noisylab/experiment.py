@@ -17,7 +17,7 @@ import numpy as np
 
 from .codebook import default_code_bits, derive_codebook
 from .config import ExperimentConfig, canonical_dict, config_hash
-from .data import gen_blobs, inject_noise, load_csv, make_instance_weights
+from .data import gen_blobs, inject_noise, load_csv
 from .errors import ConfigError, DataIOError, NumericError
 from .metrics import (cell, emit_report, evaluate, iou, mean_or_none, peak_memory_bytes,
                       selection_quality, summarize_records)
@@ -75,11 +75,7 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
             raise DataIOError(f"{ds_cfg.test_path} has {test.features.shape[1]} features "
                               f"but {ds_cfg.train_path} has {train.features.shape[1]}")
     if train.clean_mask.all() and cfg.noise.epsilon > 0:
-        weights = None
-        if cfg.noise.kind == "instance":
-            weights = make_instance_weights(train.features.shape[1],
-                                            train.num_classes, root.child(STREAM_IDN))
-        train = inject_noise(train, cfg.noise, root.child(STREAM_NOISE), weights)
+        train = inject_noise(train, cfg.noise, root.child(STREAM_NOISE), root.child(STREAM_IDN))
     return train, test
 
 

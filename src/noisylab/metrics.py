@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataIOError, ShapeError
+from .errors import DataIOError
 
 log = logging.getLogger("noisylab")
 
@@ -34,8 +34,6 @@ def iou(a, b) -> float:
     a, b = np.asarray(a), np.asarray(b)
     if a.dtype != bool or b.dtype != bool:
         raise TypeError(f"iou takes boolean masks, got dtypes {a.dtype} and {b.dtype}")
-    if a.shape != b.shape:
-        raise ShapeError(f"mask shapes differ: {a.shape} vs {b.shape}")
     inter = int(np.sum(a & b))
     union = int(np.sum(a | b))
     if union == 0:
@@ -45,14 +43,13 @@ def iou(a, b) -> float:
 
 
 def selection_quality(selected_mask, clean_mask):
-    """Precision/recall/F1 of a clean-sample selection against ground truth.
+    """Precision/recall/F1 of a clean-sample selection against ground truth,
+    two boolean masks of equal length.
 
     0/0 cases (nothing selected, nothing clean, or both) resolve to 0.0.
     """
     sel = np.asarray(selected_mask, dtype=bool)
     clean = np.asarray(clean_mask, dtype=bool)
-    if sel.shape != clean.shape:
-        raise ShapeError(f"mask shapes differ: {sel.shape} vs {clean.shape}")
     tp = int(np.sum(sel & clean))
     n_sel = int(sel.sum())
     n_clean = int(clean.sum())
@@ -85,11 +82,9 @@ def peak_memory_bytes():
         return None
 
 
-def last10_mean(values) -> float:
-    vals = list(values)
-    if not vals:
-        raise ShapeError("no values to average")
-    return float(np.mean(vals[-10:]))
+def last10_mean(values: list) -> float:
+    """Mean of the last 10 of a non-empty list of values (of all when fewer)."""
+    return float(np.mean(values[-10:]))
 
 
 @dataclass(kw_only=True)
@@ -142,10 +137,9 @@ def cell(value):
 
 def summarize_records(records, config_hash: str, seed, strategy: str,
                       warmup_epochs: int) -> dict:
-    """Aggregate a run's epoch records into the summary dict."""
-    if not records:
-        raise ShapeError("no records to summarize")
-    post = [r for r in records if r.epoch >= warmup_epochs] or list(records)
+    """Aggregate a run's epoch records into the summary dict.  A run has at
+    least one post-warm-up epoch (``TrainConfig`` guarantees it)."""
+    post = [r for r in records if r.epoch >= warmup_epochs]
     accs = [r.test_acc for r in records]
     return {"config_hash": config_hash, "seed": seed, "strategy": strategy,
             "final_acc": accs[-1], "last10_mean_acc": last10_mean(accs),

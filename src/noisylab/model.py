@@ -32,6 +32,11 @@ forward returns, so one can be reused.
 During inference only the classification head is consulted
 (:meth:`DualHeadNet.classify`).
 
+Every product is numpy's ``matmul``, looked up as this module's ``matmul``;
+it refuses operands whose inner dimensions differ.  The constructor, where a
+layout enters from a config or a checkpoint sidecar, refuses a non-positive
+temperature and a net over the element cap; the step checks only finiteness.
+
 Checkpoint format (documented external interface): a flat binary file with
 magic ``NLABCKP1``, a shape table (little-endian uint32: array count, then
 ndim + dims per array), then each array's row-major float64 payload in
@@ -53,11 +58,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy import matmul
 
 from .codebook import MAX_ELEMENTS
-from .errors import CapacityError, ConfigError, DataIOError, NumericError, ShapeError
-from .numeric import (RngStream, activation, activation_derivative, matmul,
-                      softmax_with_temperature)
+from .errors import CapacityError, ConfigError, DataIOError, NumericError
+from .numeric import RngStream, activation, activation_derivative, softmax_with_temperature
 
 # Detection outputs are kept inside [Z_CLAMP, 1 - Z_CLAMP]; this doubles as
 # the log clamp for the binary cross-entropy terms.
@@ -180,6 +185,8 @@ class DualHeadNet:
 
     def __init__(self, input_dim: int, num_classes: int, code_bits: int,
                  hidden_width: int, hidden_layers: int, temperature: float):
+        if not temperature > 0.0:
+            raise ConfigError(f"temperature must be positive, got {temperature}")
         w = hidden_width  # the arena's size, before any list or array exists
         size = (input_dim + hidden_layers + 2 + num_classes + code_bits
                 + (hidden_layers + 1) * w) * w + num_classes + code_bits
@@ -372,11 +379,8 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
             rows = n = sel.size
         elif sel.size < rows:
             n, keep = sel.size, sel
-    if n == 0:
-        raise ShapeError("no samples selected for the update")
-    t = np.asarray(targets, dtype=np.float64)
     ce = per_sample_cross_entropy(probs, labels)
-    log_lik = bce_log_likelihood(z, t)
+    log_lik = bce_log_likelihood(z, targets)
     dlogits = probs.copy()
     dlogits[np.arange(rows), labels] -= 1.0
     dlogits /= n * net.temperature
@@ -384,7 +388,7 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
     # in one array, in that operand order.
     interior = z > Z_CLAMP
     interior &= z < 1.0 - Z_CLAMP
-    d_det = np.subtract(z, t)
+    d_det = np.subtract(z, targets)
     d_det *= 2.0
     d_det *= interior
     d_det /= n * k
@@ -408,13 +412,10 @@ def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float,
     """v <- momentum*v + g + weight_decay*p;  p <- p - lr*v, in place.
 
     ``p``, ``g`` and ``v`` are a network's flat parameter and gradient
-    arenas and its velocity arena.  Refuses the step (raising, nothing
-    mutated) if a gradient is non-finite; verifies the parameters stay
-    finite afterwards.  Each check is one scan of one arena.
+    arenas and its velocity arena, one length.  Refuses the step (raising,
+    nothing mutated) if a gradient is non-finite; verifies the parameters
+    stay finite afterwards.  Each check is one scan of one arena.
     """
-    if not p.shape == g.shape == v.shape:
-        raise ShapeError(f"arena shapes differ: parameters {p.shape}, "
-                         f"gradients {g.shape}, velocities {v.shape}")
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient; step refused")
     for lo in range(0, p.shape[0], STEP_BLOCK):
@@ -432,8 +433,6 @@ def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float,
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float, lr_min: float) -> float:
     """lr_min + (lr0 - lr_min) * (1 + cos(pi * epoch / total)) / 2."""
-    if not 0 <= epoch <= total_epochs:
-        raise ConfigError(f"epoch {epoch} outside [0, {total_epochs}]")
     return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
@@ -472,7 +471,7 @@ def load_checkpoint(path):
             blob = fh.read()
         net = DualHeadNet(**meta["layout"])
     except (OSError, ValueError, KeyError, TypeError,  # JSONDecodeError is a ValueError
-            CapacityError) as exc:
+            ConfigError) as exc:
         raise DataIOError(f"cannot read checkpoint {path}: {type(exc).__name__}: {exc}") from None
     if blob[:8] != CHECKPOINT_MAGIC:
         raise DataIOError(f"{path}: bad checkpoint magic")

@@ -1,20 +1,20 @@
-"""Dense float64 kernel: matmul, activations, softmax, RNG.
+"""Dense float64 kernels: activations, softmax, RNG.
 
 Matrices throughout the package are plain 2-D C-contiguous numpy arrays of
 64-bit floats (row-major).  numpy supplies the storage and the BLAS-backed
-product; this module owns the contracts, shape validation among them.  (The
-central-difference gradient checker that audits the model's analytic
-gradients is a test oracle, in ``tests/oracles.py``.)
+product, which ``model.py`` calls directly.  (The central-difference
+gradient checker that audits the model's analytic gradients is a test
+oracle, in ``tests/oracles.py``.)
 
-:func:`matmul` checks shapes only.  Finiteness of the training arithmetic
-is checked per batch instead of per product: the training loop scans each
-batch's forward outputs (logits and detection outputs), ``sgd_step`` scans
-the flat gradient before the step and the flat parameters after it, and
-``DualHeadNet.classify`` scans its logits.  NaN and Inf propagate into
-those arrays with one exception: a trunk pre-activation that overflows to
--Inf is clamped to 0 by relu, as a large finite negative value would be,
-and is not detected.  Only when a check fails does the code scan parameter
-by parameter to name the offending layer.
+Finiteness of the training arithmetic is checked per batch instead of per
+product: the training loop scans each batch's forward outputs (logits and
+detection outputs), ``sgd_step`` scans the flat gradient before the step
+and the flat parameters after it, and ``DualHeadNet.classify`` scans its
+logits.  NaN and Inf propagate into those arrays with one exception: a
+trunk pre-activation that overflows to -Inf is clamped to 0 by relu, as a
+large finite negative value would be, and is not detected.  Only when a
+check fails does the code scan parameter by parameter to name the
+offending layer.
 
 Randomness comes from :class:`RngStream`, which does the seeding and
 derives child streams; callers draw through its ``generator``, a numpy
@@ -25,34 +25,18 @@ makes experiment replays bit-identical.
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-
-ACTIVATION_KINDS = ("relu", "tanh")
-
-
-def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Matrix product with explicit shape checks, written into ``out`` when
-    given.  The result is not scanned for finiteness (see the module doc)."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    if out is not None and out.shape != (a.shape[0], b.shape[1]):
-        raise ShapeError(f"matmul output shape {out.shape} != {(a.shape[0], b.shape[1])}")
-    return np.matmul(a, b, out=out)
+from .errors import ConfigError
 
 
 def activation(kind: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise activation value at ``x``, written into ``out`` when
-    given (``out=x`` applies it in place).  Its derivative is read off this
-    value by :func:`activation_derivative`, so a forward pass caches
-    outputs only."""
+    """Elementwise activation ``kind`` ("relu", else tanh) at ``x``, written
+    into ``out`` when given (``out=x`` applies it in place).  Its derivative
+    is read off this value by :func:`activation_derivative`, so a forward
+    pass caches outputs only."""
     x = np.asarray(x, dtype=np.float64)
     if kind == "relu":
         return np.maximum(x, 0.0, out=out)
-    if kind == "tanh":
-        return np.tanh(x, out=out)
-    raise ConfigError(f"unknown activation kind {kind!r} (choose from {ACTIVATION_KINDS})")
+    return np.tanh(x, out=out)
 
 
 def activation_derivative(kind: str, value: np.ndarray) -> np.ndarray:
@@ -65,20 +49,17 @@ def activation_derivative(kind: str, value: np.ndarray) -> np.ndarray:
     """
     if kind == "relu":
         return value > 0.0
-    if kind == "tanh":
-        square = np.multiply(value, value)
-        return np.subtract(1.0, square, out=square)
-    raise ConfigError(f"unknown activation kind {kind!r} (choose from {ACTIVATION_KINDS})")
+    square = np.multiply(value, value)
+    return np.subtract(1.0, square, out=square)
 
 
 def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-scaled softmax over the last axis, with max-subtraction.
 
-    ``temperature == 1`` reduces to the standard softmax.  The steps after
-    the scaling run in place on the scaled copy; ``logits`` is not written.
+    ``temperature == 1`` reduces to the standard softmax; it is positive, as
+    ``DualHeadNet`` guarantees.  The steps after the scaling run in place on
+    the scaled copy; ``logits`` is not written.
     """
-    if temperature <= 0.0:
-        raise ConfigError(f"softmax temperature must be positive, got {temperature}")
     e = np.asarray(logits, dtype=np.float64) / temperature  # its one full-size array
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)

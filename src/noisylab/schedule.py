@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NoisyDataset
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 from .metrics import EpochRecord
 from .model import (DualHeadNet, TrainConfig, cosine_lr,
                     losses_and_grads_from_forward, per_sample_cross_entropy,
@@ -80,8 +80,6 @@ class IdentifierTable:
     """
 
     def __init__(self, n_samples: int):
-        if n_samples < 1:
-            raise ConfigError(f"need at least 1 sample, got {n_samples}")
         self.active = np.ones(n_samples, dtype=bool)
         self.pending = np.ones(n_samples, dtype=bool)
         self.produced_at = np.full(n_samples, -1, dtype=np.int64)
@@ -89,12 +87,9 @@ class IdentifierTable:
         self.commit_count = 0
 
     def write(self, indices, flags, iteration: int) -> None:
-        idx = np.asarray(indices)
-        flags = np.asarray(flags, dtype=bool)
-        if idx.shape != flags.shape:
-            raise ShapeError(f"indices shape {idx.shape} != flags shape {flags.shape}")
-        self.pending[idx] = flags
-        self.produced_at[idx] = iteration
+        """Set the pending ``flags`` (bools) of the rows ``indices`` (ints, as many)."""
+        self.pending[indices] = flags
+        self.produced_at[indices] = iteration
 
     def commit(self) -> None:
         self.active = self.pending.copy()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataIOError, NumericError, ShapeError
+from .errors import ConfigError, DataIOError, NumericError
 from .model import bce_log_likelihood
 
 
@@ -77,18 +77,15 @@ def batch_flags(z: np.ndarray, targets: np.ndarray, probs: np.ndarray,
 
 
 def small_loss_select(losses: np.ndarray, keep_ratio: float) -> np.ndarray:
-    """Boolean mask keeping the ceil(keep_ratio * n) smallest losses.
+    """Boolean mask keeping the ceil(keep_ratio * n) smallest of n losses;
+    ``keep_ratio`` lies in (0, 1], as ``SelectionConfig`` guarantees.
 
     Ties and ordering are resolved by a stable sort, so equal losses keep
     their original index order.
     """
     lo = np.asarray(losses, dtype=np.float64)
-    if lo.ndim != 1 or lo.size == 0:
-        raise ShapeError(f"need a non-empty 1-D loss vector, got shape {lo.shape}")
     if not np.all(np.isfinite(lo)):
         raise NumericError("non-finite loss in small-loss ranking")
-    if not (0.0 < keep_ratio <= 1.0):
-        raise ConfigError(f"keep_ratio must lie in (0, 1], got {keep_ratio}")
     k = int(np.ceil(keep_ratio * lo.size))
     order = np.argsort(lo, kind="stable")
     mask = np.zeros(lo.size, dtype=bool)

@@ -8,15 +8,16 @@ definitions ``batch_flags`` vectorizes, and ``finite_difference_check`` with
 ``combined_loss_and_grads`` audits the model's analytic gradients.
 ``clone``, ``encode_label``, ``parameter_names`` and ``targets_for`` are
 conveniences only tests use; ``targets_for`` is also the per-row target
-array a run's per-class table must reproduce.
+array a run's per-class table must reproduce.  ``pairwise_hamming`` measures
+the codeword distances the codebook's construction guarantees.  Inputs a
+helper refuses raise ``ValueError``.
 """
 
 import csv
 
 import numpy as np
 
-from noisylab.errors import (ConfigError, EncodingError, LabelError, NumericError,
-                             ShapeError)
+from noisylab.errors import ConfigError, NumericError
 from noisylab.model import (Z_CLAMP, DualHeadNet, ForwardResult, bce_log_likelihood,
                             losses_and_grads_from_forward)
 from noisylab.selection import SelectionConfig
@@ -82,7 +83,7 @@ def parameter_names(net: DualHeadNet) -> list:
 def encode_label(cb, y: int):
     """Copies of (codeword, target) for class ``y`` of codebook ``cb``."""
     if not 0 <= int(y) < cb.num_classes:
-        raise LabelError(f"label {y} out of range [0, {cb.num_classes})")
+        raise ValueError(f"label {y} out of range [0, {cb.num_classes})")
     return cb.codewords[int(y)].copy(), cb.targets[int(y)].copy()
 
 
@@ -92,8 +93,15 @@ def targets_for(cb, labels) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= cb.num_classes):
         bad = labels[(labels < 0) | (labels >= cb.num_classes)][0]
-        raise LabelError(f"label {bad} out of range [0, {cb.num_classes})")
+        raise ValueError(f"label {bad} out of range [0, {cb.num_classes})")
     return cb.targets[labels]
+
+
+def pairwise_hamming(codewords: np.ndarray) -> np.ndarray:
+    """All-pairs Hamming distances between +/-1 rows (exact integers)."""
+    cw = np.asarray(codewords, dtype=np.int64)
+    k = cw.shape[1]
+    return (k - cw @ cw.T) // 2
 
 
 def upstream_gradients(res, labels, targets, temperature, bce_weight=1.0, mask=None):
@@ -147,9 +155,9 @@ def decompose_bce(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if z.shape != t.shape:
-        raise ShapeError(f"z shape {z.shape} != target shape {t.shape}")
+        raise ValueError(f"z shape {z.shape} != target shape {t.shape}")
     if not np.all((t == 0.0) | (t == 1.0)):
-        raise EncodingError("targets must be 0/1 bit vectors")
+        raise ValueError("targets must be 0/1 bit vectors")
     return -bce_log_likelihood(np.clip(z, Z_CLAMP, 1.0 - Z_CLAMP), t)
 
 
@@ -157,7 +165,7 @@ def intra_loss_variance(per_bit: np.ndarray) -> float:
     """Population variance of one sample's per-bit loss terms."""
     d = np.asarray(per_bit, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
-        raise ShapeError(f"need a non-empty 1-D loss vector, got shape {d.shape}")
+        raise ValueError(f"need a non-empty 1-D loss vector, got shape {d.shape}")
     m = d.mean()
     return float(((d - m) ** 2).mean())
 
@@ -171,9 +179,9 @@ def classifier_identifier(probs: np.ndarray, noisy_label: int) -> bool:
     """Clean iff the predicted class (lowest index on ties) matches the label."""
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
-        raise ShapeError(f"need a 1-D probability vector, got shape {p.shape}")
+        raise ValueError(f"need a 1-D probability vector, got shape {p.shape}")
     if not 0 <= noisy_label < p.size:
-        raise LabelError(f"label {noisy_label} out of range [0, {p.size})")
+        raise ValueError(f"label {noisy_label} out of range [0, {p.size})")
     return bool(int(np.argmax(p)) == int(noisy_label))
 
 

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from noisylab import schedule
-from noisylab.codebook import derive_codebook, pairwise_hamming
+from noisylab.codebook import derive_codebook
 from noisylab.config import parse_config
 from noisylab.experiment import run_cell
 from noisylab.model import DualHeadNet
 from noisylab.numeric import RngStream
 from noisylab.schedule import IdentifierTable
 from oracles import (combined_loss_and_grads, decompose_bce,
-                     finite_difference_check, intra_loss_variance, targets_for)
+                     finite_difference_check, intra_loss_variance, pairwise_hamming,
+                     targets_for)
 
 SEEDS = (1, 2, 3)
 

@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 import noisylab
+from noisylab import errors
 from noisylab.cli import main
 from noisylab.config import (CONFIG_VERSION, config_hash, load_config,
                              parse_config)
 from noisylab.data import load_csv
-from noisylab.errors import ConfigError, DataIOError
+from noisylab.errors import ConfigError, DataIOError, NumericError
 
 
 def write_json(path, payload):
@@ -634,6 +635,19 @@ class TestCliCompare:
         assert main(["compare", "--config", cfg]) == 2
         assert "error[config]" in capsys.readouterr().err
 
+    # A rate sweep runs schedule.strategy alone, and standard draws no gate:
+    # each config would run cells other than the ones it names.
+    @pytest.mark.parametrize("extra", [
+        {"strategies": ["standard", "jump_update"], "effect_rates": [0.5]},
+        {"schedule": {"strategy": "standard"}, "effect_rates": [0.5, 1.0]},
+    ], ids=["strategies-with-effect-rates", "effect-rates-on-standard"])
+    def test_sweep_that_would_be_ignored_exits_2_before_running(self, tmp_path, capsys,
+                                                                extra):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(tmp_path / "out", **extra))
+        assert main(["compare", "--config", cfg]) == 2
+        only_error(capsys, "config")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCliReport:
     def test_reads_back_run_artifacts(self, tmp_path, capsys):
@@ -668,3 +682,29 @@ class TestCliReport:
         assert main(["report", "--run-dir", str(tmp_path / "out")]) == 4
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[io]:"), lines
+
+
+# Each family of package errors, with its exit code and error tag.
+FAMILIES = {ConfigError: (2, "config"), NumericError: (3, "numeric"), DataIOError: (4, "io")}
+PACKAGE_ERRORS = [c for c in vars(errors).values() if isinstance(c, type)
+                  and issubclass(c, errors.NoisyLabError) and c is not errors.NoisyLabError]
+
+
+class TestErrorFamilies:
+    """The error classes are the exit codes: every package error belongs to
+    exactly one family, and ``main`` maps each family to its code."""
+
+    @pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda c: c.__name__)
+    def test_every_error_belongs_to_exactly_one_family(self, cls):
+        assert sum(issubclass(cls, f) for f in FAMILIES) == 1
+
+    @pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda c: c.__name__)
+    def test_main_maps_each_error_to_its_family_code(self, tmp_path, capsys, monkeypatch,
+                                                     cls):
+        def fail(*args):
+            raise cls("injected")
+
+        monkeypatch.setattr("noisylab.cli.derive_codebook", fail)
+        (code, tag), = [FAMILIES[f] for f in FAMILIES if issubclass(cls, f)]
+        assert main(["codebook", "--classes", "3", "--out", str(tmp_path / "c.csv")]) == code
+        assert only_error(capsys, tag) == f"error[{tag}]: injected"

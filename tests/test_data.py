@@ -6,10 +6,12 @@ import pytest
 
 from noisylab.codebook import build_sylvester, next_pow2
 from noisylab.data import (NoiseConfig, NoisyDataset, class_centers, gen_blobs,
-                           inject_noise, load_csv, make_instance_weights,
-                           save_csv)
-from noisylab.errors import ConfigError, LabelError, ParseError
+                           inject_noise, load_csv, save_csv)
+from noisylab.errors import ConfigError, DataIOError, ParseError
 from noisylab.numeric import RngStream
+
+# The instance-noise projection stream, which the other noise kinds leave unused.
+NO_IDN = RngStream(0)
 
 
 class TestClassCenters:
@@ -93,16 +95,11 @@ class TestNoiseConfig:
         with pytest.raises(ConfigError):
             NoiseConfig(kind="asymmetric", epsilon=0.2)
 
-    def test_instance_requires_weights(self):
-        train, _ = gen_blobs(3, 4, 10, 1.0, RngStream(4))
-        with pytest.raises(ConfigError, match="idn_weights"):
-            inject_noise(train, NoiseConfig(kind="instance", epsilon=0.2), RngStream(1))
-
 
 class TestInjectNoise:
     def test_epsilon_zero_is_identity(self):
         train, _ = gen_blobs(3, 4, 30, 1.0, RngStream(4))
-        noisy = inject_noise(train, NoiseConfig("symmetric", 0.0), RngStream(1))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.0), RngStream(1), NO_IDN)
         assert noisy.clean_mask.all()
         assert np.array_equal(noisy.noisy_labels, train.true_labels)
 
@@ -110,19 +107,19 @@ class TestInjectNoise:
         """epsilon=0.5 over 10k samples: realized rate within +/-0.015."""
         train, _ = gen_blobs(5, 4, 2500, 1.0, RngStream(6))
         assert train.n_samples == 10000
-        noisy = inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(2))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(2), NO_IDN)
         assert abs((~noisy.clean_mask).mean() - 0.5) < 0.015
 
     def test_symmetric_never_flips_to_true_class(self):
         train, _ = gen_blobs(4, 4, 500, 1.0, RngStream(7))
-        noisy = inject_noise(train, NoiseConfig("symmetric", 0.8), RngStream(3))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.8), RngStream(3), NO_IDN)
         flipped = ~noisy.clean_mask
         assert flipped.any()
         assert np.all(noisy.noisy_labels[flipped] != noisy.true_labels[flipped])
 
     def test_pairflip_full_rate_is_cyclic_shift(self):
         train, _ = gen_blobs(10, 4, 20, 1.0, RngStream(8))
-        noisy = inject_noise(train, NoiseConfig("pairflip", 0.99), RngStream(4))
+        noisy = inject_noise(train, NoiseConfig("pairflip", 0.99), RngStream(4), NO_IDN)
         flipped = ~noisy.clean_mask
         want = (noisy.true_labels + 1) % 10
         assert np.array_equal(noisy.noisy_labels[flipped], want[flipped])
@@ -131,7 +128,7 @@ class TestInjectNoise:
         train, _ = gen_blobs(3, 4, 200, 1.0, RngStream(9))
         cmap = {0: 1, 1: 0, 2: 2}
         noisy = inject_noise(train, NoiseConfig("asymmetric", 0.5, class_map=cmap),
-                             RngStream(5))
+                             RngStream(5), NO_IDN)
         flipped = ~noisy.clean_mask
         for src, dst in cmap.items():
             rows = flipped & (noisy.true_labels == src)
@@ -143,35 +140,35 @@ class TestInjectNoise:
         train, _ = gen_blobs(3, 4, 10, 1.0, RngStream(10))
         with pytest.raises(ConfigError):
             inject_noise(train, NoiseConfig("asymmetric", 0.2, class_map={0: 1}),
-                         RngStream(6))
+                         RngStream(6), NO_IDN)
 
     def test_instance_noise_calibrated_to_epsilon(self):
         train, _ = gen_blobs(5, 8, 400, 1.0, RngStream(11))
-        w = make_instance_weights(8, 5, RngStream(11).child(6))
-        noisy = inject_noise(train, NoiseConfig("instance", 0.3), RngStream(7), w)
+        noisy = inject_noise(train, NoiseConfig("instance", 0.3), RngStream(7),
+                             RngStream(11).child(6))
         assert abs((~noisy.clean_mask).mean() - 0.3) < 0.01 + 3 * 0.5 / np.sqrt(1600)
 
     def test_refuses_test_split(self):
         _, test = gen_blobs(3, 4, 30, 1.0, RngStream(12))
         with pytest.raises(ConfigError):
-            inject_noise(test, NoiseConfig("symmetric", 0.2), RngStream(8))
+            inject_noise(test, NoiseConfig("symmetric", 0.2), RngStream(8), NO_IDN)
 
     def test_refuses_double_injection(self):
         train, _ = gen_blobs(3, 4, 200, 1.0, RngStream(13))
-        once = inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(9))
+        once = inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(9), NO_IDN)
         with pytest.raises(ConfigError):
-            inject_noise(once, NoiseConfig("symmetric", 0.5), RngStream(10))
+            inject_noise(once, NoiseConfig("symmetric", 0.5), RngStream(10), NO_IDN)
 
     def test_clean_mask_is_label_equality(self):
         train, _ = gen_blobs(4, 4, 100, 1.0, RngStream(14))
-        noisy = inject_noise(train, NoiseConfig("symmetric", 0.4), RngStream(11))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.4), RngStream(11), NO_IDN)
         assert np.array_equal(noisy.clean_mask,
                               noisy.true_labels == noisy.noisy_labels)
 
     def test_original_dataset_untouched(self):
         train, _ = gen_blobs(3, 4, 100, 1.0, RngStream(15))
         before = train.noisy_labels.copy()
-        inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(12))
+        inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(12), NO_IDN)
         assert np.array_equal(train.noisy_labels, before)
 
 
@@ -184,17 +181,27 @@ class TestNoisyDatasetValidation:
                          num_classes=2, split="test")
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(LabelError):
+        with pytest.raises(DataIOError):
             NoisyDataset(features=np.zeros((1, 3)),
                          true_labels=np.array([5]),
                          noisy_labels=np.array([5]),
                          num_classes=2)
 
+    @pytest.mark.parametrize("features,true_labels", [
+        (np.zeros(3), np.array([0, 1, 0])),
+        (np.zeros((3, 2)), np.array([0, 1])),
+        (np.zeros((3, 2)), np.zeros((3, 1), dtype=np.int64)),
+    ], ids=["1-d-features", "short-labels", "2-d-labels"])
+    def test_bad_shapes_rejected(self, features, true_labels):
+        with pytest.raises(DataIOError):
+            NoisyDataset(features=features, true_labels=true_labels,
+                         noisy_labels=true_labels, num_classes=2)
+
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
         train, _ = gen_blobs(3, 5, 40, 1.3, RngStream(16))
-        noisy = inject_noise(train, NoiseConfig("symmetric", 0.3), RngStream(13))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.3), RngStream(13), NO_IDN)
         path = tmp_path / "data.csv"
         save_csv(noisy, path)
         loaded = load_csv(path, num_classes=3)

