@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import types
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_origin
@@ -85,6 +86,9 @@ class ExperimentConfig:
             _expect(s in STRATEGIES, f"strategies entry {s!r} not in {STRATEGIES}")
         for r in self.effect_rates or ():
             _expect(0.0 < r <= 1.0, f"effect_rates entry {r!r} must lie in (0, 1]")
+        for name in ("seeds", "strategies", "effect_rates"):  # a repeat reruns a cell
+            repeated = [v for v, k in Counter(getattr(self, name) or ()).items() if k > 1]
+            _expect(not repeated, f"{name} lists {repeated[:1]} more than once")
         if self.effect_rates:  # a sweep runs schedule.strategy at each rate
             _expect(self.strategies is None, "set strategies or effect_rates, not both")
             _expect(self.schedule.strategy != "standard",

@@ -139,12 +139,12 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
         raise CapacityError(f"classes x n_per_class x dim = {classes}x{n_per_class}x{dim} "
                             f"exceeds the {MAX_ELEMENTS}-element limit")
     centers = class_centers(classes, dim, center_scale)
-    feats, labels = [], []
-    for c in range(classes):
-        feats.append(centers[c] + spread * rng.generator.normal(size=(n_per_class, dim)))
-        labels.append(np.full(n_per_class, c, dtype=np.int64))
-    x = np.concatenate(feats)
-    y = np.concatenate(labels)
+    x = np.empty((classes * n_per_class, dim))
+    for c, block in enumerate(np.split(x, classes)):  # bitwise center + spread * normal()
+        rng.generator.standard_normal(out=block)
+        block *= spread
+        block += centers[c]
+    y = np.repeat(np.arange(classes, dtype=np.int64), n_per_class)
     n_test = int(round(0.2 * n_per_class))
     test_idx = np.zeros(x.shape[0], dtype=bool)
     for c in range(classes):
@@ -184,7 +184,8 @@ def _instance_flip_probs(ds: NoisyDataset, epsilon: float, idn_rng: RngStream) -
 
 def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
                  idn_rng: RngStream) -> NoisyDataset:
-    """Return a copy of the train split with noisy labels written in.
+    """Return the train split with noisy labels written in; the features
+    are shared with ``ds``, not copied.
 
     Flips are drawn from ``rng``; instance noise draws its (dim, classes)
     random projection from ``idn_rng``, which the other kinds leave unused.
@@ -221,7 +222,7 @@ def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
         flips = g.uniform(size=n) < noise.epsilon
         mapped = np.array([cmap[int(v)] for v in y], dtype=np.int64)
         noisy[flips] = mapped[flips]
-    return NoisyDataset(features=ds.features.copy(), true_labels=y,
+    return NoisyDataset(features=ds.features, true_labels=y,
                         noisy_labels=noisy, num_classes=c, split="train")
 
 

@@ -158,6 +158,9 @@ def _run_cells(cfg: ExperimentConfig, cells, base: Path):
 
 def run_experiment(cfg: ExperimentConfig, out_root=None) -> list:
     """The `train` entry point: the configured strategy over all seeds."""
+    for name in ("strategies", "effect_rates"):
+        if getattr(cfg, name) is not None:
+            raise ConfigError(f"train runs schedule.strategy alone and ignores {name}; run compare")
     base = Path(out_root if out_root is not None else cfg.out_dir) / config_hash(cfg)
     strategy = cfg.schedule.strategy
     return next(_run_cells(cfg, [(strategy, strategy, None)], base))

@@ -15,7 +15,6 @@ Per-run artifacts:
 
 import csv
 import json
-import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -23,13 +22,10 @@ import numpy as np
 
 from .errors import DataIOError
 
-log = logging.getLogger("noisylab")
-
 
 def iou(a, b) -> float:
     """Intersection over union of two selections given as boolean masks of
-    equal length.  Two empty selections count as perfect agreement (1.0);
-    the occurrence is logged since it usually signals a degenerate run.
+    equal length.  Two empty selections count as perfect agreement (1.0).
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.dtype != bool or b.dtype != bool:
@@ -37,7 +33,6 @@ def iou(a, b) -> float:
     inter = int(np.sum(a & b))
     union = int(np.sum(a | b))
     if union == 0:
-        log.debug("iou of two empty selections, returning 1.0 by convention")
         return 1.0
     return inter / union
 
@@ -53,8 +48,6 @@ def selection_quality(selected_mask, clean_mask):
     tp = int(np.sum(sel & clean))
     n_sel = int(sel.sum())
     n_clean = int(clean.sum())
-    if n_sel == 0 or n_clean == 0:
-        log.debug("degenerate selection_quality: selected=%d clean=%d", n_sel, n_clean)
     precision = tp / n_sel if n_sel else 0.0
     recall = tp / n_clean if n_clean else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0

@@ -19,14 +19,15 @@ cache and reads each activation derivative off the cached output.  A masked
 update gathers its k selected rows of the cache once and runs the loss and
 the whole backward pass on them (the cross update alone keeps a full-batch
 backward with the dropped rows zeroed); the forward pass stays full-batch,
-since selection reads every row.
+since selection reads every row, but caches only the k rows when they are
+known before it (a gated jump update).
 
 The step writes into arrays it already owns: bias and activation on each
 layer's fresh matmul result, the ``z`` remap, the softmax, the backward
-chain's running gradient, the detection gradient, and one temporary per
-block in :func:`sgd_step`.  Each in-place form applies the same IEEE
-operations to the same operands as the allocating expression, so results
-are bitwise unchanged.  Nothing writes into a :class:`ForwardResult` after
+chain's gradients (each into a spent array of its shape, if any), the
+detection gradient, and one temporary per block in :func:`sgd_step`.  Each
+in-place form applies the same IEEE operations to the same operands as the
+allocating expression, so results are bitwise unchanged.  Nothing writes into a :class:`ForwardResult` after
 forward returns, so one can be reused.
 
 During inference only the classification head is consulted
@@ -130,7 +131,8 @@ class ForwardResult:
     """Everything forward() computed, cached for one backward pass.
 
     ``acts`` holds every layer input once: the batch ``x``, each trunk
-    output, then the detection hidden outputs.  The last trunk output
+    output, then the detection hidden outputs, at the batch's ``rows``
+    (None: all).  The last trunk output
     (``acts[len(net.trunk)]``) feeds the classifier and the detection head.
     No derivatives are cached: backward reads them off these outputs."""
 
@@ -138,39 +140,44 @@ class ForwardResult:
     z: np.ndarray              # (n, K) detection outputs in (0, 1)
     logits: np.ndarray         # (n, C)
     acts: list
+    rows: np.ndarray | None = None
 
 
-def _chain_forward(layers, kind: str, a, cache=None):
+def _chain_forward(layers, kind: str, a, cache=None, rows=None):
     """Run ``a`` through ``layers`` under activation ``kind``; with a
-    ``cache`` list, append each layer's output to it."""
+    ``cache`` list, append each layer's output (its ``rows``, if given) to it."""
     a = np.asarray(a, dtype=np.float64)  # matmul refuses a batch of the wrong shape
     for lay in layers:
         a = matmul(a, lay.w)  # a fresh array: the bias and activation go in place
         a += lay.b
         activation(kind, a, out=a)
         if cache is not None:
-            cache.append(a)
+            cache.append(a if rows is None else a.take(rows, axis=0))
     return a
 
 
-def _chain_backward(layers, kind: str, acts, d):
+def _chain_backward(layers, kind: str, acts, d, spare=None):
     """Walk a chain back from the gradient ``d``, writing each layer's
     ``gw``/``gb``; returns the gradient at the first layer's pre-activation
     (that layer's input gradient is not formed).  ``acts[i]`` is layer i's
     input; when ``acts`` also holds the last layer's output, ``d`` is the
     gradient at that output, else at the last pre-activation.
 
-    Each activation derivative is multiplied into ``d`` in place, so a
-    ``d`` given at the last output is overwritten; the later ``d`` are this
-    walk's own matmul results.  ``acts`` is only read."""
+    ``d`` is overwritten, and a spent float array (a ``spare`` given, a tanh
+    derivative, an earlier ``d``) takes the next derivative or ``d`` of its
+    shape, so a walk holds two arrays of batch size.  ``acts`` is only read."""
+    def into(shape):
+        return spare if spare is not None and spare.shape == shape else None
     for i in range(len(layers) - 1, -1, -1):
         lay = layers[i]
         if i + 1 < len(acts):
-            d *= activation_derivative(kind, acts[i + 1])
+            deriv = activation_derivative(kind, acts[i + 1], out=into(d.shape))
+            d *= deriv
+            spare = deriv if deriv.dtype == d.dtype else spare
         matmul(acts[i].T, d, out=lay.gw)
         d.sum(axis=0, out=lay.gb)
         if i:
-            d = matmul(d, lay.w.T)
+            d, spare = matmul(d, lay.w.T, out=into((len(d), lay.w.shape[0]))), d
     return d
 
 
@@ -278,14 +285,16 @@ class DualHeadNet:
             "temperature": self.temperature,
         }
 
-    def forward(self, x) -> ForwardResult:
+    def forward(self, x, rows=None) -> ForwardResult:
         """Full forward pass: class probabilities through the temperature
-        softmax, and detection embeddings z inside [Z_CLAMP, 1 - Z_CLAMP]."""
-        acts = [np.asarray(x, dtype=np.float64)]
-        h = _chain_forward(self.trunk, "relu", acts[0], acts)
+        softmax, and detection embeddings z inside [Z_CLAMP, 1 - Z_CLAMP];
+        the cache keeps only the ``rows`` a loss will gather, when given."""
+        x = np.asarray(x, dtype=np.float64)
+        acts = [x if rows is None else x.take(rows, axis=0)]
+        h = _chain_forward(self.trunk, "relu", x, acts, rows)
         logits = matmul(h, self.classifier.w)
         logits += self.classifier.b
-        a = _chain_forward(self.detection[:-1], "tanh", h, acts)
+        a = _chain_forward(self.detection[:-1], "tanh", h, acts, rows)
         last = self.detection[-1]
         z = matmul(a, last.w)  # z = clip((tanh(a w + b) + 1) / 2), step by step in place
         z += last.b
@@ -294,7 +303,7 @@ class DualHeadNet:
         z /= 2.0
         np.clip(z, Z_CLAMP, 1.0 - Z_CLAMP, out=z)
         return ForwardResult(softmax_with_temperature(logits, self.temperature), z, logits,
-                             acts)
+                             acts, rows)
 
     def classify(self, x):
         """Inference path: classification head only, detection head skipped.
@@ -327,8 +336,8 @@ class DualHeadNet:
         dlogits.sum(axis=0, out=cls.gb)
         d = _chain_backward(self.detection, "tanh", acts[depth:], d_det_pre)
         dtrunk = matmul(d, self.detection[0].w.T)
-        dtrunk += matmul(dlogits, cls.w.T)
-        _chain_backward(self.trunk, "relu", acts[:depth + 1], dtrunk)
+        dtrunk += matmul(dlogits, cls.w.T, out=d)  # d is spent; then the trunk's spare
+        _chain_backward(self.trunk, "relu", acts[:depth + 1], dtrunk, spare=d)
 
 
 def per_sample_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -360,7 +369,8 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
     (``NoisyDataset`` guarantees them).
 
     A mask that drops rows gathers the selected rows of ``res`` once, and
-    the loss and the backward pass run on those rows only.  With
+    the loss and the backward pass run on those rows only; a cache that
+    forward already kept at those rows (``res.rows``) is used as it is.  With
     ``gather=False`` they run on the full batch instead, the dropped rows'
     upstream gradients zeroed: the full-height backward of a loss taken
     over indexed rows under autograd, which the dual-network baseline
@@ -374,8 +384,9 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
     if mask is not None:
         sel = np.flatnonzero(mask)
         if sel.size < rows and gather:  # take: the fastest row gather at these sizes
-            probs, z, labels, targets, *acts = (a.take(sel, axis=0) for a in
-                                                (probs, z, labels, targets, *acts))
+            probs, z, labels, targets = (a.take(sel, axis=0) for a in (probs, z, labels, targets))
+            if res.rows is None:
+                acts = [a.take(sel, axis=0) for a in acts]
             rows = n = sel.size
         elif sel.size < rows:
             n, keep = sel.size, sel

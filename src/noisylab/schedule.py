@@ -26,10 +26,10 @@ row per class, on ``RunState.target_table``; each batch takes
 would hold, at C rows of memory instead of n.
 
 Every strategy trains both heads with the combined objective.  A masked
-jump or self update backpropagates only its selected rows
-(``losses_and_grads_from_forward`` gathers them), so a strategy that trains
-on fewer rows spends less time in backward; the forward pass and the
-selection work stay full-batch.  Cross, the dual-network baseline, keeps
+jump or self update backpropagates only its selected rows (a gated jump
+update's forward pass caches only them), so a strategy that trains on fewer
+rows spends less time in backward; the forward pass and the selection work
+stay full-batch.  Cross, the dual-network baseline, keeps
 the full-height backward of Co-teaching, whose loss over the peer's rows
 zero-fills the rest under autograd.
 """
@@ -187,6 +187,42 @@ def _gate(state: RunState) -> bool:
     return state.gate_rng.generator.random() < state.sched_cfg.effect_rate
 
 
+def _train_batch(state: RunState, idx, lr: float, warm: bool):
+    """One iteration on the batch rows ``idx``; returns each net's
+    :func:`_update` result, whether the gate was on, and the jump mask's lag
+    (sum, count).  What it makes of batch size dies before the next batch."""
+    strategy, table = state.sched_cfg.strategy, state.table
+    x = state.data.features[idx]
+    labels = state.data.noisy_labels[idx]
+    targets = state.target_table[labels]
+    # Neither the gate nor the active buffer depends on this batch's forward
+    # pass, so a gated jump update forwards with its rows and caches only them.
+    gated = not warm and strategy != "standard" and _gate(state)
+    masks, rows, lag = [None] * len(state.nets), None, (0, 0)
+    if gated and table is not None:
+        masks = [table.active[idx]]  # fancy indexing copies
+        prod_at = table.active_produced_at[idx]
+        known = prod_at[prod_at >= 0]
+        lag = known.size * state.global_iter - int(known.sum()), known.size
+        sel = np.flatnonzero(masks[0])
+        rows = sel if sel.size < idx.size else None  # a full mask keeps the full cache
+    results = [net.forward(x, rows) for net in state.nets]
+    if table is not None:
+        flags = batch_flags(results[0].z, targets, results[0].probs, labels, state.sel_cfg)
+        table.write(idx, flags.combined, state.global_iter)
+        for name, values in vars(flags).items():
+            getattr(state.flags, name)[idx] = values
+    elif strategy in SMALL_LOSS:
+        picks = [small_loss_select(per_sample_cross_entropy(res.probs, labels),
+                                   state.sel_cfg.small_loss_keep_ratio)
+                 for res in results]
+        for buf, pick in zip(state.selected, picks):
+            buf[idx] = pick
+        masks = picks[::-1] if gated else masks  # self: its own pick; cross: the peer's
+    return [_update(state, which, res, labels, targets, mask, lr)
+            for which, (res, mask) in enumerate(zip(results, masks))], gated, lag
+
+
 def run_epoch(state: RunState, epoch: int) -> EpochRecord:
     """One epoch of any strategy, warm-up included.
 
@@ -206,13 +242,10 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
     lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.lr_min)
     n = state.data.n_samples
     warm = epoch < cfg.warmup_epochs
-    strategy = state.sched_cfg.strategy
-    jump = strategy == "jump_update"
-    gating = not warm and strategy != "standard"
     table = state.table
     # Fresh buffers every epoch; the batches cover every sample once.
     state.selected = [np.ones(n, dtype=bool) for _ in state.nets]
-    if jump:
+    if table is not None:
         state.flags = BatchFlags(
             detection=np.zeros(n, dtype=bool), classifier=np.zeros(n, dtype=bool),
             combined=state.selected[0], variance=np.full(n, np.nan), bce=np.full(n, np.nan))
@@ -220,34 +253,8 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
     ce_sum = bce_sum = 0.0
     updates = trained = skipped = gate_on = 0
     for idx in _batches(state):
-        x = state.data.features[idx]
-        labels = state.data.noisy_labels[idx]
-        targets = state.target_table[labels]
-        results = [net.forward(x) for net in state.nets]
-        if jump:
-            flags = batch_flags(results[0].z, targets, results[0].probs, labels, state.sel_cfg)
-            table.write(idx, flags.combined, state.global_iter)
-            for name, values in vars(flags).items():
-                getattr(state.flags, name)[idx] = values
-        elif strategy in SMALL_LOSS:
-            picks = [small_loss_select(per_sample_cross_entropy(res.probs, labels),
-                                       state.sel_cfg.small_loss_keep_ratio)
-                     for res in results]
-            for buf, pick in zip(state.selected, picks):
-                buf[idx] = pick
-        gated = gating and _gate(state)
-        masks = [None] * len(results)
-        if gated and jump:
-            masks = [table.active[idx]]  # fancy indexing copies
-            prod_at = table.active_produced_at[idx]
-            known = prod_at >= 0
-            n_known = int(np.count_nonzero(known))
-            lag_sum += n_known * state.global_iter - int(prod_at[known].sum())
-            lag_count += n_known
-        elif gated:
-            masks = picks[::-1]  # self: its own pick; cross: the peer's
-        for which, (res, mask) in enumerate(zip(results, masks)):
-            out = _update(state, which, res, labels, targets, mask, lr)
+        outs, gated, (lag, known) = _train_batch(state, idx, lr, warm)
+        for which, out in enumerate(outs):
             if out is None:
                 skipped += 1
                 continue
@@ -256,15 +263,15 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
             updates += 1
             if not (warm and which):
                 trained += out[2]
-        if gated:
-            gate_on += 1
+        gate_on += gated
+        lag_sum, lag_count = lag_sum + lag, lag_count + known
         if not warm:
             state.post_iter += 1
-            if jump and state.post_iter % state.jump_step == 0:
+            if table is not None and state.post_iter % state.jump_step == 0:
                 table.commit()
         state.global_iter += 1
     wall = (time.perf_counter() - t0) * 1000.0
-    return EpochRecord(epoch=epoch, strategy=strategy,
+    return EpochRecord(epoch=epoch, strategy=state.sched_cfg.strategy,
                        phase="warmup" if warm else "train", lr=lr,
                        selected_count=int(state.selected[0].sum()),
                        trained_samples=trained, skipped_batches=skipped,

@@ -6,6 +6,9 @@ match them bit for bit.
 ``decompose_bce`` and the per-sample identifiers are the scalar
 definitions ``batch_flags`` vectorizes, and ``finite_difference_check`` with
 ``combined_loss_and_grads`` audits the model's analytic gradients.
+``gen_blobs_per_class`` is the blob dataset as one allocating
+``center + spread * normal()`` expression per class, the form
+``data.gen_blobs`` replaced with draws into one preallocated array.
 ``clone``, ``encode_label``, ``parameter_names`` and ``targets_for`` are
 conveniences only tests use; ``targets_for`` is also the per-row target
 array a run's per-class table must reproduce.  ``pairwise_hamming`` measures
@@ -17,6 +20,7 @@ import csv
 
 import numpy as np
 
+from noisylab.data import class_centers
 from noisylab.errors import ConfigError, NumericError
 from noisylab.model import (Z_CLAMP, DualHeadNet, ForwardResult, bce_log_likelihood,
                             losses_and_grads_from_forward)
@@ -64,6 +68,22 @@ def select_rows(res, mask):
     keep = np.asarray(mask, dtype=bool)
     return ForwardResult(res.probs[keep], res.z[keep], res.logits[keep],
                          [a[keep] for a in res.acts])
+
+
+def gen_blobs_per_class(classes, dim, n_per_class, spread, rng, center_scale=1.0):
+    """``data.gen_blobs`` with each class drawn as ``center + spread *
+    normal()`` and concatenated, then the same stratified split; returns
+    (train features, train labels, test features, test labels)."""
+    centers = class_centers(classes, dim, center_scale)
+    x = np.concatenate([centers[c] + spread * rng.generator.normal(size=(n_per_class, dim))
+                        for c in range(classes)])
+    y = np.concatenate([np.full(n_per_class, c, dtype=np.int64) for c in range(classes)])
+    n_test = int(round(0.2 * n_per_class))
+    test = np.zeros(x.shape[0], dtype=bool)
+    for c in range(classes):
+        rows = np.flatnonzero(y == c)
+        test[rows[rng.generator.permutation(rows.size)[:n_test]]] = True
+    return x[~test], y[~test], x[test], y[test]
 
 
 def clone(net: DualHeadNet) -> DualHeadNet:

@@ -601,6 +601,19 @@ class TestCliTrain:
         assert len(lines) == 1 and lines[0].startswith("error[numeric]:"), proc.stderr
 
 
+    # train runs schedule.strategy alone: a list only compare reads would
+    # be ignored without a word.
+    @pytest.mark.parametrize("extra", [{"strategies": ["standard", "self_update"]},
+                                       {"effect_rates": [0.5]}],
+                             ids=["strategies", "effect_rates"])
+    def test_compare_only_field_exits_2_before_running(self, tmp_path, capsys, extra):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(tmp_path / "out", **extra))
+        assert main(["train", "--config", cfg]) == 2
+        line = only_error(capsys, "config")
+        assert next(iter(extra)) in line and "compare" in line
+        assert not (tmp_path / "out").exists()
+
+
 class TestCliCompare:
     def test_strategy_set_writes_comparison_table(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -628,6 +641,20 @@ class TestCliCompare:
         _, cells = run_dir_of(out)
         assert sorted(c.name for c in cells) == ["self_update-r0.5-seed7",
                                                  "self_update-r1-seed7"]
+
+    # A repeat runs one cell twice into one directory, and its rows then
+    # read as seeds or cells that agree.  1 and 1.0 are one rate ("r1").
+    @pytest.mark.parametrize("field,values", [
+        ("seeds", [7, 3, 7]),
+        ("strategies", ["standard", "jump_update", "standard"]),
+        ("effect_rates", [1, 0.5, 1.0]),
+    ], ids=["seeds", "strategies", "effect_rates"])
+    def test_repeated_entry_exits_2_before_running(self, tmp_path, capsys, field, values):
+        cfg = write_json(tmp_path / "cfg.json",
+                         tiny_train_payload(tmp_path / "out", **{field: values}))
+        assert main(["compare", "--config", cfg]) == 2
+        assert only_error(capsys, "config").startswith(f"error[config]: {field} lists")
+        assert not (tmp_path / "out").exists()
 
     def test_single_strategy_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(

@@ -9,6 +9,7 @@ from noisylab.data import (NoiseConfig, NoisyDataset, class_centers, gen_blobs,
                            inject_noise, load_csv, save_csv)
 from noisylab.errors import ConfigError, DataIOError, ParseError
 from noisylab.numeric import RngStream
+from oracles import gen_blobs_per_class
 
 # The instance-noise projection stream, which the other noise kinds leave unused.
 NO_IDN = RngStream(0)
@@ -43,6 +44,18 @@ class TestClassCenters:
 
 
 class TestGenBlobs:
+    @pytest.mark.parametrize("classes,dim,per_class,spread,scale,seed", [
+        (3, 4, 20, 1.0, 1.0, 5), (4, 6, 50, 0.3, 2.5, 1),
+        (10, 4, 7, 2.0, -1.0, 9),  # more classes than the Hadamard block: the lattice
+        (2, 33, 3, 1e-6, 0.0, 4)])
+    def test_draws_are_bitwise_the_per_class_formula(self, classes, dim, per_class,
+                                                     spread, scale, seed):
+        train, test = gen_blobs(classes, dim, per_class, spread, RngStream(seed), scale)
+        want = gen_blobs_per_class(classes, dim, per_class, spread, RngStream(seed), scale)
+        got = (train.features, train.true_labels, test.features, test.true_labels)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
     def test_deterministic(self):
         a_train, a_test = gen_blobs(3, 4, 20, 1.0, RngStream(5))
         b_train, b_test = gen_blobs(3, 4, 20, 1.0, RngStream(5))

@@ -4,6 +4,7 @@ optimizer recurrence, the cosine schedule, and checkpoint round-trips."""
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -425,6 +426,35 @@ class TestMaskedLoss:
         before = [a.tobytes() for a in (res.probs, res.z, res.logits, *res.acts)]
         losses_and_grads_from_forward(net, res, labels, targets, 0.5, mask, gather=gather)
         assert [a.tobytes() for a in (res.probs, res.z, res.logits, *res.acts)] == before
+
+
+class TestRowCache:
+    """A forward pass given the rows a loss will gather caches only those
+    rows, and the loss on that cache is the post-forward gather's."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_forward_caches_exactly_the_given_rows(self, layers):
+        net, full, _, _ = forwarded_batch(50, layers)
+        rows = np.flatnonzero(np.arange(24) % 3 != 1)
+        res = net.forward(full.acts[0], rows)
+        assert res.rows is rows and full.rows is None
+        assert [a.tobytes() for a in res.acts] == [a[rows].tobytes() for a in full.acts]
+        for name in ("probs", "z", "logits"):  # the outputs stay full-batch
+            assert getattr(res, name).tobytes() == getattr(full, name).tobytes()
+
+    @pytest.mark.parametrize("keep", ["some", "all", "none"])
+    def test_loss_on_the_row_cache_is_the_gathered_loss(self, keep):
+        net, full, labels, targets = forwarded_batch(51, 2)
+        mask = {"some": np.arange(24) % 3 != 1, "all": np.ones(24, dtype=bool),
+                "none": np.zeros(24, dtype=bool)}[keep]
+        twin = clone(net)
+        cached = twin.forward(full.acts[0], np.flatnonzero(mask))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)  # no rows: NaN means
+            want = losses_and_grads_from_forward(net, full, labels, targets, 0.5, mask)
+            got = losses_and_grads_from_forward(twin, cached, labels, targets, 0.5, mask)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert twin.grad.tobytes() == net.grad.tobytes()
 
 
 class TestSgdStep:

@@ -1,8 +1,9 @@
 """Property tests: the model's one backward walk and ``batch_flags`` match
 their oracles bit for bit on generated shapes, depths and masks,
 ``start_run`` builds every run with the invariants the training loop
-trusts without re-checking, and ``train`` keeps the CLI's exit-code and
-one-line contract on valid and broken configs.
+trusts without re-checking, a gated jump update reads only rows produced
+in the window the latest commit closed, and ``train`` keeps the CLI's
+exit-code and one-line contract on valid and broken configs.
 
 Examples are derandomized and few, so every run checks the same cases and
 tier-1 stays deterministic.
@@ -14,12 +15,14 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from noisylab import schedule
 from noisylab.cli import main
 from noisylab.codebook import default_code_bits, derive_codebook
 from noisylab.config import parse_config
@@ -123,6 +126,51 @@ def test_start_run_builds_what_the_loop_trusts(run):
         assert state.sel_cfg.small_loss_keep_ratio is not None
     assert np.array_equal(data.clean_mask, data.true_labels == data.noisy_labels)
     assert test.clean_mask.all()
+
+
+@st.composite
+def tiny_jump_runs(draw):
+    """A tiny jump_update config at the default jump_step, and a seed."""
+    epochs = draw(st.integers(3, 6))
+    cfg = parse_config({
+        "dataset": {"classes": draw(st.integers(2, 3)), "dim": 2,
+                    "per_class": draw(st.integers(3, 10))},
+        "noise": {"epsilon": draw(st.sampled_from([0.0, 0.4]))},
+        "train": {"epochs": epochs, "warmup_epochs": draw(st.integers(0, epochs - 2)),
+                  "batch_size": draw(st.integers(1, 8)), "hidden_width": 2,
+                  "hidden_layers": 1},
+        "schedule": {"strategy": "jump_update",
+                     "effect_rate": draw(st.sampled_from([0.4, 1.0]))},
+    })
+    return cfg, draw(st.integers(0, 2**16))
+
+
+@FEW
+@given(tiny_jump_runs())
+def test_gated_jump_reads_rows_of_the_window_the_latest_commit_closed(run):
+    """The lag is one window: with the default jump_step, every row a gated
+    jump update reads was last produced in the jump_step iterations that
+    end at the latest commit (and never produced before the first one)."""
+    cfg, seed = run
+    state, _ = start_run(cfg, "jump_update", seed)
+    table, commits, train_batch = state.table, [], schedule._train_batch
+
+    def checked(state, idx, lr, warm):
+        if table.commit_count > len(commits):  # the previous batch committed
+            commits.append(state.global_iter - 1)
+        read = table.active_produced_at[idx].copy()
+        out = train_batch(state, idx, lr, warm)
+        if out[1] and commits:  # the gate was on
+            assert (commits[-1] - state.jump_step < read).all()
+            assert (read <= commits[-1]).all()
+        elif out[1]:
+            assert (read == -1).all()
+        return out
+
+    with mock.patch.object(schedule, "_train_batch", checked):
+        for epoch in range(cfg.train.epochs):
+            schedule.run_epoch(state, epoch)
+    assert len(commits) + 1 >= table.commit_count > 0
 
 
 # What a valid small `train` config sets, and the values that break each

@@ -13,6 +13,12 @@ perfbench's own run length and seed:
   ``jump_wide`` config and seed in a fresh interpreter, BLAS pinned to one
   thread, storing the minor page faults taken during ``run_cell`` and the
   process's ``ru_maxrss`` (how steady the training step's heap is);
+* a second, separate in-process ``jump_wide`` pass under ``tracemalloc``
+  (so the faults and ``ru_maxrss`` above are not its): each training
+  step's heap high-water above the heap held when its epoch's first batch
+  starts, the largest over the steps of the last warm-up epoch and over
+  those of the first epoch after the first commit, whose gated steps train
+  on the active buffer's rows;
 * the tier-1 test suite, timed.
 
 It writes one JSON object: the last line of each benchmark run (its JSON
@@ -55,6 +61,38 @@ usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({"minor_faults": usage.ru_minflt - before,
                   "ru_maxrss_mb": usage.ru_maxrss * 1024 / 1e6}))
 """
+# argv as INPROCESS_PROBE.  Wraps schedule._batches, so every step runs
+# between two of its yields.  Prints one JSON line.
+STEP_HEAP_PROBE = """
+import importlib.util, json, sys, tracemalloc
+spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+from noisylab import schedule
+from noisylab.config import parse_config
+from noisylab.experiment import start_run
+cfg = parse_config(bench.make_config(sys.argv[2], bench.DEFAULT_SEED))
+state, _ = start_run(cfg, cfg.schedule.strategy, bench.DEFAULT_SEED)
+batches, steps = schedule._batches, []
+def measured(state):
+    steady = None
+    for idx in batches(state):
+        if steady is None:
+            steady = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        yield idx
+        steps.append(tracemalloc.get_traced_memory()[1] - steady)
+schedule._batches = measured
+warm = cfg.train.warmup_epochs
+tracemalloc.start()
+peaks = []
+for epoch in range(warm + 2):  # the first commit ends epoch `warm`
+    steps.clear()
+    schedule.run_epoch(state, epoch)
+    peaks.append(max(steps) / 1e6)
+print(json.dumps({"warmup_step_heap_mb": peaks[warm - 1],
+                  "gated_step_heap_mb": peaks[warm + 1]}))
+"""
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 TREES = ("src", "tests", "perfbench")
 
@@ -90,9 +128,10 @@ def src_env() -> dict:
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
 
 
-def inprocess(workload: str) -> dict:
-    """Minor faults and peak RSS of one ``run_cell`` of ``workload``."""
-    proc = subprocess.run([sys.executable, "-c", INPROCESS_PROBE,
+def inprocess(workload: str, probe: str = INPROCESS_PROBE) -> dict:
+    """Minor faults and peak RSS of one ``run_cell`` of ``workload``, or
+    what another ``probe`` prints."""
+    proc = subprocess.run([sys.executable, "-c", probe,
                            str(REPO / "perfbench" / "run.py"), workload],
                           cwd=REPO, env=src_env(),
                           capture_output=True, text=True)
@@ -132,6 +171,9 @@ def main(argv=None) -> int:
         record[f"{workload}-trace{trace}"] = bench(workload, trace)
     print(f"bench_record: in-process {INPROCESS_WORKLOAD}", file=sys.stderr)
     record[f"{INPROCESS_WORKLOAD}-inprocess"] = inprocess(INPROCESS_WORKLOAD)
+    print(f"bench_record: step heap {INPROCESS_WORKLOAD}", file=sys.stderr)
+    record[f"{INPROCESS_WORKLOAD}-inprocess"].update(
+        inprocess(INPROCESS_WORKLOAD, STEP_HEAP_PROBE))
     print("bench_record: tier-1", file=sys.stderr)
     record["tier1"] = tier1()
     record["loadavg_1min_end"] = os.getloadavg()[0]
