@@ -20,14 +20,15 @@ update gathers its k selected rows of the cache once and runs the loss and
 the whole backward pass on them (the cross update alone keeps a full-batch
 backward with the dropped rows zeroed); the forward pass stays full-batch,
 since selection reads every row, but caches only the k rows when they are
-known before it (a gated jump update).
+known before it (a gated jump update), and those rows are then the selection.
 
 The step writes into arrays it already owns: bias and activation on each
 layer's fresh matmul result, the ``z`` remap, the softmax, the backward
-chain's gradients (each into a spent array of its shape, if any), the
-detection gradient, and one temporary per block in :func:`sgd_step`.  Each
-in-place form applies the same IEEE operations to the same operands as the
-allocating expression, so results are bitwise unchanged.  Nothing writes into a :class:`ForwardResult` after
+chain's running gradient, the detection gradient (whose spent array then
+takes the classifier's share of the trunk gradient), and one temporary per
+block in :func:`sgd_step`.  Each in-place form applies the same IEEE
+operations to the same operands as the allocating expression, so results
+are bitwise unchanged.  Nothing writes into a :class:`ForwardResult` after
 forward returns, so one can be reused.
 
 During inference only the classification head is consulted
@@ -156,28 +157,24 @@ def _chain_forward(layers, kind: str, a, cache=None, rows=None):
     return a
 
 
-def _chain_backward(layers, kind: str, acts, d, spare=None):
+def _chain_backward(layers, kind: str, acts, d):
     """Walk a chain back from the gradient ``d``, writing each layer's
     ``gw``/``gb``; returns the gradient at the first layer's pre-activation
     (that layer's input gradient is not formed).  ``acts[i]`` is layer i's
     input; when ``acts`` also holds the last layer's output, ``d`` is the
     gradient at that output, else at the last pre-activation.
 
-    ``d`` is overwritten, and a spent float array (a ``spare`` given, a tanh
-    derivative, an earlier ``d``) takes the next derivative or ``d`` of its
-    shape, so a walk holds two arrays of batch size.  ``acts`` is only read."""
-    def into(shape):
-        return spare if spare is not None and spare.shape == shape else None
+    Each activation derivative is multiplied into ``d`` in place, so a
+    ``d`` given at the last output is overwritten; the later ``d`` are this
+    walk's own matmul results.  ``acts`` is only read."""
     for i in range(len(layers) - 1, -1, -1):
         lay = layers[i]
         if i + 1 < len(acts):
-            deriv = activation_derivative(kind, acts[i + 1], out=into(d.shape))
-            d *= deriv
-            spare = deriv if deriv.dtype == d.dtype else spare
+            d *= activation_derivative(kind, acts[i + 1])
         matmul(acts[i].T, d, out=lay.gw)
         d.sum(axis=0, out=lay.gb)
         if i:
-            d, spare = matmul(d, lay.w.T, out=into((len(d), lay.w.shape[0]))), d
+            d = matmul(d, lay.w.T)
     return d
 
 
@@ -288,7 +285,7 @@ class DualHeadNet:
     def forward(self, x, rows=None) -> ForwardResult:
         """Full forward pass: class probabilities through the temperature
         softmax, and detection embeddings z inside [Z_CLAMP, 1 - Z_CLAMP];
-        the cache keeps only the ``rows`` a loss will gather, when given."""
+        the cache keeps only the ``rows`` a loss will train on, when given."""
         x = np.asarray(x, dtype=np.float64)
         acts = [x if rows is None else x.take(rows, axis=0)]
         h = _chain_forward(self.trunk, "relu", x, acts, rows)
@@ -336,8 +333,9 @@ class DualHeadNet:
         dlogits.sum(axis=0, out=cls.gb)
         d = _chain_backward(self.detection, "tanh", acts[depth:], d_det_pre)
         dtrunk = matmul(d, self.detection[0].w.T)
-        dtrunk += matmul(dlogits, cls.w.T, out=d)  # d is spent; then the trunk's spare
-        _chain_backward(self.trunk, "relu", acts[:depth + 1], dtrunk, spare=d)
+        dtrunk += matmul(dlogits, cls.w.T, out=d)  # d is spent: it takes the product
+        del d  # so the trunk walk holds only its own two arrays of batch size
+        _chain_backward(self.trunk, "relu", acts[:depth + 1], dtrunk)
 
 
 def per_sample_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -369,9 +367,10 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
     (``NoisyDataset`` guarantees them).
 
     A mask that drops rows gathers the selected rows of ``res`` once, and
-    the loss and the backward pass run on those rows only; a cache that
-    forward already kept at those rows (``res.rows``) is used as it is.  With
-    ``gather=False`` they run on the full batch instead, the dropped rows'
+    the loss and the backward pass run on those rows only.  A cache that
+    forward kept at some ``rows`` (``res.rows``) is the selection: those
+    rows of the outputs are gathered to match it, and ``mask`` is not read.
+    With ``gather=False`` they run on the full batch instead, the dropped rows'
     upstream gradients zeroed: the full-height backward of a loss taken
     over indexed rows under autograd, which the dual-network baseline
     keeps (see ``schedule._update``).  A mask keeping every row takes the
@@ -381,11 +380,11 @@ def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
     probs, z, acts = res.probs, res.z, res.acts
     rows, k = z.shape
     n, keep = rows, None
-    if mask is not None:
-        sel = np.flatnonzero(mask)
+    sel = np.flatnonzero(mask) if res.rows is None and mask is not None else res.rows
+    if sel is not None:
         if sel.size < rows and gather:  # take: the fastest row gather at these sizes
             probs, z, labels, targets = (a.take(sel, axis=0) for a in (probs, z, labels, targets))
-            if res.rows is None:
+            if res.rows is None:  # else forward cached only these rows
                 acts = [a.take(sel, axis=0) for a in acts]
             rows = n = sel.size
         elif sel.size < rows:

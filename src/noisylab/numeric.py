@@ -39,18 +39,17 @@ def activation(kind: str, x: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return np.tanh(x, out=out)
 
 
-def activation_derivative(kind: str, value: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
+def activation_derivative(kind: str, value: np.ndarray) -> np.ndarray:
     """Derivative of activation ``kind``, read off its output ``value``.
 
     relu: ``value > 0``, a bool mask that multiplies like 0/1 floats and
     equals ``x > 0`` for every input x (0, -0.0 and NaN included), so the
     derivative at exactly 0 is 0 (convention).  tanh: ``1 - value * value``,
-    formed in one array, ``out`` when given.
+    formed in one temporary.
     """
     if kind == "relu":
         return value > 0.0
-    square = np.multiply(value, value, out=out)
+    square = np.multiply(value, value)
     return np.subtract(1.0, square, out=square)
 
 

@@ -26,10 +26,11 @@ row per class, on ``RunState.target_table``; each batch takes
 would hold, at C rows of memory instead of n.
 
 Every strategy trains both heads with the combined objective.  A masked
-jump or self update backpropagates only its selected rows (a gated jump
-update's forward pass caches only them), so a strategy that trains on fewer
-rows spends less time in backward; the forward pass and the selection work
-stay full-batch.  Cross, the dual-network baseline, keeps
+jump or self update backpropagates only its selected rows
+(``losses_and_grads_from_forward`` gathers them; a gated jump update's
+forward pass caches only them), so a strategy that trains on fewer rows
+spends less time in backward; the forward pass and the selection work stay
+full-batch.  Cross, the dual-network baseline, keeps
 the full-height backward of Co-teaching, whose loss over the peer's rows
 zero-fills the rest under autograd.
 """

@@ -456,6 +456,17 @@ class TestRowCache:
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert twin.grad.tobytes() == net.grad.tobytes()
 
+    def test_the_cached_rows_are_the_selection_whatever_the_mask(self):
+        net, full, labels, targets = forwarded_batch(52, 2)
+        keep = np.arange(24) % 3 != 1
+        twin = clone(net)
+        cached = twin.forward(full.acts[0], np.flatnonzero(keep))
+        want = losses_and_grads_from_forward(net, full, labels, targets, 0.5, keep)
+        for mask in (np.roll(keep, 1), None):  # as many rows but other ones; no mask
+            got = losses_and_grads_from_forward(twin, cached, labels, targets, 0.5, mask)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert twin.grad.tobytes() == net.grad.tobytes()
+
 
 class TestSgdStep:
     def test_zero_lr_is_identity(self):
