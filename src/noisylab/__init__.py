@@ -12,7 +12,7 @@ from .config import ExperimentConfig, load_config, parse_config
 from .data import NoiseConfig, NoisyDataset, gen_blobs, inject_noise, load_csv, save_csv
 from .errors import (CapacityError, ConfigError, DataIOError, NoisyLabError,
                      NumericError, ParseError)
-from .experiment import compare_strategies, run_cell, run_experiment, start_run
+from .experiment import CellRun, compare_strategies, run_cell, run_experiment, start_run
 from .metrics import evaluate, iou, selection_quality
 from .model import DualHeadNet, TrainConfig, load_checkpoint, save_checkpoint
 from .numeric import RngStream
@@ -50,7 +50,7 @@ _steady_heap()
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityError", "ConfigError", "DataIOError", "DualHeadNet",
+    "CapacityError", "CellRun", "ConfigError", "DataIOError", "DualHeadNet",
     "ExperimentConfig", "HadamardCodebook", "IdentifierTable",
     "NoiseConfig", "NoisyDataset", "NoisyLabError", "NumericError",
     "ParseError", "RngStream", "STRATEGIES", "ScheduleConfig",

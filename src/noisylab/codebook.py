@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, atomic_write
 
 MAX_CODE_BITS = 4096  # a 128 MiB Sylvester matrix; 2048 classes at the default width
 MAX_ELEMENTS = 1 << 26  # the largest net arena or dataset: 512 MiB of float64
@@ -88,7 +88,7 @@ def derive_codebook(code_bits: int, num_classes: int) -> HadamardCodebook:
 
 def save_codebook_csv(cb: HadamardCodebook, path) -> None:
     """Write the codebook as CSV: one row per class, entries +/-1."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for row in cb.codewords:
             writer.writerow(int(v) for v in row)

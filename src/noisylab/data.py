@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import MAX_CODE_BITS, MAX_ELEMENTS, next_pow2
-from .errors import CapacityError, ConfigError, DataIOError, ParseError
+from .errors import CapacityError, ConfigError, DataIOError, ParseError, atomic_write
 from .numeric import RngStream
 
 NOISE_KINDS = ("symmetric", "asymmetric", "pairflip", "instance")
@@ -228,18 +228,14 @@ def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
 
 def save_csv(ds: NoisyDataset, path) -> None:
     """Write the dataset in the documented CSV schema (repr floats, LF)."""
-    path = Path(path)
     d = ds.features.shape[1]
     header = [f"f{j}" for j in range(d)] + ["label_true", "label_noisy"]
     line = ",".join(["%r"] * d + ["%d", "%d"]) + "\n"
     rows = zip(*ds.features.T.tolist(), ds.true_labels.tolist(), ds.noisy_labels.tolist())
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            # %r gives repr(float), as csv.writer wrote it.
-            fh.writelines(map(line.__mod__, rows))
-    except OSError as exc:
-        raise DataIOError(f"cannot write dataset {path}: {exc}") from exc
+    with atomic_write(path) as fh:
+        fh.write(",".join(header) + "\n")
+        # %r gives repr(float), as csv.writer wrote it.
+        fh.writelines(map(line.__mod__, rows))
 
 
 def load_csv(path, num_classes: int | None = None, split: str = "train") -> NoisyDataset:

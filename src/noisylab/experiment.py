@@ -10,7 +10,6 @@ between strategies meaningful.
 
 import csv
 import dataclasses
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .codebook import default_code_bits, derive_codebook
 from .config import ExperimentConfig, canonical_dict, config_hash
 from .data import gen_blobs, inject_noise, load_csv
-from .errors import ConfigError, DataIOError, NumericError
+from .errors import ConfigError, DataIOError, NumericError, atomic_write
 from .metrics import (cell, emit_report, evaluate, iou, mean_or_none, peak_memory_bytes,
                       selection_quality, summarize_records)
 from .model import DualHeadNet, save_checkpoint
@@ -35,16 +34,6 @@ STREAM_NET_B = 3
 STREAM_SHUFFLE = 4
 STREAM_GATE = 5
 STREAM_IDN = 6
-
-
-@dataclass
-class CellResult:
-    """Output of one strategy x seed cell."""
-
-    records: list
-    summary: dict
-    state: RunState
-    out_dir: Path | None
 
 
 def _load_split(path, num_classes, split: str):
@@ -100,21 +89,28 @@ def start_run(cfg: ExperimentConfig, strategy: str, seed: int,
                     root.child(STREAM_SHUFFLE), root.child(STREAM_GATE)), test
 
 
-def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
-             effect_rate: float | None = None, out_dir=None) -> CellResult:
-    """Train one strategy on one seed; write its artifacts to ``out_dir`` if given."""
-    state, test = start_run(cfg, strategy, seed, effect_rate)
-    train, nets = state.data, state.nets
-    out_path = Path(out_dir) if out_dir is not None else None
-    clean = train.clean_mask
-    records = []
-    prev = None
-    for epoch in range(cfg.train.epochs):
+class CellRun:
+    """One strategy x seed cell, run an epoch at a time: the constructor
+    starts it (:func:`start_run`), :meth:`step` trains, evaluates, records
+    and dumps one epoch, and :meth:`finish` writes the summary, report and
+    checkpoint to ``out_dir`` if given.  A cell draws only from its own
+    streams, so cells stepped interleaved write what they write alone."""
+
+    def __init__(self, cfg: ExperimentConfig, strategy: str, seed: int,
+                 effect_rate: float | None = None, out_dir=None):
+        self.cfg, self.strategy, self.seed, self.effect_rate = cfg, strategy, seed, effect_rate
+        self.state, self.test = start_run(cfg, strategy, seed, effect_rate)
+        self.out_dir = Path(out_dir) if out_dir is not None else None
+        self.records, self.summary, self.prev_selected = [], None, None
+
+    def step(self):
+        state, epoch = self.state, len(self.records)
+        clean = state.data.clean_mask
         try:
             rec = run_epoch(state, epoch)
         except NumericError as exc:
-            raise NumericError(f"epoch {epoch} ({strategy}, seed {seed}): {exc}") from exc
-        acc = evaluate(nets[0], test)
+            raise NumericError(f"epoch {epoch} ({self.strategy}, seed {self.seed}): {exc}") from exc
+        acc = evaluate(state.nets[0], self.test)
         selected = state.selected[0]
         precision, recall, f1 = selection_quality(selected, clean)
         med_clean = med_noisy = None
@@ -123,33 +119,43 @@ def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
             ok = np.isfinite(var)
             med_clean, med_noisy = (float(np.median(var[ok & m])) if (ok & m).any() else None
                                     for m in (clean, ~clean))
-        records.append(dataclasses.replace(
+        self.records.append(dataclasses.replace(
             rec, test_acc=acc, sel_precision=precision, sel_recall=recall, sel_f1=f1,
-            temporal_iou=iou(selected, prev) if prev is not None else None,
+            temporal_iou=(iou(selected, self.prev_selected)
+                          if self.prev_selected is not None else None),
             cross_iou=iou(selected, state.selected[1]) if len(state.selected) > 1 else None,
             median_var_clean=med_clean, median_var_noisy=med_noisy,
             peak_mem_bytes=peak_memory_bytes()))
-        prev = selected
-        if out_path is not None and cfg.dump_selection and state.flags is not None:
-            sel_dir = out_path / "selection"
-            sel_dir.mkdir(parents=True, exist_ok=True)
-            dump_decisions_csv(sel_dir / f"epoch_{epoch:03d}.csv",
-                               np.arange(train.n_samples), state.flags, clean)
+        self.prev_selected = selected
+        if self.out_dir is not None and self.cfg.dump_selection and state.flags is not None:
+            dump_decisions_csv(self.out_dir / "selection" / f"epoch_{epoch:03d}.csv",
+                               state.flags, clean)
 
-    summary = summarize_records(records, config_hash(cfg), seed, strategy,
-                                cfg.train.warmup_epochs)
-    if effect_rate is not None:
-        summary["effect_rate"] = effect_rate
-    if out_path is not None:
-        emit_report(records, out_path, summary)
-        save_checkpoint(nets[0], out_path / "model.ckpt",
-                        epoch=cfg.train.epochs - 1, seed=seed,
-                        config=canonical_dict(cfg))
-    return CellResult(records=records, summary=summary, state=state, out_dir=out_path)
+    def finish(self) -> "CellRun":
+        cfg = self.cfg
+        self.summary = summarize_records(self.records, config_hash(cfg), self.seed,
+                                         self.strategy, cfg.train.warmup_epochs)
+        if self.effect_rate is not None:
+            self.summary["effect_rate"] = self.effect_rate
+        if self.out_dir is not None:
+            emit_report(self.records, self.out_dir, self.summary)
+            save_checkpoint(self.state.nets[0], self.out_dir / "model.ckpt",
+                            epoch=len(self.records) - 1, seed=self.seed,
+                            config=canonical_dict(cfg))
+        return self
+
+
+def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
+             effect_rate: float | None = None, out_dir=None) -> CellRun:
+    """Train one strategy on one seed; write its artifacts to ``out_dir`` if given."""
+    cell_run = CellRun(cfg, strategy, seed, effect_rate, out_dir)
+    for _ in range(cfg.train.epochs):
+        cell_run.step()
+    return cell_run.finish()
 
 
 def _run_cells(cfg: ExperimentConfig, cells, base: Path):
-    """Yield, cell by cell, the CellResults of each ``(label, strategy,
+    """Yield, cell by cell, the finished CellRuns of each ``(label, strategy,
     effect_rate)`` cell over all seeds, written under <base>/<label>-seed<seed>/."""
     for label, strategy, rate in cells:
         yield [run_cell(cfg, strategy, seed, effect_rate=rate,
@@ -198,13 +204,9 @@ def compare_strategies(cfg: ExperimentConfig, out_root=None) -> list:
         })
 
     columns = list(rows[0])  # comparison.csv columns, in row-dict order
-    try:
-        base.mkdir(parents=True, exist_ok=True)
-        with open(base / "comparison.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([cell(row[c]) for c in columns])
-    except OSError as exc:
-        raise DataIOError(f"cannot write comparison table under {base}: {exc}") from exc
+    with atomic_write(base / "comparison.csv") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([cell(row[c]) for c in columns])
     return rows

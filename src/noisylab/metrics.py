@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataIOError
+from .errors import DataIOError, atomic_write
 
 
 def iou(a, b) -> float:
@@ -83,7 +83,7 @@ def last10_mean(values: list) -> float:
 @dataclass(kw_only=True)
 class EpochRecord:
     """One epoch of one run: a ``curves.csv`` row.  ``run_epoch`` sets what
-    it measures; ``run_cell`` then fills the fields defaulting to None,
+    it measures; ``CellRun.step`` then fills the fields defaulting to None,
     which need the evaluated epoch."""
 
     epoch: int
@@ -151,21 +151,17 @@ def mean_or_none(values) -> float | None:
 def emit_report(records, out_dir, summary: dict) -> None:
     """Write epochs.jsonl, summary.json, and curves.csv under out_dir."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "epochs.jsonl", "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec.jsonl_dict(), sort_keys=True) + "\n")
-        with open(out / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(out / "curves.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CURVE_COLUMNS)
-            for rec in records:
-                writer.writerow([cell(getattr(rec, col)) for col in CURVE_COLUMNS])
-    except OSError as exc:
-        raise DataIOError(f"cannot write report under {out}: {exc}") from exc
+    with atomic_write(out / "epochs.jsonl") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec.jsonl_dict(), sort_keys=True) + "\n")
+    with atomic_write(out / "summary.json") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    with atomic_write(out / "curves.csv") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CURVE_COLUMNS)
+        for rec in records:
+            writer.writerow([cell(getattr(rec, col)) for col in CURVE_COLUMNS])
 
 
 def load_jsonl(path):

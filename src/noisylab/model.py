@@ -63,7 +63,7 @@ import numpy as np
 from numpy import matmul
 
 from .codebook import MAX_ELEMENTS
-from .errors import CapacityError, ConfigError, DataIOError, NumericError
+from .errors import CapacityError, ConfigError, DataIOError, NumericError, atomic_write
 from .numeric import RngStream, activation, activation_derivative, softmax_with_temperature
 
 # Detection outputs are kept inside [Z_CLAMP, 1 - Z_CLAMP]; this doubles as
@@ -449,21 +449,17 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float, lr_min: float) -> float
 def save_checkpoint(net: DualHeadNet, path, epoch: int = 0, seed=None,
                     config: dict | None = None) -> None:
     """Write the binary checkpoint and its JSON metadata sidecar."""
-    path = Path(path)
     arrays = net.parameters()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(arrays)))
-            for arr in arrays:
-                fh.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
-            fh.write(net.flat.astype("<f8", copy=False).tobytes())  # the arena is the payload
-        meta = {"format": 1, "epoch": int(epoch), "seed": seed,
-                "config": config or {}, "layout": net.layout()}
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-    except OSError as exc:
-        raise DataIOError(f"cannot write checkpoint {path}: {exc}") from exc
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(arrays)))
+        for arr in arrays:
+            fh.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+        fh.write(net.flat.astype("<f8", copy=False).tobytes())  # the arena is the payload
+    meta = {"format": 1, "epoch": int(epoch), "seed": seed,
+            "config": config or {}, "layout": net.layout()}
+    with atomic_write(str(path) + ".json") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
 
 
 def load_checkpoint(path):

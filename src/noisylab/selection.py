@@ -13,11 +13,10 @@ The small-loss ranking used by the baseline strategies also lives here.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataIOError, NumericError
+from .errors import ConfigError, NumericError, atomic_write
 from .model import bce_log_likelihood
 
 
@@ -99,28 +98,18 @@ def auto_keep_ratio(epsilon: float) -> float:
     return float(min(1.0, max(0.05, 1.0 - epsilon)))
 
 
-def dump_decisions_csv(path, sample_indices, flags: BatchFlags,
-                       clean_mask=None) -> None:
-    """Append-style per-epoch dump of every selection decision.
+def dump_decisions_csv(path, flags: BatchFlags, clean_mask) -> None:
+    """Per-epoch dump of every selection decision, one row per sample in
+    index order.
 
     Columns: sample_index, variance, bce_loss, det_flag, cls_flag,
-    combined_flag, is_truly_clean.  The last column is blank when no ground
-    truth is available.
+    combined_flag, is_truly_clean.
     """
-    path = Path(path)
-    idx = np.asarray(sample_indices).astype(np.int64).tolist()
-    truly = ([""] * len(idx) if clean_mask is None
-             else ["1" if c else "0" for c in np.asarray(clean_mask, dtype=bool).tolist()])
-    rows = zip(idx, np.asarray(flags.variance, dtype=np.float64).tolist(),
-               np.asarray(flags.bce, dtype=np.float64).tolist(),
-               np.asarray(flags.detection, dtype=bool).tolist(),
-               np.asarray(flags.classifier, dtype=bool).tolist(),
-               np.asarray(flags.combined, dtype=bool).tolist(), truly)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("sample_index,variance,bce_loss,det_flag,cls_flag,"
-                     "combined_flag,is_truly_clean\n")
-            # %r gives repr(float), as csv.writer would write it; %d gives 0/1.
-            fh.writelines(map("%d,%r,%r,%d,%d,%d,%s\n".__mod__, rows))
-    except OSError as exc:
-        raise DataIOError(f"cannot write selection dump {path}: {exc}") from exc
+    rows = zip(range(clean_mask.size), flags.variance.tolist(), flags.bce.tolist(),
+               flags.detection.tolist(), flags.classifier.tolist(), flags.combined.tolist(),
+               clean_mask.tolist())
+    with atomic_write(path) as fh:
+        fh.write("sample_index,variance,bce_loss,det_flag,cls_flag,"
+                 "combined_flag,is_truly_clean\n")
+        # %r gives repr(float), as csv.writer would write it; %d gives 0/1.
+        fh.writelines(map("%d,%r,%r,%d,%d,%d,%d\n".__mod__, rows))

@@ -150,19 +150,18 @@ def batch_variance_and_bce(z, targets):
     return ((per_bit - mean[:, None]) ** 2).mean(axis=1), mean
 
 
-def dump_decisions_rows(path, sample_indices, flags, clean_mask=None) -> None:
+def dump_decisions_rows(path, flags, clean_mask) -> None:
     """Selection dump written row by row through ``csv.writer``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_index", "variance", "bce_loss", "det_flag",
                          "cls_flag", "combined_flag", "is_truly_clean"])
-        for row, i in enumerate(sample_indices):
-            truly = "" if clean_mask is None else int(bool(clean_mask[row]))
-            writer.writerow([int(i), repr(float(flags.variance[row])),
+        for row in range(len(clean_mask)):
+            writer.writerow([row, repr(float(flags.variance[row])),
                              repr(float(flags.bce[row])),
                              int(bool(flags.detection[row])),
                              int(bool(flags.classifier[row])),
-                             int(bool(flags.combined[row])), truly])
+                             int(bool(flags.combined[row])), int(bool(clean_mask[row]))])
 
 
 def decompose_bce(z: np.ndarray, targets: np.ndarray) -> np.ndarray:

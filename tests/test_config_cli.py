@@ -711,6 +711,41 @@ class TestCliReport:
         assert len(lines) == 1 and lines[0].startswith("error[io]:"), lines
 
 
+# Runs the CLI under a 4 KiB file-size limit, so the first write past it
+# fails with EFBIG partway through a file, as a full disk would.
+FSIZE_LIMITED_CLI = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+from noisylab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestAtomicArtifacts:
+    """An artifact is whole or absent: a write that fails partway leaves
+    neither the target nor a temp file, and exits 4 with one line."""
+
+    @pytest.mark.parametrize("argv,target", [
+        (["gen-data", "--classes", "4", "--dim", "8", "--per-class", "60",
+          "--train-out", "{}/train.csv", "--test-out", "{}/test.csv"], "train.csv"),
+        (["codebook", "--classes", "40", "--out", "{}/codebook.csv"], "codebook.csv"),
+        (["train", "--config", "{}/cfg.json", "--dump-selection"], "epoch_000.csv"),
+    ], ids=["gen-data", "codebook", "train"])
+    def test_write_failing_partway_leaves_no_file(self, tmp_path, argv, target):
+        write_json(tmp_path / "cfg.json", tiny_train_payload(
+            tmp_path / "out", dataset={"classes": 4, "dim": 8, "per_class": 60}))
+        env = dict(os.environ, PYTHONPATH=str(Path(noisylab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", FSIZE_LIMITED_CLI,
+                               *(a.replace("{}", str(tmp_path)) for a in argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 4 and len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error[io]:") and target in lines[0]
+        assert not list(tmp_path.rglob(target))
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
 # Each family of package errors, with its exit code and error tag.
 FAMILIES = {ConfigError: (2, "config"), NumericError: (3, "numeric"), DataIOError: (4, "io")}
 PACKAGE_ERRORS = [c for c in vars(errors).values() if isinstance(c, type)

@@ -215,7 +215,7 @@ def test_dump_decisions_csv_round_trip(tmp_path):
     flags.combined = flags.detection | flags.classifier
     clean = rng.uniform(size=n) < 0.6
     path = tmp_path / "decisions.csv"
-    dump_decisions_csv(path, np.arange(n), flags, clean)
+    dump_decisions_csv(path, flags, clean)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["sample_index", "variance", "bce_loss", "det_flag",
@@ -231,8 +231,7 @@ def test_dump_decisions_csv_round_trip(tmp_path):
         assert int(row[6]) == int(clean[i])
 
 
-@pytest.mark.parametrize("with_truth", [True, False])
-def test_dump_decisions_csv_bytes_match_row_writer(tmp_path, with_truth):
+def test_dump_decisions_csv_bytes_match_row_writer(tmp_path):
     rng = np.random.default_rng(8)
     n = 40
     flags = BatchFlags(detection=rng.uniform(size=n) < 0.5,
@@ -242,9 +241,8 @@ def test_dump_decisions_csv_bytes_match_row_writer(tmp_path, with_truth):
                        bce=rng.uniform(size=n))
     flags.combined = flags.detection | flags.classifier
     flags.variance[:3] = [np.nan, -0.0, 1e-300]
-    clean = rng.uniform(size=n) < 0.6 if with_truth else None
-    idx = rng.permutation(n)
+    clean = rng.uniform(size=n) < 0.6
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    dump_decisions_csv(got, idx, flags, clean)
-    dump_decisions_rows(want, idx, flags, clean)
+    dump_decisions_csv(got, flags, clean)
+    dump_decisions_rows(want, flags, clean)
     assert got.read_bytes() == want.read_bytes()
