@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_origin
 
-from .data import NoiseConfig
+from .data import NoiseConfig, check_blob_geometry
 from .errors import ConfigError, DataIOError
 from .model import TrainConfig
-from .schedule import STRATEGIES, ScheduleConfig
+from .schedule import STRATEGY_ROWS, ScheduleConfig
 from .selection import SelectionConfig, auto_keep_ratio
 
 CONFIG_VERSION = 1
@@ -51,14 +51,8 @@ class DatasetConfig:
         if self.kind not in ("blobs", "csv"):
             raise ConfigError(f"dataset.kind must be 'blobs' or 'csv', got {self.kind!r}")
         if self.kind == "blobs":
-            if self.classes is None or self.classes < 2:
-                raise ConfigError(f"dataset.classes must be >= 2, got {self.classes}")
-            if self.dim < 2:
-                raise ConfigError(f"dataset.dim must be >= 2, got {self.dim}")
-            if self.per_class < 3:  # fewer leaves a class without a test row
-                raise ConfigError(f"dataset.per_class must be >= 3, got {self.per_class}")
-            if self.spread <= 0:
-                raise ConfigError(f"dataset.spread must be positive, got {self.spread}")
+            check_blob_geometry(self.classes, self.dim, self.per_class, self.spread,
+                                self.center_scale)
         elif not self.train_path or not self.test_path:
             raise ConfigError("dataset.kind 'csv' requires train_path and test_path")
 
@@ -83,7 +77,7 @@ class ExperimentConfig:
         for s in self.seeds:
             _expect(s >= 0, f"seeds entry {s!r} must be a non-negative integer")
         for s in self.strategies or ():
-            _expect(s in STRATEGIES, f"strategies entry {s!r} not in {STRATEGIES}")
+            _expect(s in STRATEGY_ROWS, f"strategies entry {s!r} not in {tuple(STRATEGY_ROWS)}")
         for r in self.effect_rates or ():
             _expect(0.0 < r <= 1.0, f"effect_rates entry {r!r} must lie in (0, 1]")
         for name in ("seeds", "strategies", "effect_rates"):  # a repeat reruns a cell
@@ -91,8 +85,8 @@ class ExperimentConfig:
             _expect(not repeated, f"{name} lists {repeated[:1]} more than once")
         if self.effect_rates:  # a sweep runs schedule.strategy at each rate
             _expect(self.strategies is None, "set strategies or effect_rates, not both")
-            _expect(self.schedule.strategy != "standard",
-                    "effect_rates needs a selecting schedule.strategy (standard draws no gate)")
+            _expect(STRATEGY_ROWS[self.schedule.strategy].selector is not None,
+                    "effect_rates needs a selecting schedule.strategy (no selector draws no gate)")
         _expect(self.out_dir, "out_dir must be a non-empty string")
         if self.selection.small_loss_keep_ratio is None:
             self.selection = dataclasses.replace(

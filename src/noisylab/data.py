@@ -120,21 +120,25 @@ def class_centers(classes: int, dim: int, scale: float = 1.0) -> np.ndarray:
     return scale * (1.0 - 2.0 * parity)
 
 
+def check_blob_geometry(classes: int | None, dim: int, per_class: int, spread: float,
+                        center_scale: float) -> None:
+    """Refuse blobs that :func:`gen_blobs` cannot draw as documented."""
+    for name, value, ok, need in (
+            ("classes", classes, classes is not None and classes >= 2, ">= 2"),
+            ("dim", dim, dim >= 2, ">= 2"),
+            ("per_class", per_class, per_class >= 3, ">= 3 (one test row per class)"),
+            ("spread", spread, math.isfinite(spread) and spread > 0.0, "finite and positive"),
+            ("center_scale", center_scale, math.isfinite(center_scale), "finite")):
+        if not ok:
+            raise ConfigError(f"blob {name} must be {need}, got {value}")
+
+
 def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
               rng: RngStream, center_scale: float = 1.0):
     """Gaussian clusters around the class centers; returns (train, test)
     with a stratified 80/20 split (round(0.2 * n) >= 1 test rows per class)."""
-    if classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {classes}")
+    check_blob_geometry(classes, dim, n_per_class, spread, center_scale)
     check_class_count(classes)
-    if dim < 2:
-        raise ConfigError(f"need at least 2 feature dims, got {dim}")
-    if n_per_class < 3:
-        raise ConfigError(f"n_per_class must be >= 3 (one test row per class), got {n_per_class}")
-    if not (math.isfinite(spread) and spread > 0.0):
-        raise ConfigError(f"spread must be a finite positive number, got {spread}")
-    if not math.isfinite(center_scale):
-        raise ConfigError(f"center_scale must be a finite number, got {center_scale}")
     if classes * n_per_class * dim > MAX_ELEMENTS:
         raise CapacityError(f"classes x n_per_class x dim = {classes}x{n_per_class}x{dim} "
                             f"exceeds the {MAX_ELEMENTS}-element limit")
@@ -240,6 +244,8 @@ def save_csv(ds: NoisyDataset, path) -> None:
 
 def load_csv(path, num_classes: int | None = None, split: str = "train") -> NoisyDataset:
     """Read a dataset CSV; num_classes defaults to 1 + max label seen."""
+    if num_classes is not None and num_classes < 1:
+        raise ConfigError(f"a CSV dataset needs classes >= 1, got {num_classes}")
     path = Path(path)
     try:
         with open(path, newline="") as fh:

@@ -22,7 +22,7 @@ from .metrics import (cell, emit_report, evaluate, iou, mean_or_none, peak_memor
                       selection_quality, summarize_records)
 from .model import DualHeadNet, save_checkpoint
 from .numeric import RngStream
-from .schedule import STRATEGIES, RunState, run_epoch
+from .schedule import STRATEGIES, STRATEGY_ROWS, RunState, ScheduleConfig, run_epoch
 from .selection import dump_decisions_csv
 
 # Child-stream keys of the per-run root stream.  Fixed so that adding a
@@ -78,13 +78,13 @@ def start_run(cfg: ExperimentConfig, strategy: str, seed: int,
     n_classes = train.num_classes
     code_bits = cfg.train.code_bits or default_code_bits(n_classes)
     target_table = derive_codebook(code_bits, n_classes).targets
-    net_keys = (STREAM_NET_A, STREAM_NET_B) if strategy == "cross_update" else (STREAM_NET_A,)
-    nets = [DualHeadNet.create(train.features.shape[1], n_classes, code_bits,
-                               cfg.train.hidden_width, cfg.train.hidden_layers,
-                               cfg.train.temperature, root.child(key)) for key in net_keys]
     sched = dataclasses.replace(cfg.schedule, strategy=strategy,
                                 effect_rate=cfg.schedule.effect_rate
                                 if effect_rate is None else effect_rate)
+    net_keys = (STREAM_NET_A, STREAM_NET_B)[:STRATEGY_ROWS[strategy].nets]
+    nets = [DualHeadNet.create(train.features.shape[1], n_classes, code_bits,
+                               cfg.train.hidden_width, cfg.train.hidden_layers,
+                               cfg.train.temperature, root.child(key)) for key in net_keys]
     return RunState(train, target_table, nets, cfg.train, cfg.selection, sched,
                     root.child(STREAM_SHUFFLE), root.child(STREAM_GATE)), test
 
@@ -156,10 +156,17 @@ def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
 
 def _run_cells(cfg: ExperimentConfig, cells, base: Path):
     """Yield, cell by cell, the finished CellRuns of each ``(label, strategy,
-    effect_rate)`` cell over all seeds, written under <base>/<label>-seed<seed>/."""
-    for label, strategy, rate in cells:
-        yield [run_cell(cfg, strategy, seed, effect_rate=rate,
-                        out_dir=base / f"{label}-seed{seed}") for seed in cfg.seeds]
+    effect_rate)`` cell over all seeds, written under <base>/<label>-seed<seed>/;
+    first refuses a schedule field that no cell reads, which would move only the hash."""
+    rows = [(STRATEGY_ROWS[strategy], rate) for _, strategy, rate in cells]
+    if cfg.schedule.effect_rate != ScheduleConfig.effect_rate and all(
+            row.selector is None or rate is not None for row, rate in rows):
+        raise ConfigError("no cell reads schedule.effect_rate: none selects at that rate")
+    if cfg.schedule.jump_step is not None and not any(row.lagged for row, _ in rows):
+        raise ConfigError("no cell reads schedule.jump_step: none is lagged, so none commits")
+    return ([run_cell(cfg, strategy, seed, effect_rate=rate,
+                      out_dir=base / f"{label}-seed{seed}") for seed in cfg.seeds]
+            for label, strategy, rate in cells)
 
 
 def run_experiment(cfg: ExperimentConfig, out_root=None) -> list:

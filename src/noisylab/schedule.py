@@ -1,11 +1,7 @@
-"""Training-loop strategies: plain SGD, small-loss self/cross updates, and
-the double-buffered jump-update schedule, all run by one epoch loop,
-:func:`run_epoch`, which returns the epoch's ``metrics.EpochRecord``.  The
-strategies differ only in where a net's mask comes from and when it takes
-effect: standard has none, self uses its own small-loss pick, cross the
-peer net's pick, jump the active buffer below.
+"""Training strategies, each one row of :data:`STRATEGY_ROWS`, all run by
+one epoch loop, :func:`run_epoch`.
 
-The jump schedule keeps two boolean buffers over the whole training set.
+A lagged strategy keeps two boolean buffers over the whole training set.
 Each iteration (1) writes freshly produced clean flags for its batch into
 the pending buffer, (2) trains only on rows whose *active* flag is set,
 and (3) every ``jump_step`` iterations copies pending over active.  A mask
@@ -13,26 +9,14 @@ therefore takes effect at least one full commit window after it was
 produced: the network state that produced it is an ancestor, in update
 steps, of the state that consumes it, never a peer from the same window.
 
-The selecting strategies share an effect-rate gate r in (0, 1]: one
-Bernoulli draw per post-warm-up iteration decides whether the mask is
-applied or the update falls back to the full batch (one draw covers both
-cross nets).  Lower r throttles how often selection errors feed back into
-training.  r = 1 always applies the mask.  Warm-up and standard training
-draw nothing from the gate stream.
+A strategy that selects draws an effect-rate gate r in (0, 1]: one
+Bernoulli draw per post-warm-up iteration (for both nets) decides whether
+the mask is applied or the update falls back to the full batch.  Lower r
+throttles how often selection errors feed back into training.
 
-A run keeps its codeword bit targets as the codebook's (C, K) table, one
-row per class, on ``RunState.target_table``; each batch takes
-``target_table[labels]``, the same float64 rows a per-sample (n, K) array
-would hold, at C rows of memory instead of n.
-
-Every strategy trains both heads with the combined objective.  A masked
-jump or self update backpropagates only its selected rows
-(``losses_and_grads_from_forward`` gathers them; a gated jump update's
-forward pass caches only them), so a strategy that trains on fewer rows
-spends less time in backward; the forward pass and the selection work stay
-full-batch.  Cross, the dual-network baseline, keeps
-the full-height backward of Co-teaching, whose loss over the peer's rows
-zero-fills the rest under autograd.
+A run keeps its codeword bit targets once per class (``RunState.target_table``,
+C x K); each batch takes ``target_table[labels]``, the same float64 rows a
+per-sample (n, K) array would hold, at C rows of memory instead of n.
 """
 
 import math
@@ -50,8 +34,23 @@ from .model import (DualHeadNet, TrainConfig, cosine_lr,
 from .numeric import RngStream
 from .selection import BatchFlags, SelectionConfig, batch_flags, small_loss_select
 
-STRATEGIES = ("standard", "self_update", "cross_update", "jump_update")
-SMALL_LOSS = ("self_update", "cross_update")  # the strategies that rank by loss
+
+@dataclass(frozen=True)
+class StrategyRow:
+    """What a strategy does; every per-strategy decision reads its row."""
+
+    nets: int  # 2: each trains on its peer's pick, at Co-teaching's full-height backward
+    selector: str | None  # None (no gate draw), "small_loss" (a pick per net) or "variance"
+    lagged: bool  # the picks take effect through the IdentifierTable
+
+
+STRATEGY_ROWS = {
+    "standard": StrategyRow(nets=1, selector=None, lagged=False),
+    "self_update": StrategyRow(nets=1, selector="small_loss", lagged=False),
+    "cross_update": StrategyRow(nets=2, selector="small_loss", lagged=False),
+    "jump_update": StrategyRow(nets=1, selector="variance", lagged=True),
+}
+STRATEGIES = tuple(STRATEGY_ROWS)
 
 
 @dataclass
@@ -61,7 +60,7 @@ class ScheduleConfig:
     jump_step: int | None = None  # None resolves to iterations-per-epoch
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in STRATEGY_ROWS:
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if not (0.0 < self.effect_rate <= 1.0):
             raise ConfigError(f"effect_rate must lie in (0, 1], got {self.effect_rate}")
@@ -106,32 +105,33 @@ class RunState:
 
     data: NoisyDataset
     target_table: np.ndarray  # (C, K) codeword bit targets, one row per class
-    nets: list  # two for cross_update, else one
+    nets: list  # row.nets of them
     train_cfg: TrainConfig
     sel_cfg: SelectionConfig
     sched_cfg: ScheduleConfig
     shuffle_rng: RngStream
     gate_rng: RngStream
+    row: StrategyRow = field(init=False)
     velocities: list = field(init=False)  # one SGD velocity arena per net
     iters_per_epoch: int = field(init=False)
     jump_step: int = field(init=False)
     table: IdentifierTable | None = field(init=False)
     selected: list = field(default_factory=list)  # last epoch's flags, one array per net
-    flags: BatchFlags | None = None  # jump: last epoch's BatchFlags; combined is selected[0]
+    flags: BatchFlags | None = None  # variance: last epoch's BatchFlags; combined is selected[0]
     global_iter: int = 0
     post_iter: int = 0
 
     def __post_init__(self):
         n, cfg, sched = self.data.n_samples, self.train_cfg, self.sched_cfg
+        self.row = STRATEGY_ROWS[sched.strategy]
         self.velocities = [np.zeros_like(net.flat) for net in self.nets]
         self.iters_per_epoch = math.ceil(n / cfg.batch_size)
         self.jump_step = sched.jump_step or max(2, self.iters_per_epoch)
-        jump = sched.strategy == "jump_update"
         total_train_iters = (cfg.epochs - cfg.warmup_epochs) * self.iters_per_epoch
-        if jump and not 2 <= self.jump_step <= total_train_iters:
+        if self.row.lagged and not 2 <= self.jump_step <= total_train_iters:
             raise ConfigError(
                 f"jump_step {self.jump_step} outside [2, {total_train_iters}] for this run length")
-        self.table = IdentifierTable(n) if jump else None
+        self.table = IdentifierTable(n) if self.row.lagged else None
 
 
 def _batches(state: RunState):
@@ -160,11 +160,9 @@ def _update(state: RunState, which: int, res, labels, targets, mask, lr: float):
                            + ("; step refused" if count else ""))
     if count == 0:
         return None
-    # cross_update is the dual-network baseline (Co-teaching), whose loss over
-    # the peer's rows backpropagates at full height; the others gather.
     ce, bce = losses_and_grads_from_forward(
         net, res, labels, targets, state.train_cfg.bce_weight, mask,
-        gather=state.sched_cfg.strategy != "cross_update")
+        gather=state.row.nets == 1)  # criterion 9's cross floor measures the full height
     try:
         sgd_step(net.flat, net.grad, state.velocities[which], lr,
                  state.train_cfg.momentum, state.train_cfg.weight_decay)
@@ -189,64 +187,58 @@ def _gate(state: RunState) -> bool:
 
 
 def _train_batch(state: RunState, idx, lr: float, warm: bool):
-    """One iteration on the batch rows ``idx``; returns each net's
-    :func:`_update` result, whether the gate was on, and the jump mask's lag
-    (sum, count).  What it makes of batch size dies before the next batch."""
-    strategy, table = state.sched_cfg.strategy, state.table
+    """One iteration on the batch rows ``idx``: select, then write the picks
+    to the table (lagged) or train on them.  Returns each net's :func:`_update`
+    result, whether the gate was on and the lagged mask's lag (sum, count);
+    what it makes of batch size dies before the next batch."""
+    row, table = state.row, state.table
     x = state.data.features[idx]
     labels = state.data.noisy_labels[idx]
     targets = state.target_table[labels]
     # Neither the gate nor the active buffer depends on this batch's forward
-    # pass, so a gated jump update forwards with its rows and caches only them.
-    gated = not warm and strategy != "standard" and _gate(state)
-    masks, rows, lag = [None] * len(state.nets), None, (0, 0)
-    if gated and table is not None:
+    # pass, so a gated lagged update forwards with its rows and caches only them.
+    gated = not warm and row.selector is not None and _gate(state)
+    masks, cached, lag = [None] * row.nets, None, (0, 0)
+    if gated and row.lagged:
         masks = [table.active[idx]]  # fancy indexing copies
         prod_at = table.active_produced_at[idx]
         known = prod_at[prod_at >= 0]
         lag = known.size * state.global_iter - int(known.sum()), known.size
         sel = np.flatnonzero(masks[0])
-        rows = sel if sel.size < idx.size else None  # a full mask keeps the full cache
-    results = [net.forward(x, rows) for net in state.nets]
-    if table is not None:
+        cached = sel if sel.size < idx.size else None  # a full mask keeps the full cache
+    results = [net.forward(x, cached) for net in state.nets]
+    if row.selector == "variance":
         flags = batch_flags(results[0].z, targets, results[0].probs, labels, state.sel_cfg)
-        table.write(idx, flags.combined, state.global_iter)
-        for name, values in vars(flags).items():
+        for name, values in vars(flags).items():  # combined lands in state.selected[0]
             getattr(state.flags, name)[idx] = values
-    elif strategy in SMALL_LOSS:
+        picks = [flags.combined]
+    elif row.selector == "small_loss":
         picks = [small_loss_select(per_sample_cross_entropy(res.probs, labels),
-                                   state.sel_cfg.small_loss_keep_ratio)
-                 for res in results]
+                                   state.sel_cfg.small_loss_keep_ratio) for res in results]
         for buf, pick in zip(state.selected, picks):
             buf[idx] = pick
-        masks = picks[::-1] if gated else masks  # self: its own pick; cross: the peer's
+    if row.lagged:
+        table.write(idx, picks[0], state.global_iter)
+    elif gated:
+        masks = picks[::-1]  # one net: its own pick; two: the peer's
     return [_update(state, which, res, labels, targets, mask, lr)
             for which, (res, mask) in enumerate(zip(results, masks))], gated, lag
 
 
 def run_epoch(state: RunState, epoch: int) -> EpochRecord:
-    """One epoch of any strategy, warm-up included.
-
-    Each batch is forwarded once through every net.  The strategy then
-    produces its flags: jump writes ``batch_flags`` into the pending
-    buffer, self and cross take a small-loss pick per net, standard flags
-    every row.  After warm-up, every strategy but standard draws the gate;
-    when it is on, self trains on its own pick, cross on the peer's and
-    jump on the active buffer, otherwise each net trains on the full batch.
-    Jump commits pending over active whenever the post-warm-up iteration
-    count reaches a multiple of ``jump_step``.  Warm-up draws no gate and
-    never commits, and its ``trained_samples`` counts net A's rows only.
-    The epoch's flags are left on ``state.selected`` and ``state.flags``.
-    """
+    """One epoch of any strategy, warm-up included.  A selector picks rows in
+    warm-up too, so a lagged table is full when warm-up ends; warm-up draws
+    no gate, never commits, and its ``trained_samples`` counts net A's rows
+    only.  The epoch's flags are left on ``state.selected`` and ``state.flags``."""
     t0 = time.perf_counter()
     cfg = state.train_cfg
     lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.lr_min)
     n = state.data.n_samples
     warm = epoch < cfg.warmup_epochs
-    table = state.table
+    row, table = state.row, state.table
     # Fresh buffers every epoch; the batches cover every sample once.
     state.selected = [np.ones(n, dtype=bool) for _ in state.nets]
-    if table is not None:
+    if row.selector == "variance":
         state.flags = BatchFlags(
             detection=np.zeros(n, dtype=bool), classifier=np.zeros(n, dtype=bool),
             combined=state.selected[0], variance=np.full(n, np.nan), bce=np.full(n, np.nan))
@@ -268,7 +260,7 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
         lag_sum, lag_count = lag_sum + lag, lag_count + known
         if not warm:
             state.post_iter += 1
-            if table is not None and state.post_iter % state.jump_step == 0:
+            if row.lagged and state.post_iter % state.jump_step == 0:
                 table.commit()
         state.global_iter += 1
     wall = (time.perf_counter() - t0) * 1000.0
@@ -276,7 +268,7 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
                        phase="warmup" if warm else "train", lr=lr,
                        selected_count=int(state.selected[0].sum()),
                        trained_samples=trained, skipped_batches=skipped,
-                       gate_on=gate_on, commit_count=table.commit_count if table else 0,
+                       gate_on=gate_on, commit_count=table.commit_count if row.lagged else 0,
                        mean_lag=lag_sum / lag_count if lag_count else None,
                        ce_loss=ce_sum / max(updates, 1),
                        bce_loss=bce_sum / max(updates, 1), epoch_wall_ms=wall)

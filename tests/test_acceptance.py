@@ -1,5 +1,6 @@
-"""Acceptance battery: ten end-to-end checks, one test per criterion, and
-a check that criterion 9's interleaved cells write what they write alone.
+"""Acceptance battery: ten end-to-end checks, one test per criterion, a
+check that criterion 9's interleaved cells write what they write alone,
+and one that a strategy's row, not its name, decides what a cell writes.
 
 Each test prints a single "[criterion NN] PASS|FAIL ..." line with the
 measured quantities before asserting, so a red run documents how far off
@@ -351,14 +352,16 @@ def timeless_artifacts(d) -> dict:
     return files
 
 
+# A tiny config whose effect rate below 1 makes every gate draw matter.
+GATED_TINY = {"dataset": {"classes": 4, "dim": 8, "per_class": 60},
+              "train": {"epochs": 8, "warmup_epochs": 2, "hidden_width": 16, "batch_size": 32},
+              "schedule": {"effect_rate": 0.5}, "dump_selection": True}
+
+
 def test_stepped_cells_write_what_cells_run_alone_write(tmp_path):
     """eps05_battery steps one seed's cells interleaved; each cell draws
-    only from its own streams, so that must not change what it writes.
-    An effect rate below 1 makes every gate draw matter."""
-    cfg = parse_config({"dataset": {"classes": 4, "dim": 8, "per_class": 60},
-                        "train": {"epochs": 8, "warmup_epochs": 2, "hidden_width": 16,
-                                  "batch_size": 32},
-                        "schedule": {"effect_rate": 0.5}, "dump_selection": True})
+    only from its own streams, so that must not change what it writes."""
+    cfg = parse_config(GATED_TINY)
     strategies = ("jump_update", "cross_update")
     alone = [run_cell(cfg, s, 3, out_dir=tmp_path / "alone" / s) for s in strategies]
     stepped = [CellRun(cfg, s, 3, out_dir=tmp_path / "stepped" / s) for s in strategies]
@@ -368,6 +371,30 @@ def test_stepped_cells_write_what_cells_run_alone_write(tmp_path):
     for a, c in zip(alone, stepped):
         c.finish()
         assert timeless_artifacts(c.out_dir) == timeless_artifacts(a.out_dir), c.strategy
+
+
+def test_a_strategy_is_its_row(tmp_path, monkeypatch):
+    """Every per-strategy decision reads the strategy's row, never its name:
+    a row registered under a second name writes what it writes under the
+    first, but for the name."""
+    cfg = parse_config(GATED_TINY)
+
+    def without_name(files):
+        for rec in files["epochs.jsonl"]:
+            rec.pop("strategy")
+        files["summary.json"].pop("strategy")
+        column = files["curves.csv"][0].index("strategy")
+        files["curves.csv"] = [row[:column] + row[column + 1:] for row in files["curves.csv"]]
+        return files
+
+    for name in ("jump_update", "cross_update"):
+        copy = f"{name}_copy"
+        monkeypatch.setitem(schedule.STRATEGY_ROWS, copy, schedule.STRATEGY_ROWS[name])
+        original, copied = (run_cell(cfg, s, 3, out_dir=tmp_path / s) for s in (name, copy))
+        assert copied.summary["strategy"] == copy
+        assert len(copied.state.nets) == len(original.state.nets)
+        assert (without_name(timeless_artifacts(copied.out_dir))
+                == without_name(timeless_artifacts(original.out_dir))), name
 
 
 def test_criterion_10_double_run_determinism(tmp_path):

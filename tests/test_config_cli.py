@@ -26,7 +26,8 @@ def write_json(path, payload):
 
 
 # Values of the wrong type, each with the field path its error names; the
-# last is well typed but out of range (2 per class leaves no test rows).
+# last two are well typed but out of range for blobs (null classes, and 2
+# per class, which leaves no test rows).
 WRONG_TYPES = [
     ({"train": {"epochs": 3.0}}, "train.epochs"),
     ({"train": {"batch_size": 64.5}}, "train.batch_size"),
@@ -38,7 +39,8 @@ WRONG_TYPES = [
     ({"dataset": {"spread": float("inf")}}, "dataset.spread"),
     ({"noise": {"epsilon": "0.3"}}, "noise.epsilon"),
     ({"dataset": {"dim": None}}, "dataset.dim"),
-    ({"dataset": {"per_class": 2}}, "dataset.per_class"),
+    ({"dataset": {"classes": None}}, "blob classes"),
+    ({"dataset": {"per_class": 2}}, "blob per_class"),
 ]
 
 
@@ -360,6 +362,15 @@ class TestCliDataPipeline:
         assert "100000001 classes exceed the 4096-class limit" in only_error(capsys, "config")
         assert not noisy.exists()
 
+    @pytest.mark.parametrize("classes", ["0", "-2"])
+    def test_inject_class_count_below_one_exits_2(self, tmp_path, capsys, classes):
+        noisy = tmp_path / "n.csv"
+        rc = main(["inject", "--input", write_csv(tmp_path / "in.csv", TWO_CLASS_ROWS),
+                   "--out", str(noisy), "--epsilon", "0.3", "--classes", classes])
+        assert rc == 2
+        assert f"needs classes >= 1, got {classes}" in only_error(capsys, "config")
+        assert not noisy.exists()
+
     @pytest.mark.parametrize("case", UNREADABLE_CSVS)
     def test_inject_unreadable_csv_exits_4(self, tmp_path, capsys, case):
         data, detail = UNREADABLE_CSVS[case]
@@ -490,6 +501,27 @@ class TestCliTrain:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
         assert "seeds entry -1" in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("classes", [0, -2])
+    def test_csv_class_count_below_one_exits_2(self, tmp_path, capsys, classes):
+        payload = csv_train_payload(tmp_path, TWO_CLASS_ROWS, TWO_CLASS_ROWS)
+        payload["dataset"]["classes"] = classes
+        assert main(["train", "--config", write_json(tmp_path / "cfg.json", payload)]) == 2
+        assert f"needs classes >= 1, got {classes}" in only_error(capsys, "config")
+        assert not (tmp_path / "out").exists()
+
+    # A schedule field the strategy does not read would change only the
+    # config hash, and with it the run directory.
+    @pytest.mark.parametrize("schedule", [{"strategy": "standard", "effect_rate": 0.5},
+                                          {"strategy": "self_update", "jump_step": 3}],
+                             ids=["effect-rate-on-standard", "jump-step-on-self-update"])
+    def test_schedule_field_no_cell_reads_exits_2(self, tmp_path, capsys, schedule):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(tmp_path / "out",
+                                                                   schedule=schedule))
+        assert main(["train", "--config", cfg]) == 2
+        field = [k for k in schedule if k != "strategy"][0]
+        assert f"no cell reads schedule.{field}" in only_error(capsys, "config")
         assert not (tmp_path / "out").exists()
 
     def test_single_class_csv_with_default_noise_exits_2(self, tmp_path, capsys):
@@ -655,6 +687,25 @@ class TestCliCompare:
         assert main(["compare", "--config", cfg]) == 2
         assert only_error(capsys, "config").startswith(f"error[config]: {field} lists")
         assert not (tmp_path / "out").exists()
+
+    # Each sweep cell draws at its own rate, and only a lagged strategy
+    # commits: each config sets a schedule field that no cell reads.
+    @pytest.mark.parametrize("extra,field", [
+        ({"schedule": {"strategy": "self_update", "effect_rate": 0.5},
+          "effect_rates": [0.3, 1.0]}, "effect_rate"),
+        ({"strategies": ["standard", "self_update"], "schedule": {"jump_step": 4}}, "jump_step"),
+    ], ids=["effect-rate-under-a-sweep", "jump-step-without-a-lagged-cell"])
+    def test_schedule_field_no_cell_reads_exits_2(self, tmp_path, capsys, extra, field):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(tmp_path / "out", **extra))
+        assert main(["compare", "--config", cfg]) == 2
+        assert f"no cell reads schedule.{field}" in only_error(capsys, "config")
+        assert not (tmp_path / "out").exists()
+
+    def test_schedule_fields_one_cell_reads_are_accepted(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(
+            tmp_path / "out", strategies=["standard", "jump_update"],
+            schedule={"effect_rate": 0.5, "jump_step": 4}))
+        assert main(["compare", "--config", cfg]) == 0
 
     def test_single_strategy_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(

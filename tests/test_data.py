@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from noisylab.codebook import build_sylvester, next_pow2
+from noisylab.config import parse_config
 from noisylab.data import (NoiseConfig, NoisyDataset, class_centers, gen_blobs,
                            inject_noise, load_csv, save_csv)
 from noisylab.errors import ConfigError, DataIOError, ParseError
@@ -95,6 +96,19 @@ class TestGenBlobs:
         with pytest.raises(ConfigError):
             gen_blobs(base["classes"], base["dim"], base["n_per_class"],
                       base["spread"], RngStream(0))
+
+    @pytest.mark.parametrize("field,value", [("classes", 1), ("dim", 1), ("per_class", 2),
+                                             ("spread", 0.0), ("spread", -1.0)])
+    def test_config_and_gen_blobs_refuse_alike(self, field, value):
+        """One rule guards both entry points, so both say the same thing."""
+        geometry = {"classes": 3, "dim": 4, "per_class": 10, "spread": 1.0, field: value}
+        with pytest.raises(ConfigError) as parsed:
+            parse_config({"dataset": geometry})
+        with pytest.raises(ConfigError) as generated:
+            gen_blobs(geometry["classes"], geometry["dim"], geometry["per_class"],
+                      geometry["spread"], RngStream(0))
+        assert str(parsed.value) == str(generated.value)
+        assert f"blob {field} must be" in str(parsed.value)
 
 
 class TestNoiseConfig:

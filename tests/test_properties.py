@@ -30,7 +30,7 @@ from noisylab.data import NOISE_KINDS
 from noisylab.experiment import start_run
 from noisylab.model import Z_CLAMP, DualHeadNet, losses_and_grads_from_forward
 from noisylab.numeric import RngStream
-from noisylab.schedule import SMALL_LOSS, STRATEGIES
+from noisylab.schedule import STRATEGIES, STRATEGY_ROWS
 from noisylab.selection import SelectionConfig, batch_flags
 from oracles import (backward_per_layer, batch_variance_and_bce, select_rows,
                      targets_for, upstream_gradients)
@@ -116,14 +116,16 @@ def test_start_run_builds_what_the_loop_trusts(run):
     cfg, strategy, seed = run
     state, test = start_run(cfg, strategy, seed)
     data, net = state.data, state.nets[0]
-    assert len(state.nets) == (2 if strategy == "cross_update" else 1)
+    row = STRATEGY_ROWS[strategy]
+    assert len(state.nets) == row.nets
     targets = state.target_table[data.noisy_labels]  # what each training row trains on
     assert targets.shape == (data.n_samples, net.code_bits)
     assert np.isin(targets, (0.0, 1.0)).all()
     for labels in (data.noisy_labels, data.true_labels, test.true_labels):
         assert 0 <= labels.min() and labels.max() < net.num_classes
-    if strategy in SMALL_LOSS:
+    if row.selector == "small_loss":
         assert state.sel_cfg.small_loss_keep_ratio is not None
+    assert (state.table is not None) == row.lagged
     assert np.array_equal(data.clean_mask, data.true_labels == data.noisy_labels)
     assert test.clean_mask.all()
 
