@@ -7,18 +7,6 @@ Importing the package fixes glibc's malloc thresholds for the process
 import ctypes
 import os
 
-from .codebook import HadamardCodebook, default_code_bits, derive_codebook
-from .config import ExperimentConfig, load_config, parse_config
-from .data import NoiseConfig, NoisyDataset, gen_blobs, inject_noise, load_csv, save_csv
-from .errors import (CapacityError, ConfigError, DataIOError, NoisyLabError,
-                     NumericError, ParseError)
-from .experiment import CellRun, compare_strategies, run_cell, run_experiment, start_run
-from .metrics import evaluate, iou, selection_quality
-from .model import DualHeadNet, TrainConfig, load_checkpoint, save_checkpoint
-from .numeric import RngStream
-from .schedule import IdentifierTable, ScheduleConfig, STRATEGIES
-from .selection import SelectionConfig, batch_flags, small_loss_select
-
 
 def _steady_heap() -> None:
     """Fix glibc's mmap threshold at 32 MiB and its trim threshold at
@@ -46,17 +34,3 @@ def _steady_heap() -> None:
 
 
 _steady_heap()
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CapacityError", "CellRun", "ConfigError", "DataIOError", "DualHeadNet",
-    "ExperimentConfig", "HadamardCodebook", "IdentifierTable",
-    "NoiseConfig", "NoisyDataset", "NoisyLabError", "NumericError",
-    "ParseError", "RngStream", "STRATEGIES", "ScheduleConfig",
-    "SelectionConfig", "TrainConfig", "batch_flags", "compare_strategies", "default_code_bits",
-    "derive_codebook", "evaluate", "gen_blobs", "inject_noise", "iou",
-    "load_checkpoint", "load_config", "load_csv", "parse_config", "run_cell",
-    "run_experiment", "save_checkpoint", "save_csv", "selection_quality",
-    "small_loss_select", "start_run",
-]

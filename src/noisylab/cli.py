@@ -24,7 +24,7 @@ from .data import NOISE_KINDS, NoiseConfig, gen_blobs, inject_noise, load_csv, s
 from .errors import ConfigError, DataIOError, NumericError
 from .experiment import compare_strategies, run_experiment
 from .metrics import last10_mean, load_jsonl
-from .numeric import RngStream
+from .numeric import rng_stream
 
 OUT_DIR_ENV = "NOISYLAB_OUT_DIR"
 
@@ -39,7 +39,7 @@ def _cmd_codebook(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     train, test = gen_blobs(args.classes, args.dim, args.per_class, args.spread,
-                            RngStream(args.seed), args.center_scale)
+                            rng_stream(args.seed), args.center_scale)
     save_csv(train, args.train_out)
     save_csv(test, args.test_out)
     print(f"gen-data: train {train.n_samples} x {args.dim} -> {args.train_out}, "
@@ -57,7 +57,7 @@ def _cmd_inject(args) -> int:
             raise ConfigError(f"--class-map must be a JSON object of int->int, got {args.class_map!r}") from None
         class_map = from_json(raw, dict[int, int], "--class-map")
     noise = NoiseConfig(kind=args.kind, epsilon=args.epsilon, class_map=class_map)
-    noisy = inject_noise(ds, noise, RngStream(args.seed), RngStream(args.seed).child(1))
+    noisy = inject_noise(ds, noise, rng_stream(args.seed), rng_stream(args.seed, 1))
     save_csv(noisy, args.out)
     print(f"inject: {args.kind} eps={args.epsilon} flipped "
           f"{int((~noisy.clean_mask).sum())}/{noisy.n_samples} -> {args.out}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, atomic_write
 
-MAX_CODE_BITS = 4096  # a 128 MiB Sylvester matrix; 2048 classes at the default width
+MAX_CODE_BITS = 4096  # 2048 classes at the default width
 MAX_ELEMENTS = 1 << 26  # the largest net arena or dataset: 512 MiB of float64
 
 
@@ -27,16 +27,17 @@ def next_pow2(v: int) -> int:
     return 1 << max(int(v) - 1, 0).bit_length()
 
 
-def build_sylvester(k: int) -> np.ndarray:
-    """Sylvester construction: H1 = [[1]], H2m = [[H, H], [H, -H]].
-
-    Returns a k x k matrix of +/-1 (int64) with mutually orthogonal rows;
-    ``k`` is a power of two (:func:`derive_codebook` refuses any other).
-    """
-    h = np.array([[1]], dtype=np.int64)
-    while h.shape[0] < k:
-        h = np.block([[h, h], [h, -h]])
-    return h
+def sylvester_rows(rows: int, cols: int) -> np.ndarray:
+    """The top-left ``rows x cols`` block of a Sylvester Hadamard matrix of
+    any order at least ``max(rows, cols)``: entry (i, j) is
+    ``(-1) ** popcount(i & j)``, as int64 +/-1, formed in ``rows x cols``
+    memory.  The parity is summed bit by bit (``np.bitwise_count`` needs
+    numpy 2)."""
+    both = np.arange(rows)[:, None] & np.arange(cols)
+    parity = np.zeros_like(both)
+    for bit in range((max(rows, cols) - 1).bit_length()):
+        parity ^= (both >> bit) & 1
+    return 1 - 2 * parity
 
 
 def default_code_bits(num_classes: int) -> int:
@@ -66,8 +67,6 @@ def derive_codebook(code_bits: int, num_classes: int) -> HadamardCodebook:
 
     Row selection is deterministic (rows 0..C-1): the distance guarantee
     holds for any subset, so nothing is lost and replays stay identical.
-    The guarantee is a theorem of the construction, verified exhaustively
-    for K up to 64 by the acceptance tests rather than on every call.
     Widths above MAX_CODE_BITS are refused before anything is built.
     """
     if code_bits < 2 or next_pow2(code_bits) != code_bits:
@@ -81,7 +80,7 @@ def derive_codebook(code_bits: int, num_classes: int) -> HadamardCodebook:
         raise CapacityError(
             f"codebook with {code_bits} bits holds at most {code_bits} classes, "
             f"got {num_classes}")
-    codewords = build_sylvester(code_bits)[:num_classes].copy()
+    codewords = sylvester_rows(num_classes, code_bits)
     targets = ((codewords + 1) // 2).astype(np.float64)
     return HadamardCodebook(code_bits, num_classes, codewords, targets)
 

@@ -9,8 +9,9 @@ lattice is used instead.
 Noise models:
 * symmetric: each label flips with probability epsilon to a uniformly
   random *different* class.
-* asymmetric: flips follow a caller-supplied class map (a complete
-  class -> class dict), each source label flipping with probability epsilon.
+* asymmetric: flips follow a caller-supplied class map (a class -> class
+  dict over exactly the classes [0, C)), each source label flipping with
+  probability epsilon.
 * pairflip: shorthand for the cyclic map y -> (y+1) mod C.
 * instance: symmetric noise with a per-sample flip probability, set by the
   features through a random projection and rescaled to mean epsilon.
@@ -26,9 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import MAX_CODE_BITS, MAX_ELEMENTS, next_pow2
+from .codebook import MAX_CODE_BITS, MAX_ELEMENTS, next_pow2, sylvester_rows
 from .errors import CapacityError, ConfigError, DataIOError, ParseError, atomic_write
-from .numeric import RngStream
 
 NOISE_KINDS = ("symmetric", "asymmetric", "pairflip", "instance")
 
@@ -49,6 +49,9 @@ class NoiseConfig:
             raise ConfigError(f"noise.epsilon must lie in [0, 1), got {self.epsilon}")
         if self.kind == "asymmetric" and not self.class_map:
             raise ConfigError("noise.kind 'asymmetric' requires noise.class_map")
+        if self.kind != "asymmetric" and self.class_map:
+            raise ConfigError(f"noise.class_map is read by kind 'asymmetric' only, "
+                              f"not {self.kind!r}")
 
 
 @dataclass
@@ -102,22 +105,15 @@ def class_centers(classes: int, dim: int, scale: float = 1.0) -> np.ndarray:
     Prefers truncated +/-1 Hadamard rows (pairwise distance >= scale *
     sqrt(2*dim / overlap-bound)); when the class count is too large for the
     truncation to stay collision-free, falls back to an axis lattice where
-    class i sits at 2*scale*(1 + i//dim) along axis i mod dim.
-
-    The Hadamard block is formed in ``classes x dim`` memory: Sylvester
-    entry (i, j) is ``(-1) ** popcount(i & j)``, with the parity summed bit
-    by bit (``np.bitwise_count`` needs numpy 2).
+    class i sits at 2*scale*(1 + i//dim) along axis i mod dim.  The centers
+    are float64 whatever the type of ``scale``.
     """
     if classes > next_pow2(dim):
         centers = np.zeros((classes, dim))
         for i in range(classes):
             centers[i, i % dim] = 2.0 * scale * (1 + i // dim)
         return centers
-    both = np.arange(classes)[:, None] & np.arange(dim)
-    parity = np.zeros_like(both)
-    for bit in range((max(classes, dim) - 1).bit_length()):
-        parity ^= (both >> bit) & 1
-    return scale * (1.0 - 2.0 * parity)
+    return float(scale) * sylvester_rows(classes, dim)
 
 
 def check_blob_geometry(classes: int | None, dim: int, per_class: int, spread: float,
@@ -134,7 +130,7 @@ def check_blob_geometry(classes: int | None, dim: int, per_class: int, spread: f
 
 
 def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
-              rng: RngStream, center_scale: float = 1.0):
+              rng: np.random.Generator, center_scale: float = 1.0):
     """Gaussian clusters around the class centers; returns (train, test)
     with a stratified 80/20 split (round(0.2 * n) >= 1 test rows per class)."""
     check_blob_geometry(classes, dim, n_per_class, spread, center_scale)
@@ -145,7 +141,7 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
     centers = class_centers(classes, dim, center_scale)
     x = np.empty((classes * n_per_class, dim))
     for c, block in enumerate(np.split(x, classes)):  # bitwise center + spread * normal()
-        rng.generator.standard_normal(out=block)
+        rng.standard_normal(out=block)
         block *= spread
         block += centers[c]
     y = np.repeat(np.arange(classes, dtype=np.int64), n_per_class)
@@ -153,7 +149,7 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
     test_idx = np.zeros(x.shape[0], dtype=bool)
     for c in range(classes):
         rows = np.flatnonzero(y == c)
-        picked = rng.generator.permutation(rows.size)[:n_test]
+        picked = rng.permutation(rows.size)[:n_test]
         test_idx[rows[picked]] = True
     def build(sel):
         return NoisyDataset(features=np.ascontiguousarray(x[sel]),
@@ -165,8 +161,9 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
     return train, test
 
 
-def _instance_flip_probs(ds: NoisyDataset, epsilon: float, idn_rng: RngStream) -> np.ndarray:
-    w = idn_rng.generator.normal(size=(ds.features.shape[1], ds.num_classes))  # the projection
+def _instance_flip_probs(ds: NoisyDataset, epsilon: float,
+                         idn_rng: np.random.Generator) -> np.ndarray:
+    w = idn_rng.normal(size=(ds.features.shape[1], ds.num_classes))  # the projection
     scores = (ds.features @ w)[np.arange(ds.n_samples), ds.true_labels]
     mu, sd = scores.mean(), scores.std()
     z = (scores - mu) / sd if sd > 0 else np.zeros_like(scores)
@@ -186,8 +183,8 @@ def _instance_flip_probs(ds: NoisyDataset, epsilon: float, idn_rng: RngStream) -
     return np.clip(0.25 * z + b, 0.0, 1.0)
 
 
-def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
-                 idn_rng: RngStream) -> NoisyDataset:
+def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: np.random.Generator,
+                 idn_rng: np.random.Generator) -> NoisyDataset:
     """Return the train split with noisy labels written in; the features
     are shared with ``ds``, not copied.
 
@@ -204,15 +201,14 @@ def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
     n, c = ds.n_samples, ds.num_classes
     if noise.kind in ("symmetric", "instance") and c < 2:
         raise ConfigError(f"{noise.kind} noise needs at least 2 classes, got {c}")
-    g = rng.generator
     y = ds.true_labels.copy()
     noisy = y.copy()
     if noise.kind in ("symmetric", "instance"):
         # Symmetric noise is instance noise with a constant flip probability.
         probs = (noise.epsilon if noise.kind == "symmetric"
                  else _instance_flip_probs(ds, noise.epsilon, idn_rng))
-        flips = g.uniform(size=n) < probs
-        draw = g.integers(0, c - 1, size=n)
+        flips = rng.uniform(size=n) < probs
+        draw = rng.integers(0, c - 1, size=n)
         draw = draw + (draw >= y)  # skip the true class
         noisy[flips] = draw[flips]
     else:
@@ -220,10 +216,13 @@ def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: RngStream,
         missing = [k for k in range(c) if k not in cmap]
         if missing:
             raise ConfigError(f"class_map missing source classes {missing}")
+        unread = [k for k in cmap if not 0 <= k < c]
+        if unread:
+            raise ConfigError(f"class_map sources outside [0, {c}): {unread}")
         bad = [v for v in cmap.values() if not 0 <= int(v) < c]
         if bad:
             raise ConfigError(f"class_map targets outside [0, {c}): {bad}")
-        flips = g.uniform(size=n) < noise.epsilon
+        flips = rng.uniform(size=n) < noise.epsilon
         mapped = np.array([cmap[int(v)] for v in y], dtype=np.int64)
         noisy[flips] = mapped[flips]
     return NoisyDataset(features=ds.features, true_labels=y,
@@ -238,7 +237,6 @@ def save_csv(ds: NoisyDataset, path) -> None:
     rows = zip(*ds.features.T.tolist(), ds.true_labels.tolist(), ds.noisy_labels.tolist())
     with atomic_write(path) as fh:
         fh.write(",".join(header) + "\n")
-        # %r gives repr(float), as csv.writer wrote it.
         fh.writelines(map(line.__mod__, rows))
 
 

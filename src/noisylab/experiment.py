@@ -1,7 +1,7 @@
 """End-to-end runs: data -> noise -> training -> metrics -> artifacts.
 
-Every run (one strategy, one seed) derives all of its randomness from a
-single root stream via fixed child keys, so two runs with the same config
+Every run (one strategy, one seed) derives all of its randomness from its
+seed via fixed stream keys, so two runs with the same config
 and seed are bit-identical, and runs that share a seed share the same
 dataset, noise pattern, initial weights, and batch order regardless of
 strategy.  That pairing is what makes wall-time and accuracy comparisons
@@ -21,12 +21,12 @@ from .errors import ConfigError, DataIOError, NumericError, atomic_write
 from .metrics import (cell, emit_report, evaluate, iou, mean_or_none, peak_memory_bytes,
                       selection_quality, summarize_records)
 from .model import DualHeadNet, save_checkpoint
-from .numeric import RngStream
-from .schedule import STRATEGIES, STRATEGY_ROWS, RunState, ScheduleConfig, run_epoch
+from .numeric import rng_stream
+from .schedule import STRATEGY_ROWS, RunState, ScheduleConfig, run_epoch
 from .selection import dump_decisions_csv
 
-# Child-stream keys of the per-run root stream.  Fixed so that adding a
-# consumer never perturbs existing ones.
+# Stream keys under a run's seed (numeric.rng_stream).  Fixed so that adding
+# a consumer never perturbs existing ones.
 STREAM_DATA = 0
 STREAM_NOISE = 1
 STREAM_NET_A = 2
@@ -51,11 +51,10 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
     An empty CSV split, and a test split whose feature count differs
     from the train split's, are refused.
     """
-    root = RngStream(seed)
     ds_cfg = cfg.dataset
     if ds_cfg.kind == "blobs":
         train, test = gen_blobs(ds_cfg.classes, ds_cfg.dim, ds_cfg.per_class,
-                                ds_cfg.spread, root.child(STREAM_DATA),
+                                ds_cfg.spread, rng_stream(seed, STREAM_DATA),
                                 ds_cfg.center_scale)
     else:
         train = _load_split(ds_cfg.train_path, ds_cfg.classes, "train")
@@ -64,7 +63,8 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
             raise DataIOError(f"{ds_cfg.test_path} has {test.features.shape[1]} features "
                               f"but {ds_cfg.train_path} has {train.features.shape[1]}")
     if train.clean_mask.all() and cfg.noise.epsilon > 0:
-        train = inject_noise(train, cfg.noise, root.child(STREAM_NOISE), root.child(STREAM_IDN))
+        train = inject_noise(train, cfg.noise, rng_stream(seed, STREAM_NOISE),
+                             rng_stream(seed, STREAM_IDN))
     return train, test
 
 
@@ -73,7 +73,6 @@ def start_run(cfg: ExperimentConfig, strategy: str, seed: int,
     """Build one run from ``cfg``: the data, the codebook's per-class target
     table, the net(s) and the schedule state, each from its own child stream
     of ``seed``.  Returns ``(RunState, test split)``."""
-    root = RngStream(seed)
     train, test = build_dataset(cfg, seed)
     n_classes = train.num_classes
     code_bits = cfg.train.code_bits or default_code_bits(n_classes)
@@ -84,9 +83,9 @@ def start_run(cfg: ExperimentConfig, strategy: str, seed: int,
     net_keys = (STREAM_NET_A, STREAM_NET_B)[:STRATEGY_ROWS[strategy].nets]
     nets = [DualHeadNet.create(train.features.shape[1], n_classes, code_bits,
                                cfg.train.hidden_width, cfg.train.hidden_layers,
-                               cfg.train.temperature, root.child(key)) for key in net_keys]
+                               cfg.train.temperature, rng_stream(seed, key)) for key in net_keys]
     return RunState(train, target_table, nets, cfg.train, cfg.selection, sched,
-                    root.child(STREAM_SHUFFLE), root.child(STREAM_GATE)), test
+                    rng_stream(seed, STREAM_SHUFFLE), rng_stream(seed, STREAM_GATE)), test
 
 
 class CellRun:
@@ -190,7 +189,7 @@ def compare_strategies(cfg: ExperimentConfig, out_root=None) -> list:
         cells = [(f"{cfg.schedule.strategy}-r{r:g}", cfg.schedule.strategy, r)
                  for r in cfg.effect_rates]
     else:
-        strategies = cfg.strategies or list(STRATEGIES)
+        strategies = cfg.strategies or list(STRATEGY_ROWS)
         if len(strategies) < 2:
             raise ConfigError("compare needs at least 2 strategies or an effect_rates list")
         cells = [(s, s, None) for s in strategies]

@@ -64,7 +64,7 @@ from numpy import matmul
 
 from .codebook import MAX_ELEMENTS
 from .errors import CapacityError, ConfigError, DataIOError, NumericError, atomic_write
-from .numeric import RngStream, activation, activation_derivative, softmax_with_temperature
+from .numeric import activation, activation_derivative, softmax_with_temperature
 
 # Detection outputs are kept inside [Z_CLAMP, 1 - Z_CLAMP]; this doubles as
 # the log clamp for the binary cross-entropy terms.
@@ -230,7 +230,7 @@ class DualHeadNet:
     @classmethod
     def create(cls, input_dim: int, num_classes: int, code_bits: int,
                hidden_width: int, hidden_layers: int, temperature: float,
-               rng: RngStream) -> "DualHeadNet":
+               rng: np.random.Generator) -> "DualHeadNet":
         """Seeded initialization: He-scaled normals for relu layers,
         Xavier-scaled for tanh/linear layers, zero biases.  Weights are
         drawn layer by layer in :meth:`parameters` order."""
@@ -239,7 +239,7 @@ class DualHeadNet:
         for i, lay in enumerate([*net.trunk, net.classifier, *net.detection]):
             gain = 2.0 if i < hidden_layers else 1.0
             fan_in = lay.w.shape[0]
-            lay.w[...] = rng.generator.normal(0.0, math.sqrt(gain / fan_in), size=lay.w.shape)
+            lay.w[...] = rng.normal(0.0, math.sqrt(gain / fan_in), size=lay.w.shape)
         return net
 
     @property

@@ -1,10 +1,7 @@
 """Dense float64 kernels: activations, softmax, RNG.
 
 Matrices throughout the package are plain 2-D C-contiguous numpy arrays of
-64-bit floats (row-major).  numpy supplies the storage and the BLAS-backed
-product, which ``model.py`` calls directly.  (The central-difference
-gradient checker that audits the model's analytic gradients is a test
-oracle, in ``tests/oracles.py``.)
+64-bit floats (row-major).
 
 Finiteness of the training arithmetic is checked per batch instead of per
 product: the training loop scans each batch's forward outputs (logits and
@@ -16,9 +13,8 @@ large finite negative value would be, and is not detected.  Only when a
 check fails does the code scan parameter by parameter to name the
 offending layer.
 
-Randomness comes from :class:`RngStream`, which does the seeding and
-derives child streams; callers draw through its ``generator``, a numpy
-PCG64 ``Generator``.  PCG64 is a fixed, platform-independent algorithm, so
+Randomness comes from :func:`rng_stream`, a numpy PCG64 ``Generator`` per
+(seed, key path).  PCG64 is a fixed, platform-independent algorithm, so
 a given seed yields the same draw sequence on every machine; that is what
 makes experiment replays bit-identical.
 """
@@ -67,27 +63,15 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarr
     return e
 
 
-class RngStream:
-    """Seedable deterministic random stream; draw through ``generator``.
+def rng_stream(seed: int, *keys: int) -> np.random.Generator:
+    """The PCG64 generator of stream ``keys`` of ``seed``, seeded through
+    ``SeedSequence(seed, spawn_key=keys)``.
 
-    Backed by numpy's PCG64 bit generator seeded through a SeedSequence, so
-    identical seeds produce identical sequences on every platform.
-    ``child(key)`` derives an independent stream that depends only on the
-    (seed, key-path) pair, never on how many draws the parent has made;
-    experiment code uses fixed integer keys per purpose (data generation,
-    noise injection, weight init, shuffling, ...).
+    A stream depends only on its (seed, key path) pair, never on how many
+    draws any other stream has made; experiment code uses fixed integer keys
+    per purpose (data generation, noise injection, weight init, shuffling,
+    ...).  A negative seed is a ConfigError.
     """
-
-    def __init__(self, seed: int, _spawn_key: tuple = ()):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        self.spawn_key = tuple(int(k) for k in _spawn_key)
-        ss = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-        self.generator = np.random.Generator(np.random.PCG64(ss))
-
-    def child(self, key: int) -> "RngStream":
-        return RngStream(self.seed, self.spawn_key + (int(key),))
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=keys)))

@@ -13,10 +13,6 @@ A strategy that selects draws an effect-rate gate r in (0, 1]: one
 Bernoulli draw per post-warm-up iteration (for both nets) decides whether
 the mask is applied or the update falls back to the full batch.  Lower r
 throttles how often selection errors feed back into training.
-
-A run keeps its codeword bit targets once per class (``RunState.target_table``,
-C x K); each batch takes ``target_table[labels]``, the same float64 rows a
-per-sample (n, K) array would hold, at C rows of memory instead of n.
 """
 
 import math
@@ -31,7 +27,6 @@ from .metrics import EpochRecord
 from .model import (DualHeadNet, TrainConfig, cosine_lr,
                     losses_and_grads_from_forward, per_sample_cross_entropy,
                     sgd_step)
-from .numeric import RngStream
 from .selection import BatchFlags, SelectionConfig, batch_flags, small_loss_select
 
 
@@ -50,7 +45,6 @@ STRATEGY_ROWS = {
     "cross_update": StrategyRow(nets=2, selector="small_loss", lagged=False),
     "jump_update": StrategyRow(nets=1, selector="variance", lagged=True),
 }
-STRATEGIES = tuple(STRATEGY_ROWS)
 
 
 @dataclass
@@ -61,7 +55,8 @@ class ScheduleConfig:
 
     def __post_init__(self):
         if self.strategy not in STRATEGY_ROWS:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
+            raise ConfigError(f"unknown strategy {self.strategy!r}; "
+                              f"expected one of {tuple(STRATEGY_ROWS)}")
         if not (0.0 < self.effect_rate <= 1.0):
             raise ConfigError(f"effect_rate must lie in (0, 1], got {self.effect_rate}")
         if self.jump_step is not None and self.jump_step < 2:
@@ -109,8 +104,8 @@ class RunState:
     train_cfg: TrainConfig
     sel_cfg: SelectionConfig
     sched_cfg: ScheduleConfig
-    shuffle_rng: RngStream
-    gate_rng: RngStream
+    shuffle_rng: np.random.Generator
+    gate_rng: np.random.Generator
     row: StrategyRow = field(init=False)
     velocities: list = field(init=False)  # one SGD velocity arena per net
     iters_per_epoch: int = field(init=False)
@@ -135,7 +130,7 @@ class RunState:
 
 
 def _batches(state: RunState):
-    order = state.shuffle_rng.generator.permutation(state.data.n_samples)
+    order = state.shuffle_rng.permutation(state.data.n_samples)
     bs = state.train_cfg.batch_size
     return [order[i:i + bs] for i in range(0, order.size, bs)]
 
@@ -181,9 +176,9 @@ def _step_failure(net: DualHeadNet) -> str:
 
 
 def _gate(state: RunState) -> bool:
-    # generator.random() is the uniform(0, 1) draw minus numpy's argument
-    # handling: the same double from the same single step of the stream.
-    return state.gate_rng.generator.random() < state.sched_cfg.effect_rate
+    # random() is the uniform(0, 1) draw minus numpy's argument handling:
+    # the same double from the same single step of the stream.
+    return state.gate_rng.random() < state.sched_cfg.effect_rate
 
 
 def _train_batch(state: RunState, idx, lr: float, warm: bool):

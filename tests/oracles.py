@@ -9,6 +9,8 @@ definitions ``batch_flags`` vectorizes, and ``finite_difference_check`` with
 ``gen_blobs_per_class`` is the blob dataset as one allocating
 ``center + spread * normal()`` expression per class, the form
 ``data.gen_blobs`` replaced with draws into one preallocated array.
+``sylvester`` is the recursive K x K Hadamard construction whose blocks
+``codebook.sylvester_rows`` forms entry by entry.
 ``clone``, ``encode_label``, ``parameter_names`` and ``targets_for`` are
 conveniences only tests use; ``targets_for`` is also the per-row target
 array a run's per-class table must reproduce.  ``pairwise_hamming`` measures
@@ -75,15 +77,24 @@ def gen_blobs_per_class(classes, dim, n_per_class, spread, rng, center_scale=1.0
     normal()`` and concatenated, then the same stratified split; returns
     (train features, train labels, test features, test labels)."""
     centers = class_centers(classes, dim, center_scale)
-    x = np.concatenate([centers[c] + spread * rng.generator.normal(size=(n_per_class, dim))
+    x = np.concatenate([centers[c] + spread * rng.normal(size=(n_per_class, dim))
                         for c in range(classes)])
     y = np.concatenate([np.full(n_per_class, c, dtype=np.int64) for c in range(classes)])
     n_test = int(round(0.2 * n_per_class))
     test = np.zeros(x.shape[0], dtype=bool)
     for c in range(classes):
         rows = np.flatnonzero(y == c)
-        test[rows[rng.generator.permutation(rows.size)[:n_test]]] = True
+        test[rows[rng.permutation(rows.size)[:n_test]]] = True
     return x[~test], y[~test], x[test], y[test]
+
+
+def sylvester(k: int) -> np.ndarray:
+    """Sylvester construction of order ``k`` (a power of two): H1 = [[1]],
+    H2m = [[H, H], [H, -H]], as int64 +/-1."""
+    h = np.array([[1]], dtype=np.int64)
+    while h.shape[0] < k:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 def clone(net: DualHeadNet) -> DualHeadNet:

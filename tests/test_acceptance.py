@@ -20,7 +20,7 @@ from noisylab.codebook import derive_codebook
 from noisylab.config import parse_config
 from noisylab.experiment import CellRun, run_cell
 from noisylab.model import DualHeadNet
-from noisylab.numeric import RngStream
+from noisylab.numeric import rng_stream
 from noisylab.schedule import IdentifierTable
 from oracles import (combined_loss_and_grads, decompose_bce,
                      finite_difference_check, intra_loss_variance, pairwise_hamming,
@@ -103,10 +103,9 @@ def test_criterion_02_gradients_match_finite_differences():
     cb = derive_codebook(8, 3)
     worst = 0.0
     for seed in range(10):
-        rng = RngStream(1000 + seed)
-        net = DualHeadNet.create(5, 3, 8, 6, 2, 2.0, rng.child(0))
-        x = rng.child(1).generator.normal(0.0, 1.0, (6, 5))
-        labels = rng.child(2).generator.integers(0, 3, 6)
+        net = DualHeadNet.create(5, 3, 8, 6, 2, 2.0, rng_stream(1000 + seed, 0))
+        x = rng_stream(1000 + seed, 1).normal(0.0, 1.0, (6, 5))
+        labels = rng_stream(1000 + seed, 2).integers(0, 3, 6)
         targets = targets_for(cb, labels)
 
         def loss_and_grad():
@@ -122,10 +121,9 @@ def test_criterion_02_gradients_match_finite_differences():
 
 
 def test_criterion_03_decomposition_and_variance_identities():
-    rng = RngStream(77)
     n, k = 10_000, 32
-    z = rng.child(0).generator.uniform(0.01, 0.99, (n, k))
-    t = (rng.child(1).generator.uniform(0.0, 1.0, (n, k)) < 0.5).astype(np.float64)
+    z = rng_stream(77, 0).uniform(0.01, 0.99, (n, k))
+    t = (rng_stream(77, 1).uniform(0.0, 1.0, (n, k)) < 0.5).astype(np.float64)
     d = decompose_bce(z, t)
 
     # mean of the per-bit decomposition vs the plain BCE formula, summed

@@ -1,16 +1,17 @@
-"""Codebook construction tests: Sylvester recursion, pairwise distance
-guarantees, label encoding, and the CSV export."""
+"""Codebook construction tests: Sylvester rows against the recursion,
+pairwise distance guarantees, label encoding, and the CSV export."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from noisylab.codebook import (HadamardCodebook, build_sylvester,
-                               MAX_CODE_BITS, default_code_bits, derive_codebook,
-                               next_pow2, save_codebook_csv)
+from noisylab.codebook import (HadamardCodebook, MAX_CODE_BITS, default_code_bits,
+                               derive_codebook, next_pow2, save_codebook_csv,
+                               sylvester_rows)
 from noisylab.errors import CapacityError, ConfigError
-from oracles import encode_label, pairwise_hamming, targets_for
+from oracles import encode_label, pairwise_hamming, sylvester, targets_for
 
 
 def kron_hadamard(k):
@@ -26,27 +27,44 @@ def hamming(a, b):
     return int(np.sum(a != b))
 
 
-class TestBuildSylvester:
+class TestSylvesterRows:
     def test_base_case(self):
-        assert np.array_equal(build_sylvester(1), [[1]])
+        assert np.array_equal(sylvester_rows(1, 1), [[1]])
 
     def test_order_two(self):
-        assert np.array_equal(build_sylvester(2), [[1, 1], [1, -1]])
+        assert np.array_equal(sylvester_rows(2, 2), [[1, 1], [1, -1]])
 
     def test_order_four_pair_distances(self):
-        h = build_sylvester(4)
+        h = sylvester_rows(4, 4)
         dists = [hamming(h[i], h[j]) for i in range(4) for j in range(i + 1, 4)]
         assert len(dists) == 6
         assert all(d == 2 for d in dists)
 
     def test_rows_orthogonal(self):
         for k in (2, 8, 32):
-            h = build_sylvester(k)
+            h = sylvester_rows(k, k)
             assert np.array_equal(h @ h.T, k * np.eye(k, dtype=np.int64))
 
     def test_matches_kronecker_oracle(self):
         for k in (2, 4, 16, 64):
-            assert np.array_equal(build_sylvester(k), kron_hadamard(k))
+            assert np.array_equal(sylvester(k), kron_hadamard(k))
+            assert np.array_equal(sylvester_rows(k, k), kron_hadamard(k))
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32, 64])
+    def test_every_block_is_the_recursion_truncated(self, k):
+        """Every rows x cols block up to k x k, square or not, powers of two
+        or not, is the top-left block of the recursive build, as int64."""
+        full = sylvester(k)
+        for rows in range(1, k + 1):
+            for cols in range(1, k + 1):
+                block = sylvester_rows(rows, cols)
+                assert block.dtype == np.int64
+                assert np.array_equal(block, full[:rows, :cols]), (rows, cols)
+
+    @pytest.mark.parametrize("rows,cols", [(3, 100), (100, 3), (65, 129), (12, 10)])
+    def test_truncated_blocks_past_64(self, rows, cols):
+        want = sylvester(next_pow2(max(rows, cols)))[:rows, :cols]
+        assert np.array_equal(sylvester_rows(rows, cols), want)
 
 
 class TestDefaultCodeBits:
@@ -87,11 +105,23 @@ class TestDeriveCodebook:
         assert "8" in str(exc.value) and "9" in str(exc.value)
 
     def test_width_over_the_cap_refused_before_building(self, monkeypatch):
-        def build(k):
-            raise AssertionError(f"built a {k}-bit Sylvester matrix")
-        monkeypatch.setattr("noisylab.codebook.build_sylvester", build)
+        def build(rows, cols):
+            raise AssertionError(f"built {rows} Sylvester rows of {cols} bits")
+        monkeypatch.setattr("noisylab.codebook.sylvester_rows", build)
         with pytest.raises(CapacityError, match=f"{2 * MAX_CODE_BITS} bits"):
             derive_codebook(2 * MAX_CODE_BITS, 3)
+
+    def test_widest_codebook_takes_classes_by_bits_memory(self):
+        """The widest codebook is formed in C x K memory, not K x K: a
+        4,096-square int64 matrix alone would take 128 MiB."""
+        tracemalloc.start()
+        try:
+            cb = derive_codebook(MAX_CODE_BITS, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cb.codewords.shape == (3, MAX_CODE_BITS)
+        assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_rejects_bad_bits(self):
         """Widths that are not a power of two >= 2; the Sylvester

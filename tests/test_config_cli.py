@@ -164,6 +164,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"seeds entry -1 must be a non-negative"):
             parse_config({"seeds": seeds})
 
+    def test_class_map_off_asymmetric_refused(self):
+        with pytest.raises(ConfigError, match="read by kind 'asymmetric' only"):
+            parse_config({"noise": {"kind": "symmetric", "class_map": {"0": 1, "1": 0}}})
+
     def test_class_map_keys_naming_the_same_class(self):
         with pytest.raises(ConfigError, match=r"keys '1' and '01' both mean 1"):
             parse_config({"noise": {"kind": "asymmetric", "epsilon": 0.3,
@@ -313,6 +317,27 @@ class TestCliDataPipeline:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
         assert "'1' and '01'" in lines[0]
+        assert not noisy.exists()
+
+    # A class map no draw reads: off asymmetric noise, or a source outside
+    # the 3 classes.  Either would write the same labels as without it.
+    @pytest.mark.parametrize("kind,class_map,detail", [
+        ("symmetric", '{"0": 1}', "read by kind 'asymmetric' only, not 'symmetric'"),
+        ("pairflip", '{"0": 1, "1": 2, "2": 0}', "only, not 'pairflip'"),
+        ("instance", '{"0": 2}', "only, not 'instance'"),
+        ("asymmetric", '{"0": 1, "1": 2, "2": 0, "3": 0}', "sources outside [0, 3): [3]"),
+    ], ids=["symmetric", "pairflip", "instance", "asymmetric-source-3"])
+    def test_inject_class_map_no_draw_reads_exits_2(self, tmp_path, capsys, kind, class_map,
+                                                   detail):
+        train = tmp_path / "train.csv"
+        main(["gen-data", "--classes", "3", "--dim", "4", "--per-class", "10",
+              "--train-out", str(train), "--test-out", str(tmp_path / "t.csv")])
+        capsys.readouterr()
+        noisy = tmp_path / "n.csv"
+        rc = main(["inject", "--input", str(train), "--out", str(noisy), "--kind", kind,
+                   "--epsilon", "0.3", "--class-map", class_map])
+        assert rc == 2
+        assert detail in only_error(capsys, "config")
         assert not noisy.exists()
 
     def test_gen_data_negative_seed_exits_2(self, tmp_path, capsys):
@@ -522,6 +547,20 @@ class TestCliTrain:
         assert main(["train", "--config", cfg]) == 2
         field = [k for k in schedule if k != "strategy"][0]
         assert f"no cell reads schedule.{field}" in only_error(capsys, "config")
+        assert not (tmp_path / "out").exists()
+
+    # It would train the run without the map, under another config hash.
+    @pytest.mark.parametrize("noise,detail", [
+        ({"kind": "symmetric", "class_map": {"0": 1, "1": 0}},
+         "noise.class_map is read by kind 'asymmetric' only, not 'symmetric'"),
+        ({"kind": "asymmetric", "class_map": {"0": 1, "1": 2, "2": 0, "5": 1}},
+         "class_map sources outside [0, 3): [5]"),
+    ], ids=["symmetric", "asymmetric-source-5"])
+    def test_class_map_no_draw_reads_exits_2(self, tmp_path, capsys, noise, detail):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(tmp_path / "out",
+                                                                   noise=noise))
+        assert main(["train", "--config", cfg]) == 2
+        assert detail in only_error(capsys, "config")
         assert not (tmp_path / "out").exists()
 
     def test_single_class_csv_with_default_noise_exits_2(self, tmp_path, capsys):

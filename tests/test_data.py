@@ -4,16 +4,16 @@ stratified split, every noise model, and CSV round-trips."""
 import numpy as np
 import pytest
 
-from noisylab.codebook import build_sylvester, next_pow2
+from noisylab.codebook import next_pow2
 from noisylab.config import parse_config
 from noisylab.data import (NoiseConfig, NoisyDataset, class_centers, gen_blobs,
                            inject_noise, load_csv, save_csv)
 from noisylab.errors import ConfigError, DataIOError, ParseError
-from noisylab.numeric import RngStream
-from oracles import gen_blobs_per_class
+from noisylab.numeric import rng_stream
+from oracles import gen_blobs_per_class, sylvester
 
 # The instance-noise projection stream, which the other noise kinds leave unused.
-NO_IDN = RngStream(0)
+NO_IDN = rng_stream(0)
 
 
 class TestClassCenters:
@@ -28,8 +28,16 @@ class TestClassCenters:
                                              (16, 16), (9, 33), (2, 100)])
     def test_hadamard_block_is_the_truncated_sylvester_matrix(self, classes, dim):
         p = next_pow2(max(classes, dim))
-        want = -1.5 * build_sylvester(p)[:classes, :dim].astype(np.float64)
+        want = -1.5 * sylvester(p)[:classes, :dim].astype(np.float64)
         assert class_centers(classes, dim, scale=-1.5).tobytes() == want.tobytes()
+
+    def test_integer_scale_gives_float_centers(self):
+        """An integer scale (a JSON ``2`` is kept as an int) still yields the
+        float64 centers of the same float scale, in both geometries."""
+        for classes, dim in ((10, 32), (10, 4)):
+            centers = class_centers(classes, dim, 2)
+            assert centers.dtype == np.float64
+            assert centers.tobytes() == class_centers(classes, dim, 2.0).tobytes()
 
     def test_wide_feature_space_takes_classes_by_dim_memory(self):
         # The full Sylvester matrix of order 32,768 would take 8 GiB.
@@ -51,21 +59,21 @@ class TestGenBlobs:
         (2, 33, 3, 1e-6, 0.0, 4)])
     def test_draws_are_bitwise_the_per_class_formula(self, classes, dim, per_class,
                                                      spread, scale, seed):
-        train, test = gen_blobs(classes, dim, per_class, spread, RngStream(seed), scale)
-        want = gen_blobs_per_class(classes, dim, per_class, spread, RngStream(seed), scale)
+        train, test = gen_blobs(classes, dim, per_class, spread, rng_stream(seed), scale)
+        want = gen_blobs_per_class(classes, dim, per_class, spread, rng_stream(seed), scale)
         got = (train.features, train.true_labels, test.features, test.true_labels)
         assert [a.dtype for a in got] == [a.dtype for a in want]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_deterministic(self):
-        a_train, a_test = gen_blobs(3, 4, 20, 1.0, RngStream(5))
-        b_train, b_test = gen_blobs(3, 4, 20, 1.0, RngStream(5))
+        a_train, a_test = gen_blobs(3, 4, 20, 1.0, rng_stream(5))
+        b_train, b_test = gen_blobs(3, 4, 20, 1.0, rng_stream(5))
         assert np.array_equal(a_train.features, b_train.features)
         assert np.array_equal(a_test.features, b_test.features)
         assert np.array_equal(a_train.true_labels, b_train.true_labels)
 
     def test_stratified_80_20_split(self):
-        train, test = gen_blobs(4, 6, 50, 1.0, RngStream(1))
+        train, test = gen_blobs(4, 6, 50, 1.0, rng_stream(1))
         assert train.n_samples == 160 and test.n_samples == 40
         for c in range(4):
             assert int((train.true_labels == c).sum()) == 40
@@ -73,14 +81,14 @@ class TestGenBlobs:
         assert train.split == "train" and test.split == "test"
 
     def test_clean_on_arrival(self):
-        train, test = gen_blobs(3, 4, 10, 1.0, RngStream(2))
+        train, test = gen_blobs(3, 4, 10, 1.0, rng_stream(2))
         for ds in (train, test):
             assert ds.clean_mask.all()
             assert np.array_equal(ds.true_labels, ds.noisy_labels)
 
     def test_tiny_spread_is_separable(self):
         """Near-zero spread: nearest-center classification is perfect."""
-        train, test = gen_blobs(2, 4, 25, 1e-6, RngStream(3))
+        train, test = gen_blobs(2, 4, 25, 1e-6, rng_stream(3))
         centers = class_centers(2, 4)
         for ds in (train, test):
             d = np.linalg.norm(ds.features[:, None, :] - centers[None], axis=2)
@@ -95,7 +103,7 @@ class TestGenBlobs:
         base.update(kwargs)
         with pytest.raises(ConfigError):
             gen_blobs(base["classes"], base["dim"], base["n_per_class"],
-                      base["spread"], RngStream(0))
+                      base["spread"], rng_stream(0))
 
     @pytest.mark.parametrize("field,value", [("classes", 1), ("dim", 1), ("per_class", 2),
                                              ("spread", 0.0), ("spread", -1.0)])
@@ -106,7 +114,7 @@ class TestGenBlobs:
             parse_config({"dataset": geometry})
         with pytest.raises(ConfigError) as generated:
             gen_blobs(geometry["classes"], geometry["dim"], geometry["per_class"],
-                      geometry["spread"], RngStream(0))
+                      geometry["spread"], rng_stream(0))
         assert str(parsed.value) == str(generated.value)
         assert f"blob {field} must be" in str(parsed.value)
 
@@ -125,37 +133,37 @@ class TestNoiseConfig:
 
 class TestInjectNoise:
     def test_epsilon_zero_is_identity(self):
-        train, _ = gen_blobs(3, 4, 30, 1.0, RngStream(4))
-        noisy = inject_noise(train, NoiseConfig("symmetric", 0.0), RngStream(1), NO_IDN)
+        train, _ = gen_blobs(3, 4, 30, 1.0, rng_stream(4))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.0), rng_stream(1), NO_IDN)
         assert noisy.clean_mask.all()
         assert np.array_equal(noisy.noisy_labels, train.true_labels)
 
     def test_symmetric_rate_within_binomial_bound(self):
         """epsilon=0.5 over 10k samples: realized rate within +/-0.015."""
-        train, _ = gen_blobs(5, 4, 2500, 1.0, RngStream(6))
+        train, _ = gen_blobs(5, 4, 2500, 1.0, rng_stream(6))
         assert train.n_samples == 10000
-        noisy = inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(2), NO_IDN)
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.5), rng_stream(2), NO_IDN)
         assert abs((~noisy.clean_mask).mean() - 0.5) < 0.015
 
     def test_symmetric_never_flips_to_true_class(self):
-        train, _ = gen_blobs(4, 4, 500, 1.0, RngStream(7))
-        noisy = inject_noise(train, NoiseConfig("symmetric", 0.8), RngStream(3), NO_IDN)
+        train, _ = gen_blobs(4, 4, 500, 1.0, rng_stream(7))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.8), rng_stream(3), NO_IDN)
         flipped = ~noisy.clean_mask
         assert flipped.any()
         assert np.all(noisy.noisy_labels[flipped] != noisy.true_labels[flipped])
 
     def test_pairflip_full_rate_is_cyclic_shift(self):
-        train, _ = gen_blobs(10, 4, 20, 1.0, RngStream(8))
-        noisy = inject_noise(train, NoiseConfig("pairflip", 0.99), RngStream(4), NO_IDN)
+        train, _ = gen_blobs(10, 4, 20, 1.0, rng_stream(8))
+        noisy = inject_noise(train, NoiseConfig("pairflip", 0.99), rng_stream(4), NO_IDN)
         flipped = ~noisy.clean_mask
         want = (noisy.true_labels + 1) % 10
         assert np.array_equal(noisy.noisy_labels[flipped], want[flipped])
 
     def test_asymmetric_follows_class_map(self):
-        train, _ = gen_blobs(3, 4, 200, 1.0, RngStream(9))
+        train, _ = gen_blobs(3, 4, 200, 1.0, rng_stream(9))
         cmap = {0: 1, 1: 0, 2: 2}
         noisy = inject_noise(train, NoiseConfig("asymmetric", 0.5, class_map=cmap),
-                             RngStream(5), NO_IDN)
+                             rng_stream(5), NO_IDN)
         flipped = ~noisy.clean_mask
         for src, dst in cmap.items():
             rows = flipped & (noisy.true_labels == src)
@@ -164,38 +172,53 @@ class TestInjectNoise:
         assert not (flipped & (noisy.true_labels == 2)).any()
 
     def test_asymmetric_incomplete_map_rejected(self):
-        train, _ = gen_blobs(3, 4, 10, 1.0, RngStream(10))
+        train, _ = gen_blobs(3, 4, 10, 1.0, rng_stream(10))
         with pytest.raises(ConfigError):
             inject_noise(train, NoiseConfig("asymmetric", 0.2, class_map={0: 1}),
-                         RngStream(6), NO_IDN)
+                         rng_stream(6), NO_IDN)
+
+    @pytest.mark.parametrize("extra", [3, -1, 99])
+    def test_asymmetric_source_outside_the_classes_rejected(self, extra):
+        """A source no label can carry is a map no draw reads."""
+        train, _ = gen_blobs(3, 4, 10, 1.0, rng_stream(10))
+        cmap = {0: 1, 1: 2, 2: 0, extra: 0}
+        with pytest.raises(ConfigError, match=rf"class_map sources outside \[0, 3\): \[{extra}\]"):
+            inject_noise(train, NoiseConfig("asymmetric", 0.2, class_map=cmap),
+                         rng_stream(6), NO_IDN)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "pairflip", "instance"])
+    def test_class_map_refused_off_asymmetric(self, kind):
+        with pytest.raises(ConfigError, match="asymmetric' only"):
+            NoiseConfig(kind, 0.2, class_map={0: 1, 1: 0})
+        assert NoiseConfig(kind, 0.2, class_map={}).class_map == {}
 
     def test_instance_noise_calibrated_to_epsilon(self):
-        train, _ = gen_blobs(5, 8, 400, 1.0, RngStream(11))
-        noisy = inject_noise(train, NoiseConfig("instance", 0.3), RngStream(7),
-                             RngStream(11).child(6))
+        train, _ = gen_blobs(5, 8, 400, 1.0, rng_stream(11))
+        noisy = inject_noise(train, NoiseConfig("instance", 0.3), rng_stream(7),
+                             rng_stream(11, 6))
         assert abs((~noisy.clean_mask).mean() - 0.3) < 0.01 + 3 * 0.5 / np.sqrt(1600)
 
     def test_refuses_test_split(self):
-        _, test = gen_blobs(3, 4, 30, 1.0, RngStream(12))
+        _, test = gen_blobs(3, 4, 30, 1.0, rng_stream(12))
         with pytest.raises(ConfigError):
-            inject_noise(test, NoiseConfig("symmetric", 0.2), RngStream(8), NO_IDN)
+            inject_noise(test, NoiseConfig("symmetric", 0.2), rng_stream(8), NO_IDN)
 
     def test_refuses_double_injection(self):
-        train, _ = gen_blobs(3, 4, 200, 1.0, RngStream(13))
-        once = inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(9), NO_IDN)
+        train, _ = gen_blobs(3, 4, 200, 1.0, rng_stream(13))
+        once = inject_noise(train, NoiseConfig("symmetric", 0.5), rng_stream(9), NO_IDN)
         with pytest.raises(ConfigError):
-            inject_noise(once, NoiseConfig("symmetric", 0.5), RngStream(10), NO_IDN)
+            inject_noise(once, NoiseConfig("symmetric", 0.5), rng_stream(10), NO_IDN)
 
     def test_clean_mask_is_label_equality(self):
-        train, _ = gen_blobs(4, 4, 100, 1.0, RngStream(14))
-        noisy = inject_noise(train, NoiseConfig("symmetric", 0.4), RngStream(11), NO_IDN)
+        train, _ = gen_blobs(4, 4, 100, 1.0, rng_stream(14))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.4), rng_stream(11), NO_IDN)
         assert np.array_equal(noisy.clean_mask,
                               noisy.true_labels == noisy.noisy_labels)
 
     def test_original_dataset_untouched(self):
-        train, _ = gen_blobs(3, 4, 100, 1.0, RngStream(15))
+        train, _ = gen_blobs(3, 4, 100, 1.0, rng_stream(15))
         before = train.noisy_labels.copy()
-        inject_noise(train, NoiseConfig("symmetric", 0.5), RngStream(12), NO_IDN)
+        inject_noise(train, NoiseConfig("symmetric", 0.5), rng_stream(12), NO_IDN)
         assert np.array_equal(train.noisy_labels, before)
 
 
@@ -227,8 +250,8 @@ class TestNoisyDatasetValidation:
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
-        train, _ = gen_blobs(3, 5, 40, 1.3, RngStream(16))
-        noisy = inject_noise(train, NoiseConfig("symmetric", 0.3), RngStream(13), NO_IDN)
+        train, _ = gen_blobs(3, 5, 40, 1.3, rng_stream(16))
+        noisy = inject_noise(train, NoiseConfig("symmetric", 0.3), rng_stream(13), NO_IDN)
         path = tmp_path / "data.csv"
         save_csv(noisy, path)
         loaded = load_csv(path, num_classes=3)
@@ -248,7 +271,7 @@ class TestCsvRoundTrip:
         assert loaded.n_samples == 0
 
     def test_lf_line_endings(self, tmp_path):
-        train, _ = gen_blobs(2, 4, 5, 1.0, RngStream(17))
+        train, _ = gen_blobs(2, 4, 5, 1.0, rng_stream(17))
         path = tmp_path / "lf.csv"
         save_csv(train, path)
         assert b"\r" not in path.read_bytes()

@@ -15,7 +15,7 @@ from noisylab.metrics import (CURVE_COLUMNS, EpochRecord, emit_report,
                               peak_memory_bytes, selection_quality,
                               summarize_records)
 from noisylab.model import DualHeadNet
-from noisylab.numeric import RngStream
+from noisylab.numeric import rng_stream
 
 
 def make_record(epoch, **overrides):
@@ -105,8 +105,8 @@ class TestEvaluate:
     def test_zero_weight_net_scores_chance(self):
         """An untrained constant net predicts class 0 everywhere, so
         accuracy equals the class-0 share of a balanced test split."""
-        _, test = gen_blobs(4, 6, 50, 1.0, RngStream(2).child(0))
-        net = DualHeadNet.create(6, 4, 16, 8, 2, 2.0, RngStream(2).child(1))
+        _, test = gen_blobs(4, 6, 50, 1.0, rng_stream(2, 0))
+        net = DualHeadNet.create(6, 4, 16, 8, 2, 2.0, rng_stream(2, 1))
         for p in net.parameters():
             p[:] = 0.0
         acc = evaluate(net, test)
@@ -114,8 +114,8 @@ class TestEvaluate:
         assert acc == pytest.approx(class0)
 
     def test_batched_equals_single_pass(self):
-        _, test = gen_blobs(3, 5, 40, 1.0, RngStream(4).child(0))
-        net = DualHeadNet.create(5, 3, 16, 8, 2, 2.0, RngStream(4).child(1))
+        _, test = gen_blobs(3, 5, 40, 1.0, rng_stream(4, 0))
+        net = DualHeadNet.create(5, 3, 16, 8, 2, 2.0, rng_stream(4, 1))
         assert evaluate(net, test, batch_size=7) == evaluate(net, test, batch_size=512)
 
 

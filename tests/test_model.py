@@ -18,7 +18,7 @@ from noisylab.model import (CHECKPOINT_MAGIC, DualHeadNet, TrainConfig,
                             losses_and_grads_from_forward,
                             per_sample_cross_entropy, save_checkpoint,
                             sgd_step)
-from noisylab.numeric import RngStream
+from noisylab.numeric import rng_stream
 from noisylab.selection import SelectionConfig, batch_flags
 from oracles import (backward_per_layer, clone, combined_loss_and_grads,
                      decompose_bce, finite_difference_check, parameter_names,
@@ -28,14 +28,14 @@ from oracles import (backward_per_layer, clone, combined_loss_and_grads,
 
 def make_net(seed=0, input_dim=5, classes=3, bits=4, width=6, layers=2, temp=2.0):
     return DualHeadNet.create(input_dim, classes, bits, width, layers, temp,
-                              RngStream(seed))
+                              rng_stream(seed))
 
 
 def forwarded_batch(seed, layers):
     """A 10-class, 16-bit net of trunk depth ``layers`` and one forwarded
     24-row batch: (net, forward result, labels, targets)."""
     net = make_net(seed=seed, width=12, layers=layers, bits=16, classes=10, input_dim=32)
-    rng = RngStream(seed + 1).generator
+    rng = rng_stream(seed + 1)
     labels = rng.integers(0, 10, size=24)
     res = net.forward(rng.normal(size=(24, 32)))
     return net, res, labels, targets_for(derive_codebook(16, 10), labels)
@@ -54,7 +54,7 @@ class TestForward:
     def test_matches_layer_by_layer_oracle(self):
         """One sample recomputed with raw numpy ops, no package code."""
         net = make_net(seed=4)
-        x = RngStream(10).generator.normal(size=(1, 5))
+        x = rng_stream(10).normal(size=(1, 5))
         res = net.forward(x)
 
         a = x.copy()
@@ -75,14 +75,14 @@ class TestForward:
 
     def test_identical_rows_identical_outputs(self):
         net = make_net(seed=1)
-        row = RngStream(2).generator.normal(size=(1, 5))
+        row = rng_stream(2).normal(size=(1, 5))
         res = net.forward(np.repeat(row, 6, axis=0))
         assert np.array_equal(res.probs, np.repeat(res.probs[:1], 6, axis=0))
         assert np.array_equal(res.z, np.repeat(res.z[:1], 6, axis=0))
 
     def test_rows_sum_to_one_and_z_interior(self):
         net = make_net(seed=2)
-        res = net.forward(RngStream(3).generator.normal(size=(32, 5)))
+        res = net.forward(rng_stream(3).normal(size=(32, 5)))
         np.testing.assert_allclose(res.probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(res.z > 0.0) and np.all(res.z < 1.0)
 
@@ -92,7 +92,7 @@ class TestForward:
 
     def test_classify_agrees_with_forward(self):
         net = make_net(seed=5)
-        x = RngStream(6).generator.normal(size=(10, 5))
+        x = rng_stream(6).normal(size=(10, 5))
         res = net.forward(x)
         probs, preds = net.classify(x)
         assert np.array_equal(probs, res.probs)
@@ -168,7 +168,7 @@ class TestParameterArena:
         """He-scaled trunk, Xavier-scaled heads, drawn one matrix after
         another from the stream; biases zero."""
         net = make_net(seed=37, layers=layers)
-        rng = RngStream(37).generator
+        rng = rng_stream(37)
         for name, p in zip(parameter_names(net), net.parameters()):
             if name.endswith(".b"):
                 assert not p.any()
@@ -179,7 +179,7 @@ class TestParameterArena:
 
     def test_combined_gradients_survive_a_later_call(self):
         net = make_net(seed=33)
-        rng = RngStream(34).generator
+        rng = rng_stream(34)
         labels = np.array([0, 2, 1, 1])
         targets = targets_for(derive_codebook(4, 3), labels)
         _, _, _, grads, _ = combined_loss_and_grads(
@@ -193,7 +193,7 @@ class TestParameterArena:
     def test_backward_is_bitwise_the_per_layer_oracle(self, layers, width, rows):
         net = make_net(seed=35, width=width, layers=layers, bits=16, classes=10,
                        input_dim=32)
-        rng = RngStream(36).generator
+        rng = rng_stream(36)
         res = net.forward(rng.normal(size=(rows, 32)))
         keep = rng.uniform(size=(rows, 1)) < 0.5  # zero rows, as masked updates do
         dlogits = rng.normal(size=res.logits.shape) * keep
@@ -214,7 +214,7 @@ class TestParameterArena:
         full batch, or the rows a mask selects."""
         net = make_net(seed=38, width=12, layers=layers, bits=16, classes=10,
                        input_dim=32)
-        rng = RngStream(39).generator
+        rng = rng_stream(39)
         labels = rng.integers(0, 10, size=24)
         targets = targets_for(derive_codebook(16, 10), labels)
         res = net.forward(rng.normal(size=(24, 32)))
@@ -238,7 +238,7 @@ class TestParameterArena:
         rows = np.arange(24)
         mask = {"one": rows == 17, "first_half": rows < 12, "every_third": rows % 3 == 0,
                 "all_but_one": rows != 5,
-                "random": RngStream(41).generator.uniform(size=24) < 0.4}[keep]
+                "random": rng_stream(41).uniform(size=24) < 0.4}[keep]
         losses_and_grads_from_forward(net, res, labels, targets, 0.5, mask)
         want = backward_per_layer(net, res.acts, *upstream_gradients(
             res, labels, targets, net.temperature, 0.5, mask))
@@ -251,7 +251,7 @@ class TestParameterArena:
         backward makes of the full-batch upstream gradients zeroed outside
         the mask, and returns the gathered path's means bit for bit."""
         net, res, labels, targets = forwarded_batch(46, layers)
-        mask = RngStream(47).generator.uniform(size=24) < 0.4
+        mask = rng_stream(47).uniform(size=24) < 0.4
         losses = losses_and_grads_from_forward(net, res, labels, targets, 0.5, mask,
                                                gather=False)
         want = backward_per_layer(net, res.acts, *upstream_gradients(
@@ -306,7 +306,7 @@ class TestClassificationLoss:
     def test_gradient_matches_finite_differences(self):
         """Classification path audited alone (detection weight set to 0)."""
         net = make_net(seed=11)
-        x = RngStream(12).generator.normal(size=(4, 5))
+        x = rng_stream(12).normal(size=(4, 5))
         labels = np.array([0, 2, 1, 1])
         targets = targets_for(derive_codebook(4, 3), labels)
 
@@ -375,7 +375,7 @@ class TestDetectionLoss:
         """The training loss's BCE is the mean of the checked decomposition
         over the selected rows, bit for bit, with and without a mask."""
         net = make_net(seed=14, bits=16)
-        rng = RngStream(14).generator
+        rng = rng_stream(14)
         labels = rng.integers(0, 3, size=9)
         t = targets_for(derive_codebook(16, 3), labels)
         res = net.forward(rng.normal(size=(9, 5)))
@@ -389,7 +389,7 @@ class TestDetectionLoss:
         """Detection path audited alone: the combined objective at detection
         weight 1 minus the same at weight 0."""
         net = make_net(seed=15)
-        x = RngStream(16).generator.normal(size=(4, 5))
+        x = rng_stream(16).normal(size=(4, 5))
         labels = np.array([0, 1, 2, 0])
         targets = targets_for(derive_codebook(4, 3), labels)
 
@@ -404,7 +404,7 @@ class TestDetectionLoss:
 class TestMaskedLoss:
     def test_mask_restricts_to_selected_rows(self):
         net = make_net(seed=17)
-        x = RngStream(18).generator.normal(size=(6, 5))
+        x = rng_stream(18).normal(size=(6, 5))
         labels = np.array([0, 1, 2, 0, 1, 2])
         targets = targets_for(derive_codebook(4, 3), labels)
         res = net.forward(x)
@@ -501,7 +501,7 @@ class TestSgdStep:
         per-parameter reference step."""
         net = make_net(seed=40, width=48)
         ref = [p.copy() for p in net.parameters()]
-        net.grad[:] = RngStream(41).generator.normal(size=net.grad.size)
+        net.grad[:] = rng_stream(41).normal(size=net.grad.size)
         ref_grads = [g.copy() for g in net.gradients()]
         v, ref_v = np.zeros_like(net.flat), [np.zeros_like(p) for p in ref]
         for _ in range(3):
@@ -562,10 +562,10 @@ class TestVarianceConvergesOnCleanData:
         """Trained on noise-free blobs, the mean per-sample intra-loss
         variance falls in successive 10-epoch windows and ends well under
         1e-3: with nothing mislabeled, per-bit losses become uniform."""
-        train, _ = gen_blobs(4, 8, 50, 0.6, RngStream(3))
+        train, _ = gen_blobs(4, 8, 50, 0.6, rng_stream(3))
         cb = derive_codebook(16, 4)
         targets = targets_for(cb, train.noisy_labels)
-        net = DualHeadNet.create(8, 4, 16, 16, 2, 2.0, RngStream(11))
+        net = DualHeadNet.create(8, 4, 16, 16, 2, 2.0, rng_stream(11))
         v = np.zeros_like(net.flat)
         sel = SelectionConfig()
         means = []
@@ -591,7 +591,7 @@ class TestCheckpoint:
         assert meta["epoch"] == 7 and meta["seed"] == 3
         assert meta["layout"] == net.layout()
         # loaded net produces identical outputs
-        x = RngStream(22).generator.normal(size=(4, 5))
+        x = rng_stream(22).normal(size=(4, 5))
         assert np.array_equal(net.forward(x).probs, loaded.forward(x).probs)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -17,7 +17,7 @@ import noisylab
 from noisylab import numeric
 from noisylab.errors import ConfigError, NumericError
 from noisylab.model import DualHeadNet, matmul
-from noisylab.numeric import (RngStream, activation, activation_derivative,
+from noisylab.numeric import (activation, activation_derivative, rng_stream,
                               softmax_with_temperature)
 from oracles import finite_difference_check
 
@@ -199,32 +199,42 @@ class TestFiniteDifferenceCheck:
 class TestRngStream:
     def test_equal_seeds_equal_draws(self):
         """Identical seeds reproduce the first million uniforms exactly."""
-        a = RngStream(123).generator.uniform(size=1_000_000)
-        b = RngStream(123).generator.uniform(size=1_000_000)
+        a = rng_stream(123).uniform(size=1_000_000)
+        b = rng_stream(123).uniform(size=1_000_000)
         assert np.array_equal(a, b)
 
     def test_child_streams_are_stable(self):
         """A child stream depends only on (seed, key), not on how many
-        draws the parent has made."""
-        parent = RngStream(7)
-        early = parent.child(2).generator.uniform(size=10)
-        parent.generator.uniform(size=1000)
-        late = parent.child(2).generator.uniform(size=10)
+        draws the seed's other streams have made."""
+        parent = rng_stream(7)
+        early = rng_stream(7, 2).uniform(size=10)
+        parent.uniform(size=1000)
+        late = rng_stream(7, 2).uniform(size=10)
         assert np.array_equal(early, late)
 
     def test_distinct_keys_distinct_streams(self):
-        root = RngStream(7)
-        a = root.child(0).generator.uniform(size=100)
-        b = root.child(1).generator.uniform(size=100)
+        a = rng_stream(7, 0).uniform(size=100)
+        b = rng_stream(7, 1).uniform(size=100)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed,keys", [(0, ()), (7, (2,)), (5, (5,)), (3, (1, 4))])
+    def test_draws_are_numpys_keyed_seed_sequence(self, seed, keys):
+        """A stream is numpy's PCG64 over ``SeedSequence(seed, spawn_key=keys)``:
+        the recipe that keeps replays identical across releases."""
+        want = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=keys)))
+        got = rng_stream(seed, *keys)
+        assert isinstance(got, np.random.Generator)
+        assert np.array_equal(got.uniform(size=100), want.uniform(size=100))
+        assert np.array_equal(got.integers(0, 10, size=100), want.integers(0, 10, size=100))
+
     def test_permutation_reproducible(self):
-        assert np.array_equal(RngStream(1).generator.permutation(50),
-                              RngStream(1).generator.permutation(50))
+        assert np.array_equal(rng_stream(1).permutation(50),
+                              rng_stream(1).permutation(50))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="non-negative"):
-            RngStream(-1)
+            rng_stream(-1)
 
 
 # Run in a fresh interpreter, so no earlier free has moved glibc's dynamic

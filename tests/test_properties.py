@@ -29,8 +29,8 @@ from noisylab.config import parse_config
 from noisylab.data import NOISE_KINDS
 from noisylab.experiment import start_run
 from noisylab.model import Z_CLAMP, DualHeadNet, losses_and_grads_from_forward
-from noisylab.numeric import RngStream
-from noisylab.schedule import STRATEGIES, STRATEGY_ROWS
+from noisylab.numeric import rng_stream
+from noisylab.schedule import STRATEGY_ROWS
 from noisylab.selection import SelectionConfig, batch_flags
 from oracles import (backward_per_layer, batch_variance_and_bce, select_rows,
                      targets_for, upstream_gradients)
@@ -55,10 +55,9 @@ def masked_batches(draw):
 def test_loss_gradients_are_bitwise_the_per_layer_oracle(case):
     classes, rows = case["classes"], case["rows"]
     bits = default_code_bits(classes)
-    rng = RngStream(case["seed"])
     net = DualHeadNet.create(case["input_dim"], classes, bits, case["width"],
-                             case["depth"], case["temperature"], rng.child(0))
-    g = rng.child(1).generator
+                             case["depth"], case["temperature"], rng_stream(case["seed"], 0))
+    g = rng_stream(case["seed"], 1)
     labels = g.integers(0, classes, size=rows)
     targets = targets_for(derive_codebook(bits, classes), labels)
     res = net.forward(g.normal(size=(rows, case["input_dim"])))
@@ -107,7 +106,7 @@ def small_runs(draw):
                   "hidden_width": draw(st.integers(1, 8)),
                   "hidden_layers": draw(st.integers(1, 3))},
     })
-    return cfg, draw(st.sampled_from(STRATEGIES)), draw(st.integers(0, 2**16))
+    return cfg, draw(st.sampled_from(list(STRATEGY_ROWS))), draw(st.integers(0, 2**16))
 
 
 @FEW
@@ -203,7 +202,7 @@ def train_configs(draw):
     cfg["noise"] = {"kind": kind, "epsilon": 0.4}
     if kind == "asymmetric":
         cfg["noise"]["class_map"] = {"0": 1, "1": 2, "2": 0}
-    cfg["schedule"] = {"strategy": draw(st.sampled_from(STRATEGIES))}
+    cfg["schedule"] = {"strategy": draw(st.sampled_from(list(STRATEGY_ROWS)))}
     cfg["train"]["lr0"] = draw(st.sampled_from([0.1, 1e300]))
     for section, key in draw(st.sets(st.sampled_from(sorted(BREAKS)), max_size=3)):
         cfg.setdefault(section, {})[key] = draw(st.sampled_from(BREAKS[section, key]))

@@ -14,8 +14,8 @@ from noisylab.config import parse_config
 from noisylab.errors import ConfigError, NumericError
 from noisylab.experiment import start_run
 from noisylab.model import DualHeadNet
-from noisylab.numeric import RngStream
-from noisylab.schedule import (STRATEGIES, IdentifierTable, ScheduleConfig,
+from noisylab.numeric import rng_stream
+from noisylab.schedule import (STRATEGY_ROWS, IdentifierTable, ScheduleConfig,
                                _gate, _step_failure, run_epoch)
 from oracles import parameter_names, targets_for
 
@@ -46,8 +46,8 @@ def params_equal(a, b):
 
 class TestScheduleConfig:
     def test_strategy_names(self):
-        assert STRATEGIES == ("standard", "self_update", "cross_update",
-                              "jump_update")
+        assert tuple(STRATEGY_ROWS) == ("standard", "self_update", "cross_update",
+                                        "jump_update")
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ConfigError):
@@ -141,21 +141,19 @@ class TestGate:
         stream drawn once per iteration (one draw covers both cross nets);
         warm-up draws nothing, so the two streams end at the same position."""
         state, _ = make_state(strategy, effect_rate=0.5, seed=5)
-        oracle = RngStream(5).child(5)
+        oracle = rng_stream(5, 5)
         for epoch in range(state.train_cfg.epochs):
             stats = run_epoch(state, epoch)
             expected = 0 if epoch < state.train_cfg.warmup_epochs else sum(
-                oracle.generator.uniform() < 0.5 for _ in range(state.iters_per_epoch))
+                oracle.uniform() < 0.5 for _ in range(state.iters_per_epoch))
             assert stats.gate_on == expected
-        assert state.gate_rng.generator.bit_generator.state == \
-            oracle.generator.bit_generator.state
+        assert state.gate_rng.bit_generator.state == oracle.bit_generator.state
 
     def test_standard_never_draws(self):
         state, _ = make_state("standard", effect_rate=0.5, seed=5)
         for epoch in range(state.train_cfg.epochs):
             assert run_epoch(state, epoch).gate_on == 0
-        assert state.gate_rng.generator.bit_generator.state == \
-            RngStream(5).child(5).generator.bit_generator.state
+        assert state.gate_rng.bit_generator.state == rng_stream(5, 5).bit_generator.state
 
 
 class TestStartRun:
@@ -171,7 +169,7 @@ class TestStartRun:
         state, _ = make_state("jump_update", jump_step=20)
         assert state.jump_step == 20
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", list(STRATEGY_ROWS))
     def test_batch_targets_are_the_per_row_targets(self, strategy, monkeypatch):
         """Each batch's rows of the per-class table are bit for bit the rows
         of the per-row target array, ``targets_for(noisy_labels)[idx]``."""
@@ -201,7 +199,7 @@ class TestStartRun:
 
 
 class TestWarmup:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", list(STRATEGY_ROWS))
     def test_trains_everything_and_never_commits(self, strategy):
         state, noisy = make_state(strategy)
         stats = run_epoch(state, 0)
@@ -295,28 +293,59 @@ class TestCrossUpdate:
         for net, prev in zip(state.nets, before):
             assert not params_equal(snapshot(net), prev)
 
-    @pytest.mark.parametrize("strategy", ["self_update", "cross_update"])
+    @pytest.mark.parametrize("strategy", ["self_update", "jump_update", "cross_update",
+                                          "cross_copy"])
     def test_masked_backward_height(self, strategy, monkeypatch):
-        """Self backpropagates only its picked rows; cross, the dual-network
-        baseline, backpropagates every row with the peer's dropped rows
-        zeroed, as Co-teaching's index-select loss does under autograd."""
+        """Over gated epochs, self and jump backpropagate only the rows their
+        mask keeps; cross, the dual-network baseline, backpropagates every row
+        of the batch with the rows outside the peer's pick zeroed, as
+        Co-teaching's index-select loss does under autograd.  ``cross_copy``
+        is cross's row under another name: the row decides the height."""
+        monkeypatch.setitem(schedule.STRATEGY_ROWS, "cross_copy",
+                            schedule.STRATEGY_ROWS["cross_update"])
         state, _ = make_state(strategy, keep=0.5)
         run_epoch(state, 0)
         run_epoch(state, 1)
-        seen, real_backward = [], DualHeadNet.backward
+        batches, calls = [], []
+        real_batches, real_update = schedule._batches, schedule._update
+        real_backward = DualHeadNet.backward
+
+        def recording_batches(st):
+            epoch_batches = real_batches(st)
+            batches.extend(epoch_batches)
+            return epoch_batches
+
+        def recording_update(st, which, res, labels, targets, mask, lr):
+            calls.append([which, mask, None])
+            return real_update(st, which, res, labels, targets, mask, lr)
 
         def recording_backward(net, acts, dlogits, d_det_pre):
-            seen.append((dlogits.shape[0], int(np.count_nonzero(dlogits.any(axis=1)))))
+            calls[-1][2] = dlogits.copy()
             return real_backward(net, acts, dlogits, d_det_pre)
 
+        monkeypatch.setattr(schedule, "_batches", recording_batches)
+        monkeypatch.setattr(schedule, "_update", recording_update)
         monkeypatch.setattr(DualHeadNet, "backward", recording_backward)
-        stats = run_epoch(state, 2)
-        assert stats.gate_on == state.iters_per_epoch
-        picked = [8, 8, 8, 8, 4]  # ceil(0.5 * batch) of 16, 16, 16, 16, 8 rows
-        if strategy == "self_update":
-            assert seen == [(k, k) for k in picked]
-        else:
-            assert seen == [(2 * k, k) for k in picked for _ in state.nets]
+        nets, dropped = len(state.nets), 0
+        for epoch in range(2, state.train_cfg.epochs):
+            active = state.table.active.copy() if state.table is not None else None
+            start = len(calls)
+            assert run_epoch(state, epoch).gate_on == state.iters_per_epoch
+            for i, (which, mask, dlogits) in enumerate(calls[start:]):
+                idx = batches[start // nets + i // nets]
+                # the committed flags, or the net's own pick, or its peer's
+                want = active if active is not None else state.selected[nets - 1 - which]
+                assert np.array_equal(mask, want[idx])
+                dropped += not mask.all()
+                if not mask.any():
+                    assert dlogits is None  # the batch is skipped
+                elif nets == 2:
+                    assert dlogits.shape[0] == idx.size
+                    assert np.array_equal(dlogits.any(axis=1), mask)
+                else:
+                    assert dlogits.shape[0] == np.count_nonzero(mask)
+                    assert dlogits.any(axis=1).all()
+        assert dropped  # some mask dropped rows, so the heights differ
 
 
 class TestJumpUpdate:

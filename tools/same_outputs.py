@@ -20,8 +20,9 @@ Runs, as fresh ``noisylab`` processes with BLAS pinned to one thread:
 * ``train`` on each of the three benchmark workload configs
   (``perfbench/run.py``), seed 1, with ``--dump-selection`` where the
   workload uses it;
-* the standalone tools, in ``tools/``: ``codebook``, ``gen-data``, and an
-  ``inject`` of each noise kind into the generated train split.
+* the standalone tools, in ``tools/``: ``codebook`` at the default and the
+  widest width, ``gen-data`` at 4 classes in 5 dimensions and at 12 in 10,
+  and an ``inject`` of each noise kind into the first generated train split.
 
 It then prints ``sha256  relative/path`` for every file written, sorted by
 path.  Wall-time and memory fields are dropped before hashing: the
@@ -92,11 +93,17 @@ RUNS = [
 ASYMMETRIC_MAP = '{"0": 2, "1": 3, "2": 0, "3": 1}'
 
 # Standalone tool invocations, run in this order in <work>/tools/: every
-# inject reads the train split gen-data writes.
+# inject reads the train split the first gen-data writes.  The widest
+# codebook, and 12 class centers truncated to 10 dimensions (neither a power
+# of two), cover the Sylvester rows at the edges of their range.
 TOOL_RUNS = [
     ["codebook", "--classes", "6", "--out", "codebook.csv"],
+    ["codebook", "--classes", "3", "--bits", "4096", "--out", "codebook_wide.csv"],
     ["gen-data", "--classes", "4", "--dim", "5", "--per-class", "30", "--spread", "1.5",
      "--seed", "2", "--train-out", "train.csv", "--test-out", "test.csv"],
+    ["gen-data", "--classes", "12", "--dim", "10", "--per-class", "5", "--spread", "0.5",
+     "--center-scale", "2", "--seed", "3", "--train-out", "train_12x10.csv",
+     "--test-out", "test_12x10.csv"],
 ] + [["inject", "--input", "train.csv", "--out", f"inject_{kind}.csv", "--kind", kind,
       "--epsilon", "0.3", "--seed", "4"]
      + (["--class-map", ASYMMETRIC_MAP] if kind == "asymmetric" else [])
