@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import default_code_bits, derive_codebook, save_codebook_csv
-from .config import from_json, load_config
+from .config import DatasetConfig, from_json, load_config
 from .data import NOISE_KINDS, NoiseConfig, gen_blobs, inject_noise, load_csv, save_csv
 from .errors import ConfigError, DataIOError, NumericError
 from .experiment import compare_strategies, run_experiment
@@ -33,7 +33,7 @@ def _cmd_codebook(args) -> int:
     bits = args.bits if args.bits is not None else default_code_bits(args.classes)
     cb = derive_codebook(bits, args.classes)
     save_codebook_csv(cb, args.out)
-    print(f"codebook: {cb.num_classes} classes x {cb.code_bits} bits -> {args.out}")
+    print(f"codebook: {args.classes} classes x {bits} bits -> {args.out}")
     return 0
 
 
@@ -140,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True)
-    p.add_argument("--spread", type=float, default=1.0)
-    p.add_argument("--center-scale", type=float, default=1.0)
+    p.add_argument("--spread", type=float, default=DatasetConfig.spread)
+    p.add_argument("--center-scale", type=float, default=DatasetConfig.center_scale)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject", help="inject label noise into a dataset CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kind", choices=NOISE_KINDS, default="symmetric")
+    p.add_argument("--kind", choices=NOISE_KINDS, default=NoiseConfig.kind)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--class-map", default=None,
                    help='JSON object, e.g. \'{"0": 1, "1": 0}\' (asymmetric only)')

@@ -47,16 +47,13 @@ def default_code_bits(num_classes: int) -> int:
 
 @dataclass
 class HadamardCodebook:
-    """Class-to-codeword mapping with guaranteed pairwise distance K/2.
+    """Class-to-codeword mapping with guaranteed pairwise distance K/2, for
+    C <= K classes and codewords of K bits (a power of two >= 2).
 
-    code_bits:   K, the codeword length (power of two >= 2)
-    num_classes: C <= K
     codewords:   C x K matrix of +/-1
     targets:     C x K matrix of {0, 1} floats, the bitwise remap of codewords
     """
 
-    code_bits: int
-    num_classes: int
     codewords: np.ndarray
     targets: np.ndarray
 
@@ -82,7 +79,7 @@ def derive_codebook(code_bits: int, num_classes: int) -> HadamardCodebook:
             f"got {num_classes}")
     codewords = sylvester_rows(num_classes, code_bits)
     targets = ((codewords + 1) // 2).astype(np.float64)
-    return HadamardCodebook(code_bits, num_classes, codewords, targets)
+    return HadamardCodebook(codewords, targets)
 
 
 def save_codebook_csv(cb: HadamardCodebook, path) -> None:

@@ -99,7 +99,21 @@ def check_class_count(classes: int) -> None:
                             f"(the widest codebook holds {MAX_CODE_BITS})")
 
 
-def class_centers(classes: int, dim: int, scale: float = 1.0) -> np.ndarray:
+def check_class_map(cmap: dict, classes: int) -> None:
+    """Refuse a class map that is not a map over exactly the classes
+    [0, ``classes``): a missing source, or a source or target outside it."""
+    missing = [k for k in range(classes) if k not in cmap]
+    if missing:
+        raise ConfigError(f"class_map missing source classes {missing}")
+    unread = [k for k in cmap if not 0 <= k < classes]
+    if unread:
+        raise ConfigError(f"class_map sources outside [0, {classes}): {unread}")
+    bad = [v for v in cmap.values() if not 0 <= v < classes]
+    if bad:
+        raise ConfigError(f"class_map targets outside [0, {classes}): {bad}")
+
+
+def class_centers(classes: int, dim: int, scale: float) -> np.ndarray:
     """Well-separated class centers in R^dim.
 
     Prefers truncated +/-1 Hadamard rows (pairwise distance >= scale *
@@ -130,7 +144,7 @@ def check_blob_geometry(classes: int | None, dim: int, per_class: int, spread: f
 
 
 def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
-              rng: np.random.Generator, center_scale: float = 1.0):
+              rng: "np.random.Generator", center_scale: float):
     """Gaussian clusters around the class centers; returns (train, test)
     with a stratified 80/20 split (round(0.2 * n) >= 1 test rows per class)."""
     check_blob_geometry(classes, dim, n_per_class, spread, center_scale)
@@ -162,7 +176,7 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
 
 
 def _instance_flip_probs(ds: NoisyDataset, epsilon: float,
-                         idn_rng: np.random.Generator) -> np.ndarray:
+                         idn_rng: "np.random.Generator") -> np.ndarray:
     w = idn_rng.normal(size=(ds.features.shape[1], ds.num_classes))  # the projection
     scores = (ds.features @ w)[np.arange(ds.n_samples), ds.true_labels]
     mu, sd = scores.mean(), scores.std()
@@ -183,8 +197,8 @@ def _instance_flip_probs(ds: NoisyDataset, epsilon: float,
     return np.clip(0.25 * z + b, 0.0, 1.0)
 
 
-def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: np.random.Generator,
-                 idn_rng: np.random.Generator) -> NoisyDataset:
+def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: "np.random.Generator",
+                 idn_rng: "np.random.Generator") -> NoisyDataset:
     """Return the train split with noisy labels written in; the features
     are shared with ``ds``, not copied.
 
@@ -213,15 +227,7 @@ def inject_noise(ds: NoisyDataset, noise: NoiseConfig, rng: np.random.Generator,
         noisy[flips] = draw[flips]
     else:
         cmap = noise.class_map if noise.kind == "asymmetric" else {i: (i + 1) % c for i in range(c)}
-        missing = [k for k in range(c) if k not in cmap]
-        if missing:
-            raise ConfigError(f"class_map missing source classes {missing}")
-        unread = [k for k in cmap if not 0 <= k < c]
-        if unread:
-            raise ConfigError(f"class_map sources outside [0, {c}): {unread}")
-        bad = [v for v in cmap.values() if not 0 <= int(v) < c]
-        if bad:
-            raise ConfigError(f"class_map targets outside [0, {c}): {bad}")
+        check_class_map(cmap, c)
         flips = rng.uniform(size=n) < noise.epsilon
         mapped = np.array([cmap[int(v)] for v in y], dtype=np.int64)
         noisy[flips] = mapped[flips]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .codebook import default_code_bits, derive_codebook
 from .config import ExperimentConfig, canonical_dict, config_hash
-from .data import gen_blobs, inject_noise, load_csv
+from .data import check_class_map, gen_blobs, inject_noise, load_csv
 from .errors import ConfigError, DataIOError, NumericError, atomic_write
 from .metrics import (cell, emit_report, evaluate, iou, mean_or_none, peak_memory_bytes,
                       selection_quality, summarize_records)
@@ -48,11 +48,14 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
 
     CSV datasets that already contain disagreeing label columns are used
     as-is; injection only happens on clean training data with epsilon > 0.
-    An empty CSV split, and a test split whose feature count differs
-    from the train split's, are refused.
+    An empty CSV split, a test split whose feature count differs from the
+    train split's, and a class map that does not fit the class count, even
+    one no draw reads, are refused.
     """
-    ds_cfg = cfg.dataset
+    ds_cfg, cmap = cfg.dataset, cfg.noise.class_map
     if ds_cfg.kind == "blobs":
+        if cmap:  # refused before the draw: blobs know their class count
+            check_class_map(cmap, ds_cfg.classes)
         train, test = gen_blobs(ds_cfg.classes, ds_cfg.dim, ds_cfg.per_class,
                                 ds_cfg.spread, rng_stream(seed, STREAM_DATA),
                                 ds_cfg.center_scale)
@@ -62,6 +65,8 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
         if test.features.shape[1] != train.features.shape[1]:
             raise DataIOError(f"{ds_cfg.test_path} has {test.features.shape[1]} features "
                               f"but {ds_cfg.train_path} has {train.features.shape[1]}")
+        if cmap:
+            check_class_map(cmap, train.num_classes)
     if train.clean_mask.all() and cfg.noise.epsilon > 0:
         train = inject_noise(train, cfg.noise, rng_stream(seed, STREAM_NOISE),
                              rng_stream(seed, STREAM_IDN))

@@ -27,9 +27,6 @@ def iou(a, b) -> float:
     """Intersection over union of two selections given as boolean masks of
     equal length.  Two empty selections count as perfect agreement (1.0).
     """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.dtype != bool or b.dtype != bool:
-        raise TypeError(f"iou takes boolean masks, got dtypes {a.dtype} and {b.dtype}")
     inter = int(np.sum(a & b))
     union = int(np.sum(a | b))
     if union == 0:
@@ -43,11 +40,9 @@ def selection_quality(selected_mask, clean_mask):
 
     0/0 cases (nothing selected, nothing clean, or both) resolve to 0.0.
     """
-    sel = np.asarray(selected_mask, dtype=bool)
-    clean = np.asarray(clean_mask, dtype=bool)
-    tp = int(np.sum(sel & clean))
-    n_sel = int(sel.sum())
-    n_clean = int(clean.sum())
+    tp = int(np.sum(selected_mask & clean_mask))
+    n_sel = int(selected_mask.sum())
+    n_clean = int(clean_mask.sum())
     precision = tp / n_sel if n_sel else 0.0
     recall = tp / n_clean if n_clean else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0

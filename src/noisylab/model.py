@@ -230,7 +230,7 @@ class DualHeadNet:
     @classmethod
     def create(cls, input_dim: int, num_classes: int, code_bits: int,
                hidden_width: int, hidden_layers: int, temperature: float,
-               rng: np.random.Generator) -> "DualHeadNet":
+               rng: "np.random.Generator") -> "DualHeadNet":
         """Seeded initialization: He-scaled normals for relu layers,
         Xavier-scaled for tanh/linear layers, zero biases.  Weights are
         drawn layer by layer in :meth:`parameters` order."""
@@ -241,18 +241,6 @@ class DualHeadNet:
             fan_in = lay.w.shape[0]
             lay.w[...] = rng.normal(0.0, math.sqrt(gain / fan_in), size=lay.w.shape)
         return net
-
-    @property
-    def input_dim(self) -> int:
-        return self.trunk[0].w.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.classifier.w.shape[1]
-
-    @property
-    def code_bits(self) -> int:
-        return self.detection[-1].w.shape[1]
 
     def parameters(self) -> list:
         """All parameter arrays in a fixed order (trunk, classifier, detection),
@@ -274,9 +262,9 @@ class DualHeadNet:
 
     def layout(self) -> dict:
         return {
-            "input_dim": self.input_dim,
-            "num_classes": self.num_classes,
-            "code_bits": self.code_bits,
+            "input_dim": self.trunk[0].w.shape[0],
+            "num_classes": self.classifier.w.shape[1],
+            "code_bits": self.detection[-1].w.shape[1],
             "hidden_width": self.trunk[0].w.shape[1],
             "hidden_layers": len(self.trunk),
             "temperature": self.temperature,
@@ -285,8 +273,8 @@ class DualHeadNet:
     def forward(self, x, rows=None) -> ForwardResult:
         """Full forward pass: class probabilities through the temperature
         softmax, and detection embeddings z inside [Z_CLAMP, 1 - Z_CLAMP];
-        the cache keeps only the ``rows`` a loss will train on, when given."""
-        x = np.asarray(x, dtype=np.float64)
+        the cache keeps only the ``rows`` a loss will train on, when given.
+        Unchecked: ``x`` is a float64 batch, as ``NoisyDataset`` holds it."""
         acts = [x if rows is None else x.take(rows, axis=0)]
         h = _chain_forward(self.trunk, "relu", x, acts, rows)
         logits = matmul(h, self.classifier.w)
@@ -359,8 +347,8 @@ def bce_log_likelihood(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def losses_and_grads_from_forward(net: DualHeadNet, res: ForwardResult,
-                                  labels, targets, bce_weight: float = 1.0,
-                                  mask=None, *, gather: bool = True):
+                                  labels, targets, bce_weight: float, mask=None, *,
+                                  gather: bool = True):
     """Mean CE and BCE over the masked rows (``mask=None``: all rows); the
     gradients of CE + bce_weight * BCE are left in ``net.grad``.  Targets
     are trusted 0/1 bits (codebook rows) and labels lie in [0, C)

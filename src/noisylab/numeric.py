@@ -29,7 +29,6 @@ def activation(kind: str, x: np.ndarray, out: np.ndarray | None = None) -> np.nd
     into ``out`` when given (``out=x`` applies it in place).  Its derivative
     is read off this value by :func:`activation_derivative`, so a forward
     pass caches outputs only."""
-    x = np.asarray(x, dtype=np.float64)
     if kind == "relu":
         return np.maximum(x, 0.0, out=out)
     return np.tanh(x, out=out)
@@ -56,14 +55,14 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarr
     ``DualHeadNet`` guarantees.  The steps after the scaling run in place on
     the scaled copy; ``logits`` is not written.
     """
-    e = np.asarray(logits, dtype=np.float64) / temperature  # its one full-size array
+    e = logits / temperature  # its one full-size array
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def rng_stream(seed: int, *keys: int) -> np.random.Generator:
+def rng_stream(seed: int, *keys: int) -> "np.random.Generator":
     """The PCG64 generator of stream ``keys`` of ``seed``, seeded through
     ``SeedSequence(seed, spawn_key=keys)``.
 

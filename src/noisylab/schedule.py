@@ -104,8 +104,8 @@ class RunState:
     train_cfg: TrainConfig
     sel_cfg: SelectionConfig
     sched_cfg: ScheduleConfig
-    shuffle_rng: np.random.Generator
-    gate_rng: np.random.Generator
+    shuffle_rng: "np.random.Generator"
+    gate_rng: "np.random.Generator"
     row: StrategyRow = field(init=False)
     velocities: list = field(init=False)  # one SGD velocity arena per net
     iters_per_epoch: int = field(init=False)
@@ -175,12 +175,6 @@ def _step_failure(net: DualHeadNet) -> str:
     return f"parameter {net.first_nonfinite(net.parameters())} became non-finite after the step"
 
 
-def _gate(state: RunState) -> bool:
-    # random() is the uniform(0, 1) draw minus numpy's argument handling:
-    # the same double from the same single step of the stream.
-    return state.gate_rng.random() < state.sched_cfg.effect_rate
-
-
 def _train_batch(state: RunState, idx, lr: float, warm: bool):
     """One iteration on the batch rows ``idx``: select, then write the picks
     to the table (lagged) or train on them.  Returns each net's :func:`_update`
@@ -192,7 +186,10 @@ def _train_batch(state: RunState, idx, lr: float, warm: bool):
     targets = state.target_table[labels]
     # Neither the gate nor the active buffer depends on this batch's forward
     # pass, so a gated lagged update forwards with its rows and caches only them.
-    gated = not warm and row.selector is not None and _gate(state)
+    # random() is the uniform(0, 1) draw minus numpy's argument handling:
+    # the same double from the same single step of the stream.
+    gated = (not warm and row.selector is not None
+             and state.gate_rng.random() < state.sched_cfg.effect_rate)
     masks, cached, lag = [None] * row.nets, None, (0, 0)
     if gated and row.lagged:
         masks = [table.active[idx]]  # fancy indexing copies

@@ -82,12 +82,11 @@ def small_loss_select(losses: np.ndarray, keep_ratio: float) -> np.ndarray:
     Ties and ordering are resolved by a stable sort, so equal losses keep
     their original index order.
     """
-    lo = np.asarray(losses, dtype=np.float64)
-    if not np.all(np.isfinite(lo)):
+    if not np.all(np.isfinite(losses)):
         raise NumericError("non-finite loss in small-loss ranking")
-    k = int(np.ceil(keep_ratio * lo.size))
-    order = np.argsort(lo, kind="stable")
-    mask = np.zeros(lo.size, dtype=bool)
+    k = int(np.ceil(keep_ratio * losses.size))
+    order = np.argsort(losses, kind="stable")
+    mask = np.zeros(losses.size, dtype=bool)
     mask[order[:k]] = True
     return mask
 
@@ -98,6 +97,10 @@ def auto_keep_ratio(epsilon: float) -> float:
     return float(min(1.0, max(0.05, 1.0 - epsilon)))
 
 
+# A dump row's four 0/1 flag columns, indexed by det<<3 | cls<<2 | comb<<1 | clean.
+_FLAG_TAILS = ["".join(f",{bit}" for bit in f"{code:04b}") + "\n" for code in range(16)]
+
+
 def dump_decisions_csv(path, flags: BatchFlags, clean_mask) -> None:
     """Per-epoch dump of every selection decision, one row per sample in
     index order.
@@ -105,11 +108,11 @@ def dump_decisions_csv(path, flags: BatchFlags, clean_mask) -> None:
     Columns: sample_index, variance, bce_loss, det_flag, cls_flag,
     combined_flag, is_truly_clean.
     """
+    codes = (flags.detection << 3) | (flags.classifier << 2) | (flags.combined << 1) | clean_mask
     rows = zip(range(clean_mask.size), flags.variance.tolist(), flags.bce.tolist(),
-               flags.detection.tolist(), flags.classifier.tolist(), flags.combined.tolist(),
-               clean_mask.tolist())
+               map(_FLAG_TAILS.__getitem__, codes.tolist()))
     with atomic_write(path) as fh:
         fh.write("sample_index,variance,bce_loss,det_flag,cls_flag,"
                  "combined_flag,is_truly_clean\n")
-        # %r gives repr(float), as csv.writer would write it; %d gives 0/1.
-        fh.writelines(map("%d,%r,%r,%d,%d,%d,%d\n".__mod__, rows))
+        # %r gives repr(float), as csv.writer would write it.
+        fh.writelines(map("%d,%r,%r%s".__mod__, rows))

@@ -113,18 +113,19 @@ def parameter_names(net: DualHeadNet) -> list:
 
 def encode_label(cb, y: int):
     """Copies of (codeword, target) for class ``y`` of codebook ``cb``."""
-    if not 0 <= int(y) < cb.num_classes:
-        raise ValueError(f"label {y} out of range [0, {cb.num_classes})")
+    classes = cb.codewords.shape[0]
+    if not 0 <= int(y) < classes:
+        raise ValueError(f"label {y} out of range [0, {classes})")
     return cb.codewords[int(y)].copy(), cb.targets[int(y)].copy()
 
 
 def targets_for(cb, labels) -> np.ndarray:
     """Validated target rows for an integer label array, one per label: the
     per-row target array a run kept before it kept one row per class."""
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= cb.num_classes):
-        bad = labels[(labels < 0) | (labels >= cb.num_classes)][0]
-        raise ValueError(f"label {bad} out of range [0, {cb.num_classes})")
+    labels, classes = np.asarray(labels), cb.codewords.shape[0]
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        bad = labels[(labels < 0) | (labels >= classes)][0]
+        raise ValueError(f"label {bad} out of range [0, {classes})")
     return cb.targets[labels]
 
 

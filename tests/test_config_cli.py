@@ -555,11 +555,28 @@ class TestCliTrain:
          "noise.class_map is read by kind 'asymmetric' only, not 'symmetric'"),
         ({"kind": "asymmetric", "class_map": {"0": 1, "1": 2, "2": 0, "5": 1}},
          "class_map sources outside [0, 3): [5]"),
-    ], ids=["symmetric", "asymmetric-source-5"])
+        ({"kind": "asymmetric", "epsilon": 0.0, "class_map": {"0": 1, "1": 2, "2": 0, "5": 1}},
+         "class_map sources outside [0, 3): [5]"),
+    ], ids=["symmetric", "asymmetric-source-5", "asymmetric-eps0-source-5"])
     def test_class_map_no_draw_reads_exits_2(self, tmp_path, capsys, noise, detail):
         cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(tmp_path / "out",
                                                                    noise=noise))
         assert main(["train", "--config", cfg]) == 2
+        assert detail in only_error(capsys, "config")
+        assert not (tmp_path / "out").exists()
+
+    # A train split that already carries noise gets no injection, yet its map
+    # is checked against the class count the CSV gives.
+    @pytest.mark.parametrize("class_map,detail", [
+        ({"0": 1}, "class_map missing source classes [1]"),
+        ({"0": 1, "1": 0, "2": 0}, "class_map sources outside [0, 2): [2]"),
+        ({"0": 1, "1": 2}, "class_map targets outside [0, 2): [2]"),
+    ], ids=["missing-source", "source-2", "target-2"])
+    def test_class_map_on_noisy_csv_exits_2(self, tmp_path, capsys, class_map, detail):
+        noisy_rows = ["1.0,2.0,0,0", "1.5,2.5,1,0", "0.5,1.0,0,0", "0.7,1.9,1,1"]
+        payload = csv_train_payload(tmp_path, noisy_rows, TWO_CLASS_ROWS, noise={
+            "kind": "asymmetric", "epsilon": 0.2, "class_map": class_map})
+        assert main(["train", "--config", write_json(tmp_path / "cfg.json", payload)]) == 2
         assert detail in only_error(capsys, "config")
         assert not (tmp_path / "out").exists()
 

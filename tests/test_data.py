@@ -4,6 +4,7 @@ stratified split, every noise model, and CSV round-trips."""
 import numpy as np
 import pytest
 
+from noisylab import experiment
 from noisylab.codebook import next_pow2
 from noisylab.config import parse_config
 from noisylab.data import (NoiseConfig, NoisyDataset, class_centers, gen_blobs,
@@ -41,13 +42,13 @@ class TestClassCenters:
 
     def test_wide_feature_space_takes_classes_by_dim_memory(self):
         # The full Sylvester matrix of order 32,768 would take 8 GiB.
-        centers = class_centers(2, 20000)
+        centers = class_centers(2, 20000, 1.0)
         assert centers.shape == (2, 20000)
         assert np.array_equal(centers[0], np.ones(20000))
         assert np.array_equal(centers[1, :4], [1.0, -1.0, 1.0, -1.0])
 
     def test_lattice_fallback_for_many_classes(self):
-        centers = class_centers(10, 4)
+        centers = class_centers(10, 4, 1.0)
         assert centers.shape == (10, 4)
         assert len({tuple(r) for r in centers}) == 10
 
@@ -66,14 +67,14 @@ class TestGenBlobs:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_deterministic(self):
-        a_train, a_test = gen_blobs(3, 4, 20, 1.0, rng_stream(5))
-        b_train, b_test = gen_blobs(3, 4, 20, 1.0, rng_stream(5))
+        a_train, a_test = gen_blobs(3, 4, 20, 1.0, rng_stream(5), 1.0)
+        b_train, b_test = gen_blobs(3, 4, 20, 1.0, rng_stream(5), 1.0)
         assert np.array_equal(a_train.features, b_train.features)
         assert np.array_equal(a_test.features, b_test.features)
         assert np.array_equal(a_train.true_labels, b_train.true_labels)
 
     def test_stratified_80_20_split(self):
-        train, test = gen_blobs(4, 6, 50, 1.0, rng_stream(1))
+        train, test = gen_blobs(4, 6, 50, 1.0, rng_stream(1), 1.0)
         assert train.n_samples == 160 and test.n_samples == 40
         for c in range(4):
             assert int((train.true_labels == c).sum()) == 40
@@ -81,15 +82,15 @@ class TestGenBlobs:
         assert train.split == "train" and test.split == "test"
 
     def test_clean_on_arrival(self):
-        train, test = gen_blobs(3, 4, 10, 1.0, rng_stream(2))
+        train, test = gen_blobs(3, 4, 10, 1.0, rng_stream(2), 1.0)
         for ds in (train, test):
             assert ds.clean_mask.all()
             assert np.array_equal(ds.true_labels, ds.noisy_labels)
 
     def test_tiny_spread_is_separable(self):
         """Near-zero spread: nearest-center classification is perfect."""
-        train, test = gen_blobs(2, 4, 25, 1e-6, rng_stream(3))
-        centers = class_centers(2, 4)
+        train, test = gen_blobs(2, 4, 25, 1e-6, rng_stream(3), 1.0)
+        centers = class_centers(2, 4, 1.0)
         for ds in (train, test):
             d = np.linalg.norm(ds.features[:, None, :] - centers[None], axis=2)
             assert np.array_equal(np.argmin(d, axis=1), ds.true_labels)
@@ -103,7 +104,7 @@ class TestGenBlobs:
         base.update(kwargs)
         with pytest.raises(ConfigError):
             gen_blobs(base["classes"], base["dim"], base["n_per_class"],
-                      base["spread"], rng_stream(0))
+                      base["spread"], rng_stream(0), 1.0)
 
     @pytest.mark.parametrize("field,value", [("classes", 1), ("dim", 1), ("per_class", 2),
                                              ("spread", 0.0), ("spread", -1.0)])
@@ -114,7 +115,7 @@ class TestGenBlobs:
             parse_config({"dataset": geometry})
         with pytest.raises(ConfigError) as generated:
             gen_blobs(geometry["classes"], geometry["dim"], geometry["per_class"],
-                      geometry["spread"], rng_stream(0))
+                      geometry["spread"], rng_stream(0), 1.0)
         assert str(parsed.value) == str(generated.value)
         assert f"blob {field} must be" in str(parsed.value)
 
@@ -133,34 +134,34 @@ class TestNoiseConfig:
 
 class TestInjectNoise:
     def test_epsilon_zero_is_identity(self):
-        train, _ = gen_blobs(3, 4, 30, 1.0, rng_stream(4))
+        train, _ = gen_blobs(3, 4, 30, 1.0, rng_stream(4), 1.0)
         noisy = inject_noise(train, NoiseConfig("symmetric", 0.0), rng_stream(1), NO_IDN)
         assert noisy.clean_mask.all()
         assert np.array_equal(noisy.noisy_labels, train.true_labels)
 
     def test_symmetric_rate_within_binomial_bound(self):
         """epsilon=0.5 over 10k samples: realized rate within +/-0.015."""
-        train, _ = gen_blobs(5, 4, 2500, 1.0, rng_stream(6))
+        train, _ = gen_blobs(5, 4, 2500, 1.0, rng_stream(6), 1.0)
         assert train.n_samples == 10000
         noisy = inject_noise(train, NoiseConfig("symmetric", 0.5), rng_stream(2), NO_IDN)
         assert abs((~noisy.clean_mask).mean() - 0.5) < 0.015
 
     def test_symmetric_never_flips_to_true_class(self):
-        train, _ = gen_blobs(4, 4, 500, 1.0, rng_stream(7))
+        train, _ = gen_blobs(4, 4, 500, 1.0, rng_stream(7), 1.0)
         noisy = inject_noise(train, NoiseConfig("symmetric", 0.8), rng_stream(3), NO_IDN)
         flipped = ~noisy.clean_mask
         assert flipped.any()
         assert np.all(noisy.noisy_labels[flipped] != noisy.true_labels[flipped])
 
     def test_pairflip_full_rate_is_cyclic_shift(self):
-        train, _ = gen_blobs(10, 4, 20, 1.0, rng_stream(8))
+        train, _ = gen_blobs(10, 4, 20, 1.0, rng_stream(8), 1.0)
         noisy = inject_noise(train, NoiseConfig("pairflip", 0.99), rng_stream(4), NO_IDN)
         flipped = ~noisy.clean_mask
         want = (noisy.true_labels + 1) % 10
         assert np.array_equal(noisy.noisy_labels[flipped], want[flipped])
 
     def test_asymmetric_follows_class_map(self):
-        train, _ = gen_blobs(3, 4, 200, 1.0, rng_stream(9))
+        train, _ = gen_blobs(3, 4, 200, 1.0, rng_stream(9), 1.0)
         cmap = {0: 1, 1: 0, 2: 2}
         noisy = inject_noise(train, NoiseConfig("asymmetric", 0.5, class_map=cmap),
                              rng_stream(5), NO_IDN)
@@ -172,7 +173,7 @@ class TestInjectNoise:
         assert not (flipped & (noisy.true_labels == 2)).any()
 
     def test_asymmetric_incomplete_map_rejected(self):
-        train, _ = gen_blobs(3, 4, 10, 1.0, rng_stream(10))
+        train, _ = gen_blobs(3, 4, 10, 1.0, rng_stream(10), 1.0)
         with pytest.raises(ConfigError):
             inject_noise(train, NoiseConfig("asymmetric", 0.2, class_map={0: 1}),
                          rng_stream(6), NO_IDN)
@@ -180,11 +181,23 @@ class TestInjectNoise:
     @pytest.mark.parametrize("extra", [3, -1, 99])
     def test_asymmetric_source_outside_the_classes_rejected(self, extra):
         """A source no label can carry is a map no draw reads."""
-        train, _ = gen_blobs(3, 4, 10, 1.0, rng_stream(10))
+        train, _ = gen_blobs(3, 4, 10, 1.0, rng_stream(10), 1.0)
         cmap = {0: 1, 1: 2, 2: 0, extra: 0}
         with pytest.raises(ConfigError, match=rf"class_map sources outside \[0, 3\): \[{extra}\]"):
             inject_noise(train, NoiseConfig("asymmetric", 0.2, class_map=cmap),
                          rng_stream(6), NO_IDN)
+
+    def test_blobs_map_refused_before_the_draw(self, monkeypatch):
+        """A blobs run's class count is in its config, so a bad map is
+        refused before any feature is drawn."""
+        def no_draw(*args):
+            raise AssertionError("gen_blobs ran before the class map was checked")
+        monkeypatch.setattr(experiment, "gen_blobs", no_draw)
+        cfg = parse_config({"dataset": {"classes": 3, "dim": 4, "per_class": 20},
+                            "noise": {"kind": "asymmetric", "epsilon": 0.0,
+                                      "class_map": {"0": 1, "1": 2, "2": 0, "5": 1}}})
+        with pytest.raises(ConfigError, match=r"class_map sources outside \[0, 3\): \[5\]"):
+            experiment.build_dataset(cfg, 0)
 
     @pytest.mark.parametrize("kind", ["symmetric", "pairflip", "instance"])
     def test_class_map_refused_off_asymmetric(self, kind):
@@ -193,30 +206,30 @@ class TestInjectNoise:
         assert NoiseConfig(kind, 0.2, class_map={}).class_map == {}
 
     def test_instance_noise_calibrated_to_epsilon(self):
-        train, _ = gen_blobs(5, 8, 400, 1.0, rng_stream(11))
+        train, _ = gen_blobs(5, 8, 400, 1.0, rng_stream(11), 1.0)
         noisy = inject_noise(train, NoiseConfig("instance", 0.3), rng_stream(7),
                              rng_stream(11, 6))
         assert abs((~noisy.clean_mask).mean() - 0.3) < 0.01 + 3 * 0.5 / np.sqrt(1600)
 
     def test_refuses_test_split(self):
-        _, test = gen_blobs(3, 4, 30, 1.0, rng_stream(12))
+        _, test = gen_blobs(3, 4, 30, 1.0, rng_stream(12), 1.0)
         with pytest.raises(ConfigError):
             inject_noise(test, NoiseConfig("symmetric", 0.2), rng_stream(8), NO_IDN)
 
     def test_refuses_double_injection(self):
-        train, _ = gen_blobs(3, 4, 200, 1.0, rng_stream(13))
+        train, _ = gen_blobs(3, 4, 200, 1.0, rng_stream(13), 1.0)
         once = inject_noise(train, NoiseConfig("symmetric", 0.5), rng_stream(9), NO_IDN)
         with pytest.raises(ConfigError):
             inject_noise(once, NoiseConfig("symmetric", 0.5), rng_stream(10), NO_IDN)
 
     def test_clean_mask_is_label_equality(self):
-        train, _ = gen_blobs(4, 4, 100, 1.0, rng_stream(14))
+        train, _ = gen_blobs(4, 4, 100, 1.0, rng_stream(14), 1.0)
         noisy = inject_noise(train, NoiseConfig("symmetric", 0.4), rng_stream(11), NO_IDN)
         assert np.array_equal(noisy.clean_mask,
                               noisy.true_labels == noisy.noisy_labels)
 
     def test_original_dataset_untouched(self):
-        train, _ = gen_blobs(3, 4, 100, 1.0, rng_stream(15))
+        train, _ = gen_blobs(3, 4, 100, 1.0, rng_stream(15), 1.0)
         before = train.noisy_labels.copy()
         inject_noise(train, NoiseConfig("symmetric", 0.5), rng_stream(12), NO_IDN)
         assert np.array_equal(train.noisy_labels, before)
@@ -250,7 +263,7 @@ class TestNoisyDatasetValidation:
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
-        train, _ = gen_blobs(3, 5, 40, 1.3, rng_stream(16))
+        train, _ = gen_blobs(3, 5, 40, 1.3, rng_stream(16), 1.0)
         noisy = inject_noise(train, NoiseConfig("symmetric", 0.3), rng_stream(13), NO_IDN)
         path = tmp_path / "data.csv"
         save_csv(noisy, path)
@@ -271,7 +284,7 @@ class TestCsvRoundTrip:
         assert loaded.n_samples == 0
 
     def test_lf_line_endings(self, tmp_path):
-        train, _ = gen_blobs(2, 4, 5, 1.0, rng_stream(17))
+        train, _ = gen_blobs(2, 4, 5, 1.0, rng_stream(17), 1.0)
         path = tmp_path / "lf.csv"
         save_csv(train, path)
         assert b"\r" not in path.read_bytes()

@@ -379,10 +379,10 @@ class TestDetectionLoss:
         labels = rng.integers(0, 3, size=9)
         t = targets_for(derive_codebook(16, 3), labels)
         res = net.forward(rng.normal(size=(9, 5)))
-        _, bce = losses_and_grads_from_forward(net, res, labels, t)
+        _, bce = losses_and_grads_from_forward(net, res, labels, t, 1.0)
         assert bce == decompose_bce(res.z, t).mean()
         mask = np.arange(9) % 3 != 1
-        _, bce = losses_and_grads_from_forward(net, res, labels, t, mask=mask)
+        _, bce = losses_and_grads_from_forward(net, res, labels, t, 1.0, mask)
         assert bce == decompose_bce(res.z[mask], t[mask]).mean()
 
     def test_gradient_matches_finite_differences(self):
@@ -410,10 +410,10 @@ class TestMaskedLoss:
         res = net.forward(x)
         mask = np.array([True, False, True, False, False, False])
         ce_m, bce_m = losses_and_grads_from_forward(net, res, labels, targets,
-                                                    mask=mask)
+                                                    1.0, mask)
         sub = net.forward(x[mask])
         ce_s, bce_s = losses_and_grads_from_forward(net, sub, labels[mask],
-                                                    targets[mask])
+                                                    targets[mask], 1.0)
         assert abs(ce_m - ce_s) < 1e-12 and abs(bce_m - bce_s) < 1e-12
 
     @pytest.mark.parametrize("mask, gather", [(None, True), ("half", True), ("half", False)])
@@ -562,7 +562,7 @@ class TestVarianceConvergesOnCleanData:
         """Trained on noise-free blobs, the mean per-sample intra-loss
         variance falls in successive 10-epoch windows and ends well under
         1e-3: with nothing mislabeled, per-bit losses become uniform."""
-        train, _ = gen_blobs(4, 8, 50, 0.6, rng_stream(3))
+        train, _ = gen_blobs(4, 8, 50, 0.6, rng_stream(3), 1.0)
         cb = derive_codebook(16, 4)
         targets = targets_for(cb, train.noisy_labels)
         net = DualHeadNet.create(8, 4, 16, 16, 2, 2.0, rng_stream(11))
@@ -573,7 +573,7 @@ class TestVarianceConvergesOnCleanData:
             res = net.forward(train.features)
             flags = batch_flags(res.z, targets, res.probs, train.noisy_labels, sel)
             means.append(float(flags.variance.mean()))
-            losses_and_grads_from_forward(net, res, train.noisy_labels, targets)
+            losses_and_grads_from_forward(net, res, train.noisy_labels, targets, 1.0)
             sgd_step(net.flat, net.grad, v, 0.5, 0.9, 0.0)
         windows = [float(np.mean(means[i:i + 10])) for i in (0, 10, 20)]
         assert windows[0] > windows[1] > windows[2]

@@ -280,3 +280,13 @@ def test_import_fixes_the_mmap_threshold_at_32_mib():
     out = subprocess.run([sys.executable, "-c", MMAP_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["0", "1"]
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """``numpy.random`` loads at a run's first draw, not at import: no
+    annotation looks ``np.random.Generator`` up."""
+    env = dict(os.environ, PYTHONPATH=str(Path(noisylab.__file__).parents[1]))
+    probe = "import sys, noisylab.cli; print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "False"]

@@ -118,10 +118,10 @@ def test_start_run_builds_what_the_loop_trusts(run):
     row = STRATEGY_ROWS[strategy]
     assert len(state.nets) == row.nets
     targets = state.target_table[data.noisy_labels]  # what each training row trains on
-    assert targets.shape == (data.n_samples, net.code_bits)
+    assert targets.shape == (data.n_samples, net.layout()["code_bits"])
     assert np.isin(targets, (0.0, 1.0)).all()
     for labels in (data.noisy_labels, data.true_labels, test.true_labels):
-        assert 0 <= labels.min() and labels.max() < net.num_classes
+        assert 0 <= labels.min() and labels.max() < net.layout()["num_classes"]
     if row.selector == "small_loss":
         assert state.sel_cfg.small_loss_keep_ratio is not None
     assert (state.table is not None) == row.lagged

@@ -16,7 +16,7 @@ from noisylab.experiment import start_run
 from noisylab.model import DualHeadNet
 from noisylab.numeric import rng_stream
 from noisylab.schedule import (STRATEGY_ROWS, IdentifierTable, ScheduleConfig,
-                               _gate, _step_failure, run_epoch)
+                               _step_failure, run_epoch)
 from oracles import parameter_names, targets_for
 
 
@@ -120,20 +120,48 @@ class TestIdentifierTable:
             assert np.array_equal(t.pending, mirror_pending)
 
 
+def gate_counts(state) -> list:
+    """Each post-warm-up epoch's ``gate_on``, over the whole run."""
+    warmup = state.train_cfg.warmup_epochs
+    return [run_epoch(state, epoch).gate_on
+            for epoch in range(state.train_cfg.epochs)][warmup:]
+
+
+class RecordingRng:
+    """Stands in for a run's gate stream and keeps every value it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def random(self):
+        self.draws.append(self.rng.random())
+        return self.draws[-1]
+
+
 class TestGate:
     def test_rate_one_always_on(self):
-        state, _ = make_state("self_update", effect_rate=1.0)
-        assert all(_gate(state) for _ in range(200))
+        state, _ = make_state("self_update", effect_rate=1.0, epochs=42)
+        assert gate_counts(state) == [state.iters_per_epoch] * 40
 
     def test_empirical_rate_half(self):
-        state, _ = make_state("self_update", effect_rate=0.5)
-        hits = sum(_gate(state) for _ in range(100_000))
-        assert abs(hits / 100_000 - 0.5) < 0.01
+        """Over 2,000 post-warm-up iterations the gate fires, epoch by epoch,
+        exactly when a fresh gate stream's uniform draw is below 0.5."""
+        state, _ = make_state("self_update", effect_rate=0.5, epochs=402)
+        oracle = rng_stream(5, 5)
+        want = [sum(oracle.uniform() < 0.5 for _ in range(state.iters_per_epoch))
+                for _ in range(400)]
+        assert gate_counts(state) == want
 
     def test_seeded_gate_sequence_reproducible(self):
-        a, _ = make_state("self_update", effect_rate=0.3, seed=9)
-        b, _ = make_state("self_update", effect_rate=0.3, seed=9)
-        assert [_gate(a) for _ in range(50)] == [_gate(b) for _ in range(50)]
+        """Two runs with one seed draw the same 50 gate values, in order."""
+        runs = []
+        for _ in range(2):
+            state, _ = make_state("self_update", effect_rate=0.3, seed=9, epochs=12)
+            state.gate_rng = RecordingRng(state.gate_rng)
+            gate_counts(state)
+            runs.append(state.gate_rng.draws)
+        assert len(runs[0]) == 50
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("strategy", ["self_update", "cross_update", "jump_update"])
     def test_one_draw_per_post_warmup_iteration(self, strategy):
@@ -174,7 +202,7 @@ class TestStartRun:
         """Each batch's rows of the per-class table are bit for bit the rows
         of the per-row target array, ``targets_for(noisy_labels)[idx]``."""
         state, data = make_state(strategy)
-        cb = derive_codebook(state.nets[0].code_bits, data.num_classes)
+        cb = derive_codebook(state.nets[0].layout()["code_bits"], data.num_classes)
         per_row = targets_for(cb, data.noisy_labels)
         batches, seen = [], []
         real_batches, real_update = schedule._batches, schedule._update

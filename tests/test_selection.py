@@ -14,9 +14,8 @@ from oracles import (batch_variance_and_bce, classifier_identifier,
 from noisylab.codebook import derive_codebook
 from noisylab.errors import ConfigError, NumericError
 from noisylab.model import Z_CLAMP
-from noisylab.selection import (BatchFlags, SelectionConfig, auto_keep_ratio,
-                                batch_flags, dump_decisions_csv,
-                                small_loss_select)
+from noisylab.selection import (BatchFlags, SelectionConfig, auto_keep_ratio, batch_flags,
+                                dump_decisions_csv, small_loss_select)
 
 
 def two_pass_variance(d):
@@ -231,17 +230,29 @@ def test_dump_decisions_csv_round_trip(tmp_path):
         assert int(row[6]) == int(clean[i])
 
 
-def test_dump_decisions_csv_bytes_match_row_writer(tmp_path):
+# Floats whose repr takes every form: nan, infinities, signed zeros,
+# subnormals, and each side of repr's switches to exponent notation.
+REPR_EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-310,
+              np.nextafter(2.0 ** -1022, 0.0), 1e-5, np.nextafter(1e-5, 0.0),
+              np.nextafter(1e-5, 1.0), 1e-4, 1e16, np.nextafter(1e16, 0.0),
+              np.nextafter(1e16, np.inf), 1e15, -1e16]
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 1061])
+def test_dump_decisions_csv_bytes_match_row_writer(tmp_path, n):
+    """Every one of the 16 flag combinations (combined set apart from the
+    OR, which the dump does not assume), REPR_EDGES in both float columns,
+    and an empty, a one-row and two longer files."""
     rng = np.random.default_rng(8)
-    n = 40
-    flags = BatchFlags(detection=rng.uniform(size=n) < 0.5,
-                       classifier=rng.uniform(size=n) < 0.5,
-                       combined=np.zeros(n, dtype=bool),
+    code = np.arange(n) % 16
+    flags = BatchFlags(detection=code >> 3 & 1 == 1, classifier=code >> 2 & 1 == 1,
+                       combined=code >> 1 & 1 == 1,
                        variance=rng.uniform(size=n) * 10.0 ** rng.integers(-12, 3, n),
                        bce=rng.uniform(size=n))
-    flags.combined = flags.detection | flags.classifier
-    flags.variance[:3] = [np.nan, -0.0, 1e-300]
-    clean = rng.uniform(size=n) < 0.6
+    clean = code & 1 == 1
+    edges = min(n, len(REPR_EDGES))
+    flags.variance[:edges] = REPR_EDGES[:edges]
+    flags.bce[:edges] = REPR_EDGES[::-1][:edges]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     dump_decisions_csv(got, flags, clean)
     dump_decisions_rows(want, flags, clean)

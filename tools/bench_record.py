@@ -25,11 +25,13 @@ It writes one JSON object: the last line of each benchmark run (its JSON
 result) under ``"<workload>-trace<0|1>"``, the tier-1 wall time, exit code,
 result line and failed test ids, and the context that makes two files
 comparable: ``nproc``, the 1-minute load average before and after, the
-``src/`` line count, the git sha of HEAD and the git tree ids of the
-``src/``, ``tests/`` and ``perfbench/`` that ran.  A tree id is taken from the
-working tree, so it equals ``git rev-parse <commit>:src`` for the commit that
-holds exactly those files, whether or not they were committed when the file
-was recorded.  Compare two files only when they were taken on the same
+``src/`` line count, the git tree ids of the ``src/``, ``tests/`` and
+``perfbench/`` that ran, and the git sha of HEAD.  A tree id is taken from
+the working tree, so it equals ``git rev-parse <commit>:src`` for the commit
+that holds exactly those files, whether or not they were committed when the
+file was recorded.  The sha is HEAD's only when HEAD holds those three
+trees; recorded before the commit that holds them, it is null, and the tree
+ids name what ran.  Compare two files only when they were taken on the same
 machine.
 """
 
@@ -112,6 +114,13 @@ def worktree_trees() -> dict:
         return {d: _git("write-tree", f"--prefix={d}/", env=env) for d in TREES}
 
 
+def head_sha(trees: dict):
+    """HEAD's sha when HEAD's trees are ``trees``, else None."""
+    if all(_git("rev-parse", f"HEAD:{d}") == tree for d, tree in trees.items()):
+        return _git("rev-parse", "HEAD")
+    return None
+
+
 def bench(workload: str, trace: int) -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--trace", str(trace)],
@@ -158,9 +167,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     workloads = [w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
+    trees = worktree_trees()
     record = {
-        "git_sha": _git("rev-parse", "HEAD"),
-        "git_trees": worktree_trees(),
+        "git_sha": head_sha(trees),
+        "git_trees": trees,
         "nproc": len(os.sched_getaffinity(0)),
         "loadavg_1min_start": os.getloadavg()[0],
         "src_lines": sum(len(p.read_text().splitlines())
