@@ -102,6 +102,7 @@ def check_class_count(classes: int) -> None:
 def check_class_map(cmap: dict, classes: int) -> None:
     """Refuse a class map that is not a map over exactly the classes
     [0, ``classes``): a missing source, or a source or target outside it."""
+    check_class_count(classes)  # before the walk over every class
     missing = [k for k in range(classes) if k not in cmap]
     if missing:
         raise ConfigError(f"class_map missing source classes {missing}")

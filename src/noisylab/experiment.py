@@ -10,6 +10,7 @@ between strategies meaningful.
 
 import csv
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from .codebook import default_code_bits, derive_codebook
 from .config import ExperimentConfig, canonical_dict, config_hash
 from .data import check_class_map, gen_blobs, inject_noise, load_csv
 from .errors import ConfigError, DataIOError, NumericError, atomic_write
-from .metrics import (cell, emit_report, evaluate, iou, mean_or_none, peak_memory_bytes,
+from .metrics import (emit_report, evaluate, iou, mean_or_none, peak_memory_bytes,
                       selection_quality, summarize_records)
 from .model import DualHeadNet, save_checkpoint
 from .numeric import rng_stream
@@ -73,37 +74,31 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
     return train, test
 
 
-def start_run(cfg: ExperimentConfig, strategy: str, seed: int,
-              effect_rate: float | None = None):
-    """Build one run from ``cfg``: the data, the codebook's per-class target
-    table, the net(s) and the schedule state, each from its own child stream
-    of ``seed``.  Returns ``(RunState, test split)``."""
-    train, test = build_dataset(cfg, seed)
-    n_classes = train.num_classes
-    code_bits = cfg.train.code_bits or default_code_bits(n_classes)
-    target_table = derive_codebook(code_bits, n_classes).targets
-    sched = dataclasses.replace(cfg.schedule, strategy=strategy,
-                                effect_rate=cfg.schedule.effect_rate
-                                if effect_rate is None else effect_rate)
-    net_keys = (STREAM_NET_A, STREAM_NET_B)[:STRATEGY_ROWS[strategy].nets]
-    nets = [DualHeadNet.create(train.features.shape[1], n_classes, code_bits,
-                               cfg.train.hidden_width, cfg.train.hidden_layers,
-                               cfg.train.temperature, rng_stream(seed, key)) for key in net_keys]
-    return RunState(train, target_table, nets, cfg.train, cfg.selection, sched,
-                    rng_stream(seed, STREAM_SHUFFLE), rng_stream(seed, STREAM_GATE)), test
-
-
 class CellRun:
-    """One strategy x seed cell, run an epoch at a time: the constructor
-    starts it (:func:`start_run`), :meth:`step` trains, evaluates, records
-    and dumps one epoch, and :meth:`finish` writes the summary, report and
-    checkpoint to ``out_dir`` if given.  A cell draws only from its own
-    streams, so cells stepped interleaved write what they write alone."""
+    """One strategy x seed cell.  The constructor builds its data, codebook
+    targets, net(s) and schedule state from ``cfg``, each from its own child
+    stream of ``seed``; :meth:`step` trains, evaluates, records and dumps one
+    epoch; :meth:`finish` writes the summary, report and checkpoint to
+    ``out_dir`` if given; :meth:`run` steps every epoch, then finishes.  Cells
+    stepped interleaved write what they write alone."""
 
     def __init__(self, cfg: ExperimentConfig, strategy: str, seed: int,
                  effect_rate: float | None = None, out_dir=None):
         self.cfg, self.strategy, self.seed, self.effect_rate = cfg, strategy, seed, effect_rate
-        self.state, self.test = start_run(cfg, strategy, seed, effect_rate)
+        train, self.test = build_dataset(cfg, seed)
+        n_classes = train.num_classes
+        code_bits = cfg.train.code_bits or default_code_bits(n_classes)
+        target_table = derive_codebook(code_bits, n_classes).targets
+        sched = dataclasses.replace(cfg.schedule, strategy=strategy,
+                                    effect_rate=cfg.schedule.effect_rate
+                                    if effect_rate is None else effect_rate)
+        net_keys = (STREAM_NET_A, STREAM_NET_B)[:STRATEGY_ROWS[strategy].nets]
+        nets = [DualHeadNet.create(train.features.shape[1], n_classes, code_bits,
+                                   cfg.train.hidden_width, cfg.train.hidden_layers,
+                                   cfg.train.temperature, rng_stream(seed, key))
+                for key in net_keys]
+        self.state = RunState(train, target_table, nets, cfg.train, cfg.selection, sched,
+                              rng_stream(seed, STREAM_SHUFFLE), rng_stream(seed, STREAM_GATE))
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.records, self.summary, self.prev_selected = [], None, None
 
@@ -137,8 +132,7 @@ class CellRun:
 
     def finish(self) -> "CellRun":
         cfg = self.cfg
-        self.summary = summarize_records(self.records, config_hash(cfg), self.seed,
-                                         self.strategy, cfg.train.warmup_epochs)
+        self.summary = summarize_records(self.records, config_hash(cfg), self.seed, self.strategy)
         if self.effect_rate is not None:
             self.summary["effect_rate"] = self.effect_rate
         if self.out_dir is not None:
@@ -148,59 +142,65 @@ class CellRun:
                             config=canonical_dict(cfg))
         return self
 
-
-def run_cell(cfg: ExperimentConfig, strategy: str, seed: int,
-             effect_rate: float | None = None, out_dir=None) -> CellRun:
-    """Train one strategy on one seed; write its artifacts to ``out_dir`` if given."""
-    cell_run = CellRun(cfg, strategy, seed, effect_rate, out_dir)
-    for _ in range(cfg.train.epochs):
-        cell_run.step()
-    return cell_run.finish()
+    def run(self) -> "CellRun":
+        for _ in range(self.cfg.train.epochs):
+            self.step()
+        return self.finish()
 
 
-def _run_cells(cfg: ExperimentConfig, cells, base: Path):
-    """Yield, cell by cell, the finished CellRuns of each ``(label, strategy,
-    effect_rate)`` cell over all seeds, written under <base>/<label>-seed<seed>/;
-    first refuses a schedule field that no cell reads, which would move only the hash."""
-    rows = [(STRATEGY_ROWS[strategy], rate) for _, strategy, rate in cells]
-    if cfg.schedule.effect_rate != ScheduleConfig.effect_rate and all(
-            row.selector is None or rate is not None for row, rate in rows):
-        raise ConfigError("no cell reads schedule.effect_rate: none selects at that rate")
-    if cfg.schedule.jump_step is not None and not any(row.lagged for row, _ in rows):
-        raise ConfigError("no cell reads schedule.jump_step: none is lagged, so none commits")
-    return ([run_cell(cfg, strategy, seed, effect_rate=rate,
-                      out_dir=base / f"{label}-seed{seed}") for seed in cfg.seeds]
-            for label, strategy, rate in cells)
-
-
-def run_experiment(cfg: ExperimentConfig, out_root=None) -> list:
-    """The `train` entry point: the configured strategy over all seeds."""
-    for name in ("strategies", "effect_rates"):
-        if getattr(cfg, name) is not None:
-            raise ConfigError(f"train runs schedule.strategy alone and ignores {name}; run compare")
-    base = Path(out_root if out_root is not None else cfg.out_dir) / config_hash(cfg)
+def plan_cells(cfg: ExperimentConfig, compare: bool) -> list:
+    """The ``(label, strategy, effect_rate)`` cells that `compare`, or `train`,
+    runs over all seeds; refuses a plan that ignores a configured field, or
+    that writes two cells into one directory."""
     strategy = cfg.schedule.strategy
-    return next(_run_cells(cfg, [(strategy, strategy, None)], base))
-
-
-def compare_strategies(cfg: ExperimentConfig, out_root=None) -> list:
-    """The `compare` entry point: strategy set or effect-rate sweep.
-
-    Returns comparison rows (dicts) and writes comparison.csv; each cell
-    also writes its own artifacts under <out>/<hash>/<label>-seed<seed>/.
-    """
-    base = Path(out_root if out_root is not None else cfg.out_dir) / config_hash(cfg)
-    if cfg.effect_rates:
-        cells = [(f"{cfg.schedule.strategy}-r{r:g}", cfg.schedule.strategy, r)
-                 for r in cfg.effect_rates]
+    if not compare:
+        for name in ("strategies", "effect_rates"):
+            if getattr(cfg, name) is not None:
+                raise ConfigError(f"train runs schedule.strategy alone and ignores {name}; run compare")
+        cells = [(strategy, strategy, None)]
+    elif cfg.effect_rates:
+        cells = [(f"{strategy}-r{r:g}", strategy, r) for r in cfg.effect_rates]
     else:
         strategies = cfg.strategies or list(STRATEGY_ROWS)
         if len(strategies) < 2:
             raise ConfigError("compare needs at least 2 strategies or an effect_rates list")
         cells = [(s, s, None) for s in strategies]
+    shared = [label for label, n in Counter(label for label, _, _ in cells).items() if n > 1]
+    if shared:  # as with a repeated entry, one cell would overwrite the other
+        raise ConfigError(f"two cells share the label {shared[0]!r} (a label prints a rate "
+                          "to 6 significant digits), so one would overwrite the other")
+    rows = [(STRATEGY_ROWS[s], rate) for _, s, rate in cells]
+    if cfg.schedule.effect_rate != ScheduleConfig.effect_rate and all(
+            row.selector is None or rate is not None for row, rate in rows):
+        raise ConfigError("no cell reads schedule.effect_rate: none selects at that rate")
+    if cfg.schedule.jump_step is not None and not any(row.lagged for row, _ in rows):
+        raise ConfigError("no cell reads schedule.jump_step: none is lagged, so none commits")
+    return cells
 
+
+def _run_plan(cfg: ExperimentConfig, compare: bool):
+    """``(base, cells)``: <out_dir>/<hash>/ and, for each cell of the plan, its
+    ``(label, strategy, CellRuns)`` run over all seeds into <base>/<label>-seed<seed>/."""
+    plan = plan_cells(cfg, compare)
+    base = Path(cfg.out_dir) / config_hash(cfg)
+    return base, ((label, strategy, [CellRun(cfg, strategy, seed, rate,
+                                             base / f"{label}-seed{seed}").run()
+                                     for seed in cfg.seeds])
+                  for label, strategy, rate in plan)
+
+
+def run_experiment(cfg: ExperimentConfig) -> list:
+    """The `train` entry point: the configured strategy over all seeds."""
+    _, cells = _run_plan(cfg, compare=False)
+    return next(cells)[2]
+
+
+def compare_strategies(cfg: ExperimentConfig) -> list:
+    """The `compare` entry point: a strategy set or effect-rate sweep, one
+    row (dict) per cell, also written to <out_dir>/<hash>/comparison.csv."""
+    base, cells = _run_plan(cfg, compare=True)
     rows = []
-    for (label, strategy, _), cell_results in zip(cells, _run_cells(cfg, cells, base)):
+    for label, strategy, cell_results in cells:
         summaries = [r.summary for r in cell_results]
         last10 = [s["last10_mean_acc"] for s in summaries]
         rows.append({
@@ -214,10 +214,8 @@ def compare_strategies(cfg: ExperimentConfig, out_root=None) -> list:
             "mean_epoch_ms": float(np.mean([s["mean_epoch_ms"] for s in summaries])),
         })
 
-    columns = list(rows[0])  # comparison.csv columns, in row-dict order
     with atomic_write(base / "comparison.csv") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([cell(row[c]) for c in columns])
+        writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")  # columns in row order
+        writer.writeheader()
+        writer.writerows(rows)
     return rows

@@ -114,20 +114,10 @@ JSONL_KEYS = ("epoch", "strategy", "selected_count", "skipped_batches",
 CURVE_COLUMNS = [f.name for f in fields(EpochRecord)]
 
 
-def cell(value):
-    """A CSV cell: blank for None, repr for floats (parses back exactly)."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
-def summarize_records(records, config_hash: str, seed, strategy: str,
-                      warmup_epochs: int) -> dict:
+def summarize_records(records, config_hash: str, seed, strategy: str) -> dict:
     """Aggregate a run's epoch records into the summary dict.  A run has at
     least one post-warm-up epoch (``TrainConfig`` guarantees it)."""
-    post = [r for r in records if r.epoch >= warmup_epochs]
+    post = [r for r in records if r.phase == "train"]
     accs = [r.test_acc for r in records]
     return {"config_hash": config_hash, "seed": seed, "strategy": strategy,
             "final_acc": accs[-1], "last10_mean_acc": last10_mean(accs),
@@ -156,7 +146,7 @@ def emit_report(records, out_dir, summary: dict) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CURVE_COLUMNS)
         for rec in records:
-            writer.writerow([cell(getattr(rec, col)) for col in CURVE_COLUMNS])
+            writer.writerow([getattr(rec, col) for col in CURVE_COLUMNS])
 
 
 def load_jsonl(path):

@@ -95,7 +95,7 @@ class IdentifierTable:
 @dataclass
 class RunState:
     """Everything one training run mutates across epochs, as
-    ``experiment.start_run`` builds it; ``__post_init__`` derives the
+    ``experiment.CellRun`` builds it; ``__post_init__`` derives the
     schedule fields and refuses a jump step the run cannot reach."""
 
     data: NoisyDataset

@@ -18,7 +18,7 @@ import pytest
 from noisylab import schedule
 from noisylab.codebook import derive_codebook
 from noisylab.config import parse_config
-from noisylab.experiment import CellRun, run_cell
+from noisylab.experiment import CellRun
 from noisylab.model import DualHeadNet
 from noisylab.numeric import rng_stream
 from noisylab.schedule import IdentifierTable
@@ -42,7 +42,7 @@ def last10(results, key):
 def eps04_battery():
     """Jump runs at the default 40% symmetric benchmark, 3 seeds."""
     cfg = parse_config({})
-    return cfg, {seed: run_cell(cfg, "jump_update", seed)
+    return cfg, {seed: CellRun(cfg, "jump_update", seed).run()
                  for seed in SEEDS}
 
 
@@ -72,11 +72,11 @@ def eps08_battery():
     cfg = parse_config({"noise": {"epsilon": 0.8}})
     runs = {}
     for seed in SEEDS:
-        runs[("jump_update", seed)] = run_cell(cfg, "jump_update", seed)
-        runs[("cross_update", seed)] = run_cell(cfg, "cross_update", seed)
+        runs[("jump_update", seed)] = CellRun(cfg, "jump_update", seed).run()
+        runs[("cross_update", seed)] = CellRun(cfg, "cross_update", seed).run()
         for rate in (1.0, 0.5, 0.3):
-            runs[(f"self-r{rate:g}", seed)] = run_cell(
-                cfg, "self_update", seed, effect_rate=rate)
+            runs[(f"self-r{rate:g}", seed)] = CellRun(
+                cfg, "self_update", seed, effect_rate=rate).run()
     return cfg, runs
 
 
@@ -176,7 +176,7 @@ def test_criterion_04_jump_bookkeeping_replay(monkeypatch):
     monkeypatch.setattr(IdentifierTable, "write", spy_write)
     monkeypatch.setattr(IdentifierTable, "commit", spy_commit)
     monkeypatch.setattr(schedule, "_update", spy_update)
-    res = run_cell(parse_config({}), "jump_update", 1)
+    res = CellRun(parse_config({}), "jump_update", 1).run()
     step = res.state.jump_step
     ipe = res.state.iters_per_epoch
     n = res.state.data.n_samples
@@ -361,7 +361,7 @@ def test_stepped_cells_write_what_cells_run_alone_write(tmp_path):
     only from its own streams, so that must not change what it writes."""
     cfg = parse_config(GATED_TINY)
     strategies = ("jump_update", "cross_update")
-    alone = [run_cell(cfg, s, 3, out_dir=tmp_path / "alone" / s) for s in strategies]
+    alone = [CellRun(cfg, s, 3, out_dir=tmp_path / "alone" / s).run() for s in strategies]
     stepped = [CellRun(cfg, s, 3, out_dir=tmp_path / "stepped" / s) for s in strategies]
     for _ in range(cfg.train.epochs):
         for c in stepped:
@@ -388,7 +388,7 @@ def test_a_strategy_is_its_row(tmp_path, monkeypatch):
     for name in ("jump_update", "cross_update"):
         copy = f"{name}_copy"
         monkeypatch.setitem(schedule.STRATEGY_ROWS, copy, schedule.STRATEGY_ROWS[name])
-        original, copied = (run_cell(cfg, s, 3, out_dir=tmp_path / s) for s in (name, copy))
+        original, copied = (CellRun(cfg, s, 3, out_dir=tmp_path / s).run() for s in (name, copy))
         assert copied.summary["strategy"] == copy
         assert len(copied.state.nets) == len(original.state.nets)
         assert (without_name(timeless_artifacts(copied.out_dir))
@@ -397,7 +397,7 @@ def test_a_strategy_is_its_row(tmp_path, monkeypatch):
 
 def test_criterion_10_double_run_determinism(tmp_path):
     cfg = parse_config({})
-    a, b = (timeless_artifacts(run_cell(cfg, "jump_update", 1, out_dir=tmp_path / d).out_dir)
+    a, b = (timeless_artifacts(CellRun(cfg, "jump_update", 1, out_dir=tmp_path / d).run().out_dir)
             for d in "ab")
     mismatches = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     ok = not mismatches

@@ -592,12 +592,13 @@ class TestCliTrain:
     # label.  instance, pairflip: a CSV label of 100,000,000 means more
     # classes than any codebook holds, refused before noise injection takes
     # memory in proportion to the class count.  blobs: the class count is
-    # configured.  hidden_width, hidden_layers, per_class: the net arena or
-    # the features would take petabytes, refused before anything that size
-    # (or a list of 10**12 layers) exists.
+    # configured; blobs_class_map: with a map, which is checked only after
+    # the count, not walked over 5,000 classes.  hidden_width, hidden_layers,
+    # per_class: the net arena or the features would take petabytes, refused
+    # before anything that size (or a list of 10**12 layers) exists.
     @pytest.mark.parametrize("source", ["code_bits", "csv_label", "instance", "pairflip",
-                                        "blobs", "hidden_width", "hidden_layers",
-                                        "per_class"])
+                                        "blobs", "blobs_class_map", "hidden_width",
+                                        "hidden_layers", "per_class"])
     def test_codebook_over_the_cap_exits_2_before_training(self, tmp_path, capsys, source):
         message = "exceeds the 4096-bit limit"
         if source in ("hidden_width", "hidden_layers"):
@@ -619,6 +620,10 @@ class TestCliTrain:
         elif source == "blobs":
             payload = tiny_train_payload(tmp_path / "out", dataset={"classes": 4097})
             message = "4097 classes exceed the 4096-class limit"
+        elif source == "blobs_class_map":
+            payload = tiny_train_payload(tmp_path / "out", dataset={"classes": 5000}, noise={
+                "kind": "asymmetric", "class_map": {"0": 1, "1": 0}})
+            message = "5000 classes exceed the 4096-class limit"
         else:
             payload = csv_train_payload(
                 tmp_path, [*TWO_CLASS_ROWS, "0.2,0.4,100000000,100000000"], TWO_CLASS_ROWS,
@@ -742,6 +747,16 @@ class TestCliCompare:
                          tiny_train_payload(tmp_path / "out", **{field: values}))
         assert main(["compare", "--config", cfg]) == 2
         assert only_error(capsys, "config").startswith(f"error[config]: {field} lists")
+        assert not (tmp_path / "out").exists()
+
+    # Two distinct rates that print alike would write one cell directory
+    # and two comparison rows with one label.
+    def test_rates_sharing_a_label_exit_2_before_running(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(
+            tmp_path / "out", schedule={"strategy": "self_update"},
+            effect_rates=[0.1234561, 0.1234562]))
+        assert main(["compare", "--config", cfg]) == 2
+        assert "share the label 'self_update-r0.123456'" in only_error(capsys, "config")
         assert not (tmp_path / "out").exists()
 
     # Each sweep cell draws at its own rate, and only a lagged strategy

@@ -171,8 +171,7 @@ class TestSummarize:
 
     def test_post_warmup_means(self):
         records = self.make_run()
-        s = summarize_records(records, "abc123", 7, "jump_update",
-                              warmup_epochs=2)
+        s = summarize_records(records, "abc123", 7, "jump_update")
         assert s["config_hash"] == "abc123"
         assert s["seed"] == 7
         assert s["strategy"] == "jump_update"
@@ -187,7 +186,7 @@ class TestEmitReport:
     def test_files_written_and_parse_back(self, tmp_path):
         records = [make_record(e, mean_lag=None if e == 0 else 5.0)
                    for e in range(4)]
-        summary = summarize_records(records, "deadbeef", 1, "jump_update", 1)
+        summary = summarize_records(records, "deadbeef", 1, "jump_update")
         run = tmp_path / "run"
         emit_report(records, run, summary)
         assert sorted(p.name for p in run.iterdir()) == [
@@ -209,6 +208,12 @@ class TestEmitReport:
         assert list(rows[0]) == CURVE_COLUMNS
         assert float(rows[0]["lr"]) == records[0].lr
         assert float(rows[0]["test_acc"]) == records[0].test_acc
+
+    def test_numpy_floats_are_written_as_numbers(self, tmp_path):
+        """A numpy float64 is a float, but its repr is ``np.float64(0.1)``."""
+        emit_report([make_record(0, test_acc=np.float64(0.1))], tmp_path, {})
+        with open(tmp_path / "curves.csv", newline="") as fh:
+            assert list(csv.DictReader(fh))[0]["test_acc"] == "0.1"
 
     def test_none_cells_are_empty_strings(self, tmp_path):
         records = [make_record(0, mean_lag=None, temporal_iou=None,

@@ -1,6 +1,6 @@
 """Property tests: the model's one backward walk and ``batch_flags`` match
 their oracles bit for bit on generated shapes, depths and masks,
-``start_run`` builds every run with the invariants the training loop
+``CellRun`` builds every run with the invariants the training loop
 trusts without re-checking, a gated jump update reads only rows produced
 in the window the latest commit closed, and ``train`` keeps the CLI's
 exit-code and one-line contract on valid and broken configs.
@@ -27,7 +27,7 @@ from noisylab.cli import main
 from noisylab.codebook import default_code_bits, derive_codebook
 from noisylab.config import parse_config
 from noisylab.data import NOISE_KINDS
-from noisylab.experiment import start_run
+from noisylab.experiment import CellRun
 from noisylab.model import Z_CLAMP, DualHeadNet, losses_and_grads_from_forward
 from noisylab.numeric import rng_stream
 from noisylab.schedule import STRATEGY_ROWS
@@ -111,9 +111,10 @@ def small_runs(draw):
 
 @FEW
 @given(small_runs())
-def test_start_run_builds_what_the_loop_trusts(run):
+def test_cell_run_builds_what_the_loop_trusts(run):
     cfg, strategy, seed = run
-    state, test = start_run(cfg, strategy, seed)
+    cell_run = CellRun(cfg, strategy, seed)
+    state, test = cell_run.state, cell_run.test
     data, net = state.data, state.nets[0]
     row = STRATEGY_ROWS[strategy]
     assert len(state.nets) == row.nets
@@ -153,7 +154,7 @@ def test_gated_jump_reads_rows_of_the_window_the_latest_commit_closed(run):
     jump update reads was last produced in the jump_step iterations that
     end at the latest commit (and never produced before the first one)."""
     cfg, seed = run
-    state, _ = start_run(cfg, "jump_update", seed)
+    state = CellRun(cfg, "jump_update", seed).state
     table, commits, train_batch = state.table, [], schedule._train_batch
 
     def checked(state, idx, lr, warm):

@@ -12,7 +12,7 @@ from noisylab import schedule
 from noisylab.codebook import derive_codebook
 from noisylab.config import parse_config
 from noisylab.errors import ConfigError, NumericError
-from noisylab.experiment import start_run
+from noisylab.experiment import CellRun
 from noisylab.model import DualHeadNet
 from noisylab.numeric import rng_stream
 from noisylab.schedule import (STRATEGY_ROWS, IdentifierTable, ScheduleConfig,
@@ -23,7 +23,7 @@ from oracles import parameter_names, targets_for
 def make_state(strategy, epochs=6, warmup=2, jump_step=None, effect_rate=1.0,
                tau=0.001, keep=0.5, seed=5):
     """72-sample, 5-iterations-per-epoch run for fast schedule checks,
-    built the way ``run_cell`` builds it: (state, its noisy train split)."""
+    built the way ``CellRun`` builds it: (state, its noisy train split)."""
     cfg = parse_config({
         "dataset": {"classes": 3, "dim": 4, "per_class": 30},
         "noise": {"kind": "symmetric", "epsilon": 0.3},
@@ -32,7 +32,7 @@ def make_state(strategy, epochs=6, warmup=2, jump_step=None, effect_rate=1.0,
         "selection": {"tau": tau, "small_loss_keep_ratio": keep},
         "schedule": {"jump_step": jump_step},
     })
-    state, _ = start_run(cfg, strategy, seed, effect_rate)
+    state = CellRun(cfg, strategy, seed, effect_rate).state
     return state, state.data
 
 

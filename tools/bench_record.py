@@ -9,10 +9,11 @@ perfbench's own run length and seed:
 * ``perfbench/run.py --trace 0`` on every workload BENCHMARK.json declares
   (the end-to-end metrics);
 * ``perfbench/run.py --trace 1`` on ``jump_dump`` (the per-layer split);
-* one in-process ``jump_wide`` run: ``experiment.run_cell`` on perfbench's
-  ``jump_wide`` config and seed in a fresh interpreter, BLAS pinned to one
-  thread, storing the minor page faults taken during ``run_cell`` and the
-  process's ``ru_maxrss`` (how steady the training step's heap is);
+* one in-process ``jump_wide`` run: ``experiment.CellRun(...).run()`` on
+  perfbench's ``jump_wide`` config and seed in a fresh interpreter, BLAS
+  pinned to one thread, storing the minor page faults taken during
+  ``run()`` and the process's ``ru_maxrss`` (how steady the training step's
+  heap is);
 * a second, separate in-process ``jump_wide`` pass under ``tracemalloc``
   (so the faults and ``ru_maxrss`` above are not its): each training
   step's heap high-water above the heap held when its epoch's first batch
@@ -55,10 +56,10 @@ spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
 bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 from noisylab.config import parse_config
-from noisylab.experiment import run_cell
+from noisylab.experiment import CellRun
 cfg = parse_config(bench.make_config(sys.argv[2], bench.DEFAULT_SEED))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-run_cell(cfg, cfg.schedule.strategy, bench.DEFAULT_SEED)
+CellRun(cfg, cfg.schedule.strategy, bench.DEFAULT_SEED).run()
 usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({"minor_faults": usage.ru_minflt - before,
                   "ru_maxrss_mb": usage.ru_maxrss * 1024 / 1e6}))
@@ -72,9 +73,9 @@ bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 from noisylab import schedule
 from noisylab.config import parse_config
-from noisylab.experiment import start_run
+from noisylab.experiment import CellRun
 cfg = parse_config(bench.make_config(sys.argv[2], bench.DEFAULT_SEED))
-state, _ = start_run(cfg, cfg.schedule.strategy, bench.DEFAULT_SEED)
+state = CellRun(cfg, cfg.schedule.strategy, bench.DEFAULT_SEED).state
 batches, steps = schedule._batches, []
 def measured(state):
     steady = None
@@ -138,7 +139,7 @@ def src_env() -> dict:
 
 
 def inprocess(workload: str, probe: str = INPROCESS_PROBE) -> dict:
-    """Minor faults and peak RSS of one ``run_cell`` of ``workload``, or
+    """Minor faults and peak RSS of one ``CellRun.run()`` of ``workload``, or
     what another ``probe`` prints."""
     proc = subprocess.run([sys.executable, "-c", probe,
                            str(REPO / "perfbench" / "run.py"), workload],

@@ -6,11 +6,15 @@
 Runs, as fresh ``noisylab`` processes with BLAS pinned to one thread:
 
 * ``compare`` over all four strategies on a small blob config, with
-  selection dumps;
+  selection dumps, and again with neither ``strategies`` nor
+  ``effect_rates`` (every strategy row, in table order);
+* ``train`` on the same config;
 * ``compare`` as effect-rate sweeps of ``jump_update``, ``self_update`` and
   ``cross_update`` on the same config, so batches with the gate off are
   covered;
 * ``compare`` over all four strategies with ``warmup_epochs: 0``;
+* ``compare`` over every row with ``schedule.jump_step`` 3 and 4: the
+  small config has 6 iterations per epoch, which 3 divides and 4 does not;
 * ``compare`` over all four strategies with ``bce_weight: 0.5``, and with
   ``hidden_layers`` 1 and 3, so a detection weight other than 1 and trunk
   depths other than 2 (a one-layer trunk has only its input layer) are
@@ -74,6 +78,8 @@ def _with_noise(kind: str, **extra) -> dict:
 
 RUNS = [
     ("strategies", "compare", dict(SMALL, strategies=ALL_STRATEGIES)),
+    ("all_rows", "compare", SMALL),
+    ("train", "train", SMALL),
     ("sweep", "compare",
      dict(SMALL, schedule={"strategy": "jump_update"}, effect_rates=[0.3, 0.7, 1.0])),
     ("sweep_self", "compare",
@@ -81,6 +87,8 @@ RUNS = [
     ("sweep_cross", "compare",
      dict(SMALL, schedule={"strategy": "cross_update"}, effect_rates=[0.3, 0.7])),
     ("no_warmup", "compare", _with_train(warmup_epochs=0)),
+    ("jump_step3", "compare", dict(SMALL, schedule={"jump_step": 3})),
+    ("jump_step4", "compare", dict(SMALL, schedule={"jump_step": 4})),
     ("bce_half", "compare", _with_train(bce_weight=0.5)),
     ("depth1", "compare", _with_train(hidden_layers=1)),
     ("depth3", "compare", _with_train(hidden_layers=3)),
