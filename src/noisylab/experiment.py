@@ -10,6 +10,7 @@ between strategies meaningful.
 
 import csv
 import dataclasses
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .metrics import (emit_report, evaluate, iou, mean_or_none, peak_memory_byte
                       selection_quality, summarize_records)
 from .model import DualHeadNet, save_checkpoint
 from .numeric import rng_stream
-from .schedule import STRATEGY_ROWS, RunState, ScheduleConfig, run_epoch
+from .schedule import STRATEGY_ROWS, IdentifierTable, ScheduleConfig, run_epoch
 from .selection import dump_decisions_csv
 
 # Stream keys under a run's seed (numeric.rng_stream).  Fixed so that adding
@@ -75,46 +76,58 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
 
 
 class CellRun:
-    """One strategy x seed cell.  The constructor builds its data, codebook
-    targets, net(s) and schedule state from ``cfg``, each from its own child
-    stream of ``seed``; :meth:`step` trains, evaluates, records and dumps one
-    epoch; :meth:`finish` writes the summary, report and checkpoint to
-    ``out_dir`` if given; :meth:`run` steps every epoch, then finishes.  Cells
-    stepped interleaved write what they write alone."""
+    """One strategy x seed cell: everything its training mutates across epochs.
+    The constructor builds its data, codebook targets, net(s) and ``schedule``
+    (``cfg.schedule`` resolved), each from its own child stream of ``seed``,
+    and refuses a jump step the run cannot reach; :meth:`step` trains,
+    evaluates, records and dumps one epoch; :meth:`finish` writes the summary,
+    report and checkpoint to ``out_dir`` if given; :meth:`run` steps every
+    epoch, then finishes.  Cells stepped interleaved write what they write alone."""
 
     def __init__(self, cfg: ExperimentConfig, strategy: str, seed: int,
                  effect_rate: float | None = None, out_dir=None):
-        self.cfg, self.strategy, self.seed, self.effect_rate = cfg, strategy, seed, effect_rate
-        train, self.test = build_dataset(cfg, seed)
-        n_classes = train.num_classes
-        code_bits = cfg.train.code_bits or default_code_bits(n_classes)
-        target_table = derive_codebook(code_bits, n_classes).targets
-        sched = dataclasses.replace(cfg.schedule, strategy=strategy,
-                                    effect_rate=cfg.schedule.effect_rate
-                                    if effect_rate is None else effect_rate)
-        net_keys = (STREAM_NET_A, STREAM_NET_B)[:STRATEGY_ROWS[strategy].nets]
-        nets = [DualHeadNet.create(train.features.shape[1], n_classes, code_bits,
-                                   cfg.train.hidden_width, cfg.train.hidden_layers,
-                                   cfg.train.temperature, rng_stream(seed, key))
-                for key in net_keys]
-        self.state = RunState(train, target_table, nets, cfg.train, cfg.selection, sched,
-                              rng_stream(seed, STREAM_SHUFFLE), rng_stream(seed, STREAM_GATE))
+        self.cfg, self.seed, self.sweep_rate = cfg, seed, effect_rate
+        self.train, self.test = build_dataset(cfg, seed)
+        n, n_classes, train_cfg = self.train.n_samples, self.train.num_classes, cfg.train
+        code_bits = train_cfg.code_bits or default_code_bits(n_classes)
+        self.target_table = derive_codebook(code_bits, n_classes).targets  # (C, K), a row per class
+        self.iters_per_epoch = math.ceil(n / train_cfg.batch_size)
+        self.schedule = dataclasses.replace(
+            cfg.schedule, strategy=strategy,
+            effect_rate=cfg.schedule.effect_rate if effect_rate is None else effect_rate,
+            jump_step=cfg.schedule.jump_step or max(2, self.iters_per_epoch))
+        self.row = STRATEGY_ROWS[strategy]
+        self.nets = [DualHeadNet.create(self.train.features.shape[1], n_classes, code_bits,
+                                        train_cfg.hidden_width, train_cfg.hidden_layers,
+                                        train_cfg.temperature, rng_stream(seed, key))
+                     for key in (STREAM_NET_A, STREAM_NET_B)[:self.row.nets]]
+        post_iters = (train_cfg.epochs - train_cfg.warmup_epochs) * self.iters_per_epoch
+        if self.row.lagged and self.schedule.jump_step > post_iters:
+            unset = "" if cfg.schedule.jump_step else " (default: iterations per epoch, at least 2)"
+            raise ConfigError(f"jump_step {self.schedule.jump_step}{unset} exceeds this run's "
+                              f"post-warm-up iteration count, {post_iters}")
+        self.velocities = [np.zeros_like(net.flat) for net in self.nets]  # one SGD arena per net
+        self.shuffle_rng = rng_stream(seed, STREAM_SHUFFLE)
+        self.gate_rng = rng_stream(seed, STREAM_GATE)
+        self.table = IdentifierTable(n) if self.row.lagged else None
+        self.selected, self.flags = [], None  # last epoch's picks per net; variance's BatchFlags
+        self.global_iter = self.post_iter = 0
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.records, self.summary, self.prev_selected = [], None, None
 
     def step(self):
-        state, epoch = self.state, len(self.records)
-        clean = state.data.clean_mask
+        epoch, clean = len(self.records), self.train.clean_mask
         try:
-            rec = run_epoch(state, epoch)
+            rec = run_epoch(self, epoch)
         except NumericError as exc:
-            raise NumericError(f"epoch {epoch} ({self.strategy}, seed {self.seed}): {exc}") from exc
-        acc = evaluate(state.nets[0], self.test)
-        selected = state.selected[0]
+            raise NumericError(f"epoch {epoch} ({self.schedule.strategy}, seed {self.seed}): "
+                               f"{exc}") from exc
+        acc = evaluate(self.nets[0], self.test)
+        selected = self.selected[0]
         precision, recall, f1 = selection_quality(selected, clean)
         med_clean = med_noisy = None
-        if state.flags is not None:
-            var = state.flags.variance
+        if self.flags is not None:
+            var = self.flags.variance
             ok = np.isfinite(var)
             med_clean, med_noisy = (float(np.median(var[ok & m])) if (ok & m).any() else None
                                     for m in (clean, ~clean))
@@ -122,24 +135,24 @@ class CellRun:
             rec, test_acc=acc, sel_precision=precision, sel_recall=recall, sel_f1=f1,
             temporal_iou=(iou(selected, self.prev_selected)
                           if self.prev_selected is not None else None),
-            cross_iou=iou(selected, state.selected[1]) if len(state.selected) > 1 else None,
+            cross_iou=iou(selected, self.selected[1]) if len(self.selected) > 1 else None,
             median_var_clean=med_clean, median_var_noisy=med_noisy,
             peak_mem_bytes=peak_memory_bytes()))
         self.prev_selected = selected
-        if self.out_dir is not None and self.cfg.dump_selection and state.flags is not None:
+        if self.out_dir is not None and self.cfg.dump_selection and self.flags is not None:
             dump_decisions_csv(self.out_dir / "selection" / f"epoch_{epoch:03d}.csv",
-                               state.flags, clean)
+                               self.flags, clean)
 
     def finish(self) -> "CellRun":
-        cfg = self.cfg
-        self.summary = summarize_records(self.records, config_hash(cfg), self.seed, self.strategy)
-        if self.effect_rate is not None:
-            self.summary["effect_rate"] = self.effect_rate
+        self.summary = summarize_records(self.records, config_hash(self.cfg), self.seed,
+                                         self.schedule.strategy)
+        if self.sweep_rate is not None:
+            self.summary["effect_rate"] = self.sweep_rate
         if self.out_dir is not None:
             emit_report(self.records, self.out_dir, self.summary)
-            save_checkpoint(self.state.nets[0], self.out_dir / "model.ckpt",
+            save_checkpoint(self.nets[0], self.out_dir / "model.ckpt",
                             epoch=len(self.records) - 1, seed=self.seed,
-                            config=canonical_dict(cfg))
+                            config=canonical_dict(self.cfg))
         return self
 
     def run(self) -> "CellRun":
@@ -183,9 +196,19 @@ def _run_plan(cfg: ExperimentConfig, compare: bool):
     ``(label, strategy, CellRuns)`` run over all seeds into <base>/<label>-seed<seed>/."""
     plan = plan_cells(cfg, compare)
     base = Path(cfg.out_dir) / config_hash(cfg)
-    return base, ((label, strategy, [CellRun(cfg, strategy, seed, rate,
-                                             base / f"{label}-seed{seed}").run()
-                                     for seed in cfg.seeds])
+    early = {}  # (label, seed): the one cell built before its row runs
+
+    def build(label, strategy, rate, seed):
+        return early.pop((label, seed), None) or CellRun(cfg, strategy, seed, rate,
+                                                         base / f"{label}-seed{seed}")
+
+    # A cell's refusals do not depend on its seed, and depend on its row only
+    # through the jump-range check, which every lagged row makes alike.  So one
+    # cell built before any trains (the first lagged row's, else row 0's) refuses
+    # a bad plan; it runs in its row, and every other cell is built as it runs.
+    ahead = next((cell for cell in plan if STRATEGY_ROWS[cell[1]].lagged), plan[0])
+    early[ahead[0], cfg.seeds[0]] = build(*ahead, cfg.seeds[0])
+    return base, ((label, strategy, [build(label, strategy, rate, seed).run() for seed in cfg.seeds])
                   for label, strategy, rate in plan)
 
 
@@ -205,7 +228,7 @@ def compare_strategies(cfg: ExperimentConfig) -> list:
         last10 = [s["last10_mean_acc"] for s in summaries]
         rows.append({
             "label": label, "strategy": strategy,
-            "effect_rate": cell_results[0].state.sched_cfg.effect_rate,
+            "effect_rate": cell_results[0].schedule.effect_rate,
             "n_seeds": len(cfg.seeds),
             "mean_last10_acc": float(np.mean(last10)),
             "std_last10_acc": float(np.std(last10)),

@@ -147,7 +147,6 @@ class ForwardResult:
 def _chain_forward(layers, kind: str, a, cache=None, rows=None):
     """Run ``a`` through ``layers`` under activation ``kind``; with a
     ``cache`` list, append each layer's output (its ``rows``, if given) to it."""
-    a = np.asarray(a, dtype=np.float64)  # matmul refuses a batch of the wrong shape
     for lay in layers:
         a = matmul(a, lay.w)  # a fresh array: the bias and activation go in place
         a += lay.b
@@ -203,20 +202,12 @@ class DualHeadNet:
                   (hidden_width, code_bits)]
         self.flat = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
         self.grad = np.zeros_like(self.flat)
-        off = 0
-
-        def carve(shape):
-            nonlocal off
-            end = off + math.prod(shape)
-            views = self.flat[off:end].reshape(shape), self.grad[off:end].reshape(shape)
+        layers, off = [], 0
+        for fan_in, fan_out in shapes:  # w, then b, carved from both arenas alike
+            mid, end = off + fan_in * fan_out, off + (fan_in + 1) * fan_out
+            w, gw = (arena[off:mid].reshape(fan_in, fan_out) for arena in (self.flat, self.grad))
+            layers.append(Layer(w, self.flat[mid:end], gw, self.grad[mid:end]))
             off = end
-            return views
-
-        layers = []
-        for fan_in, fan_out in shapes:
-            w, gw = carve((fan_in, fan_out))
-            b, gb = carve((fan_out,))
-            layers.append(Layer(w, b, gw, gb))
         self.trunk = layers[:hidden_layers]
         self.classifier = layers[hidden_layers]
         self.detection = layers[hidden_layers + 1:]

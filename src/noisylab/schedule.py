@@ -1,5 +1,8 @@
 """Training strategies, each one row of :data:`STRATEGY_ROWS`, all run by
-one epoch loop, :func:`run_epoch`.
+one epoch loop, :func:`run_epoch`, on the fields of one ``experiment.CellRun``:
+it reads ``cfg.train``, ``cfg.selection``, ``schedule``, ``row``, ``train``, ``target_table``,
+``nets``, ``velocities``, ``shuffle_rng`` and ``gate_rng``, advances ``table``, ``global_iter``
+and ``post_iter``, and leaves the epoch's flags on ``selected`` and ``flags``.
 
 A lagged strategy keeps two boolean buffers over the whole training set.
 Each iteration (1) writes freshly produced clean flags for its batch into
@@ -15,19 +18,16 @@ the mask is applied or the update falls back to the full batch.  Lower r
 throttles how often selection errors feed back into training.
 """
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NoisyDataset
 from .errors import ConfigError, NumericError
 from .metrics import EpochRecord
-from .model import (DualHeadNet, TrainConfig, cosine_lr,
-                    losses_and_grads_from_forward, per_sample_cross_entropy,
-                    sgd_step)
-from .selection import BatchFlags, SelectionConfig, batch_flags, small_loss_select
+from .model import (DualHeadNet, cosine_lr, losses_and_grads_from_forward,
+                    per_sample_cross_entropy, sgd_step)
+from .selection import BatchFlags, batch_flags, small_loss_select
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ STRATEGY_ROWS = {
 class ScheduleConfig:
     strategy: str = "jump_update"
     effect_rate: float = 1.0
-    jump_step: int | None = None  # None resolves to iterations-per-epoch
+    jump_step: int | None = None  # None: iterations per epoch, at least 2
 
     def __post_init__(self):
         if self.strategy not in STRATEGY_ROWS:
@@ -92,50 +92,13 @@ class IdentifierTable:
         self.commit_count += 1
 
 
-@dataclass
-class RunState:
-    """Everything one training run mutates across epochs, as
-    ``experiment.CellRun`` builds it; ``__post_init__`` derives the
-    schedule fields and refuses a jump step the run cannot reach."""
-
-    data: NoisyDataset
-    target_table: np.ndarray  # (C, K) codeword bit targets, one row per class
-    nets: list  # row.nets of them
-    train_cfg: TrainConfig
-    sel_cfg: SelectionConfig
-    sched_cfg: ScheduleConfig
-    shuffle_rng: "np.random.Generator"
-    gate_rng: "np.random.Generator"
-    row: StrategyRow = field(init=False)
-    velocities: list = field(init=False)  # one SGD velocity arena per net
-    iters_per_epoch: int = field(init=False)
-    jump_step: int = field(init=False)
-    table: IdentifierTable | None = field(init=False)
-    selected: list = field(default_factory=list)  # last epoch's flags, one array per net
-    flags: BatchFlags | None = None  # variance: last epoch's BatchFlags; combined is selected[0]
-    global_iter: int = 0
-    post_iter: int = 0
-
-    def __post_init__(self):
-        n, cfg, sched = self.data.n_samples, self.train_cfg, self.sched_cfg
-        self.row = STRATEGY_ROWS[sched.strategy]
-        self.velocities = [np.zeros_like(net.flat) for net in self.nets]
-        self.iters_per_epoch = math.ceil(n / cfg.batch_size)
-        self.jump_step = sched.jump_step or max(2, self.iters_per_epoch)
-        total_train_iters = (cfg.epochs - cfg.warmup_epochs) * self.iters_per_epoch
-        if self.row.lagged and not 2 <= self.jump_step <= total_train_iters:
-            raise ConfigError(
-                f"jump_step {self.jump_step} outside [2, {total_train_iters}] for this run length")
-        self.table = IdentifierTable(n) if self.row.lagged else None
-
-
-def _batches(state: RunState):
-    order = state.shuffle_rng.permutation(state.data.n_samples)
-    bs = state.train_cfg.batch_size
+def _batches(cell):
+    order = cell.shuffle_rng.permutation(cell.train.n_samples)
+    bs = cell.cfg.train.batch_size
     return [order[i:i + bs] for i in range(0, order.size, bs)]
 
 
-def _update(state: RunState, which: int, res, labels, targets, mask, lr: float):
+def _update(cell, which: int, res, labels, targets, mask, lr: float):
     """One masked SGD step on net ``which``; returns (ce, bce, count) or
     None when the mask selects nothing (the batch is skipped).
 
@@ -145,7 +108,7 @@ def _update(state: RunState, which: int, res, labels, targets, mask, lr: float):
     its flat parameters after it.  Only a failing check scans parameter by
     parameter, to name the layer.
     """
-    net = state.nets[which]
+    net = cell.nets[which]
     count = labels.size if mask is None else int(np.count_nonzero(mask))
     if not (np.all(np.isfinite(res.logits)) and np.all(np.isfinite(res.z))):
         bad = net.first_nonfinite(net.parameters())
@@ -156,11 +119,11 @@ def _update(state: RunState, which: int, res, labels, targets, mask, lr: float):
     if count == 0:
         return None
     ce, bce = losses_and_grads_from_forward(
-        net, res, labels, targets, state.train_cfg.bce_weight, mask,
-        gather=state.row.nets == 1)  # criterion 9's cross floor measures the full height
+        net, res, labels, targets, cell.cfg.train.bce_weight, mask,
+        gather=cell.row.nets == 1)  # criterion 9's cross floor measures the full height
     try:
-        sgd_step(net.flat, net.grad, state.velocities[which], lr,
-                 state.train_cfg.momentum, state.train_cfg.weight_decay)
+        sgd_step(net.flat, net.grad, cell.velocities[which], lr,
+                 cell.cfg.train.momentum, cell.cfg.train.weight_decay)
     except NumericError:
         raise NumericError(_step_failure(net)) from None
     return ce, bce, count
@@ -175,70 +138,70 @@ def _step_failure(net: DualHeadNet) -> str:
     return f"parameter {net.first_nonfinite(net.parameters())} became non-finite after the step"
 
 
-def _train_batch(state: RunState, idx, lr: float, warm: bool):
+def _train_batch(cell, idx, lr: float, warm: bool):
     """One iteration on the batch rows ``idx``: select, then write the picks
     to the table (lagged) or train on them.  Returns each net's :func:`_update`
     result, whether the gate was on and the lagged mask's lag (sum, count);
     what it makes of batch size dies before the next batch."""
-    row, table = state.row, state.table
-    x = state.data.features[idx]
-    labels = state.data.noisy_labels[idx]
-    targets = state.target_table[labels]
+    row, table = cell.row, cell.table
+    x = cell.train.features[idx]
+    labels = cell.train.noisy_labels[idx]
+    targets = cell.target_table[labels]
     # Neither the gate nor the active buffer depends on this batch's forward
     # pass, so a gated lagged update forwards with its rows and caches only them.
     # random() is the uniform(0, 1) draw minus numpy's argument handling:
     # the same double from the same single step of the stream.
     gated = (not warm and row.selector is not None
-             and state.gate_rng.random() < state.sched_cfg.effect_rate)
+             and cell.gate_rng.random() < cell.schedule.effect_rate)
     masks, cached, lag = [None] * row.nets, None, (0, 0)
     if gated and row.lagged:
         masks = [table.active[idx]]  # fancy indexing copies
         prod_at = table.active_produced_at[idx]
         known = prod_at[prod_at >= 0]
-        lag = known.size * state.global_iter - int(known.sum()), known.size
+        lag = known.size * cell.global_iter - int(known.sum()), known.size
         sel = np.flatnonzero(masks[0])
         cached = sel if sel.size < idx.size else None  # a full mask keeps the full cache
-    results = [net.forward(x, cached) for net in state.nets]
+    results = [net.forward(x, cached) for net in cell.nets]
     if row.selector == "variance":
-        flags = batch_flags(results[0].z, targets, results[0].probs, labels, state.sel_cfg)
-        for name, values in vars(flags).items():  # combined lands in state.selected[0]
-            getattr(state.flags, name)[idx] = values
+        flags = batch_flags(results[0].z, targets, results[0].probs, labels, cell.cfg.selection)
+        for name, values in vars(flags).items():  # combined lands in cell.selected[0]
+            getattr(cell.flags, name)[idx] = values
         picks = [flags.combined]
     elif row.selector == "small_loss":
         picks = [small_loss_select(per_sample_cross_entropy(res.probs, labels),
-                                   state.sel_cfg.small_loss_keep_ratio) for res in results]
-        for buf, pick in zip(state.selected, picks):
+                                   cell.cfg.selection.small_loss_keep_ratio) for res in results]
+        for buf, pick in zip(cell.selected, picks):
             buf[idx] = pick
     if row.lagged:
-        table.write(idx, picks[0], state.global_iter)
+        table.write(idx, picks[0], cell.global_iter)
     elif gated:
         masks = picks[::-1]  # one net: its own pick; two: the peer's
-    return [_update(state, which, res, labels, targets, mask, lr)
+    return [_update(cell, which, res, labels, targets, mask, lr)
             for which, (res, mask) in enumerate(zip(results, masks))], gated, lag
 
 
-def run_epoch(state: RunState, epoch: int) -> EpochRecord:
-    """One epoch of any strategy, warm-up included.  A selector picks rows in
-    warm-up too, so a lagged table is full when warm-up ends; warm-up draws
-    no gate, never commits, and its ``trained_samples`` counts net A's rows
-    only.  The epoch's flags are left on ``state.selected`` and ``state.flags``."""
+def run_epoch(cell, epoch: int) -> EpochRecord:
+    """One epoch of ``cell`` (the fields the module docstring names), warm-up
+    included.  A selector picks rows in warm-up too, so a lagged table is full
+    when warm-up ends; warm-up draws no gate, never commits, and its
+    ``trained_samples`` counts net A's rows only."""
     t0 = time.perf_counter()
-    cfg = state.train_cfg
+    cfg = cell.cfg.train
     lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.lr_min)
-    n = state.data.n_samples
+    n = cell.train.n_samples
     warm = epoch < cfg.warmup_epochs
-    row, table = state.row, state.table
+    row, table, jump_step = cell.row, cell.table, cell.schedule.jump_step
     # Fresh buffers every epoch; the batches cover every sample once.
-    state.selected = [np.ones(n, dtype=bool) for _ in state.nets]
+    cell.selected = [np.ones(n, dtype=bool) for _ in cell.nets]
     if row.selector == "variance":
-        state.flags = BatchFlags(
+        cell.flags = BatchFlags(
             detection=np.zeros(n, dtype=bool), classifier=np.zeros(n, dtype=bool),
-            combined=state.selected[0], variance=np.full(n, np.nan), bce=np.full(n, np.nan))
+            combined=cell.selected[0], variance=np.full(n, np.nan), bce=np.full(n, np.nan))
     lag_sum = lag_count = 0
     ce_sum = bce_sum = 0.0
     updates = trained = skipped = gate_on = 0
-    for idx in _batches(state):
-        outs, gated, (lag, known) = _train_batch(state, idx, lr, warm)
+    for idx in _batches(cell):
+        outs, gated, (lag, known) = _train_batch(cell, idx, lr, warm)
         for which, out in enumerate(outs):
             if out is None:
                 skipped += 1
@@ -251,14 +214,14 @@ def run_epoch(state: RunState, epoch: int) -> EpochRecord:
         gate_on += gated
         lag_sum, lag_count = lag_sum + lag, lag_count + known
         if not warm:
-            state.post_iter += 1
-            if row.lagged and state.post_iter % state.jump_step == 0:
+            cell.post_iter += 1
+            if row.lagged and cell.post_iter % jump_step == 0:
                 table.commit()
-        state.global_iter += 1
+        cell.global_iter += 1
     wall = (time.perf_counter() - t0) * 1000.0
-    return EpochRecord(epoch=epoch, strategy=state.sched_cfg.strategy,
+    return EpochRecord(epoch=epoch, strategy=cell.schedule.strategy,
                        phase="warmup" if warm else "train", lr=lr,
-                       selected_count=int(state.selected[0].sum()),
+                       selected_count=int(cell.selected[0].sum()),
                        trained_samples=trained, skipped_batches=skipped,
                        gate_on=gate_on, commit_count=table.commit_count if row.lagged else 0,
                        mean_lag=lag_sum / lag_count if lag_count else None,

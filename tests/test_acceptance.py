@@ -62,7 +62,7 @@ def eps05_battery():
             turn = epoch % len(cells)
             for c in cells[turn:] + cells[:turn]:
                 c.step()
-        runs.update({(c.strategy, seed): c.finish() for c in cells})
+        runs.update({(c.schedule.strategy, seed): c.finish() for c in cells})
     return cfg, runs
 
 
@@ -160,26 +160,26 @@ def test_criterion_04_jump_bookkeeping_replay(monkeypatch):
         events.append(("write", iteration, (latest["idx"], np.array(flags, dtype=bool))))
         write(table, indices, flags, iteration)
 
-    def spy_update(state, which, res, labels, targets, mask, lr):
-        latest["state"] = state
+    def spy_update(cell, which, res, labels, targets, mask, lr):
+        latest["cell"] = cell
         if mask is not None:
             idx = latest["idx"]
-            events.append(("apply", latest["it"], (state.post_iter, idx, np.array(mask),
-                                                   state.table.active_produced_at[idx])))
-        return update(state, which, res, labels, targets, mask, lr)
+            events.append(("apply", latest["it"], (cell.post_iter, idx, np.array(mask),
+                                                   cell.table.active_produced_at[idx])))
+        return update(cell, which, res, labels, targets, mask, lr)
 
     def spy_commit(table):
         commit(table)
-        events.append(("commit", latest["it"], (latest["state"].post_iter, table.active.copy(),
+        events.append(("commit", latest["it"], (latest["cell"].post_iter, table.active.copy(),
                                                 table.active_produced_at.copy())))
 
     monkeypatch.setattr(IdentifierTable, "write", spy_write)
     monkeypatch.setattr(IdentifierTable, "commit", spy_commit)
     monkeypatch.setattr(schedule, "_update", spy_update)
     res = CellRun(parse_config({}), "jump_update", 1).run()
-    step = res.state.jump_step
-    ipe = res.state.iters_per_epoch
-    n = res.state.data.n_samples
+    step = res.schedule.jump_step
+    ipe = res.iters_per_epoch
+    n = res.train.n_samples
 
     pending = np.ones(n, dtype=bool)
     pending_prod = np.full(n, -1, dtype=np.int64)
@@ -233,7 +233,7 @@ def test_criterion_04_jump_bookkeeping_replay(monkeypatch):
         if rec.commit_count != int(np.searchsorted(commit_iters, (rec.epoch + 1) * ipe)):
             violations += 1
 
-    post_iters = res.state.post_iter
+    post_iters = res.post_iter
     ok = (violations == 0 and counts["commit"] == post_iters // step
           and counts["apply"] == post_iters and post_iters > 0)
     assert verdict(4, ok, f"{violations} violations replaying "
@@ -368,7 +368,7 @@ def test_stepped_cells_write_what_cells_run_alone_write(tmp_path):
             c.step()
     for a, c in zip(alone, stepped):
         c.finish()
-        assert timeless_artifacts(c.out_dir) == timeless_artifacts(a.out_dir), c.strategy
+        assert timeless_artifacts(c.out_dir) == timeless_artifacts(a.out_dir), c.schedule.strategy
 
 
 def test_a_strategy_is_its_row(tmp_path, monkeypatch):
@@ -390,7 +390,7 @@ def test_a_strategy_is_its_row(tmp_path, monkeypatch):
         monkeypatch.setitem(schedule.STRATEGY_ROWS, copy, schedule.STRATEGY_ROWS[name])
         original, copied = (CellRun(cfg, s, 3, out_dir=tmp_path / s).run() for s in (name, copy))
         assert copied.summary["strategy"] == copy
-        assert len(copied.state.nets) == len(original.state.nets)
+        assert len(copied.nets) == len(original.nets)
         assert (without_name(timeless_artifacts(copied.out_dir))
                 == without_name(timeless_artifacts(original.out_dir))), name
 

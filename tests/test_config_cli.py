@@ -772,6 +772,52 @@ class TestCliCompare:
         assert f"no cell reads schedule.{field}" in only_error(capsys, "config")
         assert not (tmp_path / "out").exists()
 
+    # A jump step no lagged cell can reach, set or by default (one iteration
+    # per epoch, one post-warm-up epoch): the lagged cell refuses before the
+    # cells planned ahead of it train, so no cell directory is written.
+    @pytest.mark.parametrize("extra,message", [
+        ({"dataset": {"classes": 3, "dim": 4, "per_class": 30},
+          "train": {"epochs": 4, "warmup_epochs": 2, "batch_size": 16, "hidden_width": 8},
+          "schedule": {"jump_step": 1000}},
+         "jump_step 1000 exceeds this run's post-warm-up iteration count, 10"),
+        ({"train": {"epochs": 2, "warmup_epochs": 1, "batch_size": 64, "hidden_width": 8}},
+         "jump_step 2 (default: iterations per epoch, at least 2) exceeds this run's "
+         "post-warm-up iteration count, 1"),
+    ], ids=["set", "default"])
+    def test_unreachable_jump_step_exits_2_before_any_cell_trains(self, tmp_path, capsys,
+                                                                  extra, message):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(tmp_path / "out", **extra))
+        assert main(["compare", "--config", cfg]) == 2
+        assert not list((tmp_path / "out").rglob("*-seed*"))
+        assert only_error(capsys, "config") == f"error[config]: {message}"
+
+    # One cell is built before any trains: the first lagged row's, which makes
+    # the one refusal a row decides, else row 0's.  It is not built again when
+    # its row runs, and every other cell is built as it runs.
+    @pytest.mark.parametrize("extra,first", [
+        ({}, ["jump_update-seed7", "standard-seed7"]),
+        ({"effect_rates": [0.5, 1.0]}, ["jump_update-r0.5-seed7"]),
+    ], ids=["strategies", "sweep"])
+    def test_compare_builds_one_cell_ahead(self, tmp_path, monkeypatch, extra, first):
+        built, before_first_step = [], []
+
+        class CountedCellRun(noisylab.experiment.CellRun):
+            def __init__(self, *args):
+                built.append(Path(args[-1]).name)
+                super().__init__(*args)
+
+            def step(self):
+                if not before_first_step:
+                    before_first_step.extend(built)
+                super().step()
+
+        monkeypatch.setattr("noisylab.experiment.CellRun", CountedCellRun)
+        cfg = write_json(tmp_path / "cfg.json",
+                         tiny_train_payload(tmp_path / "out", seeds=[7, 8], **extra))
+        assert main(["compare", "--config", cfg]) == 0
+        assert before_first_step == first
+        assert sorted(built) == sorted(p.name for p in (tmp_path / "out").glob("*/*-seed*"))
+
     def test_schedule_fields_one_cell_reads_are_accepted(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(
             tmp_path / "out", strategies=["standard", "jump_update"],

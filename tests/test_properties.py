@@ -113,19 +113,18 @@ def small_runs(draw):
 @given(small_runs())
 def test_cell_run_builds_what_the_loop_trusts(run):
     cfg, strategy, seed = run
-    cell_run = CellRun(cfg, strategy, seed)
-    state, test = cell_run.state, cell_run.test
-    data, net = state.data, state.nets[0]
+    cell = CellRun(cfg, strategy, seed)
+    data, test, net = cell.train, cell.test, cell.nets[0]
     row = STRATEGY_ROWS[strategy]
-    assert len(state.nets) == row.nets
-    targets = state.target_table[data.noisy_labels]  # what each training row trains on
+    assert cell.row == row and len(cell.nets) == row.nets
+    targets = cell.target_table[data.noisy_labels]  # what each training row trains on
     assert targets.shape == (data.n_samples, net.layout()["code_bits"])
     assert np.isin(targets, (0.0, 1.0)).all()
     for labels in (data.noisy_labels, data.true_labels, test.true_labels):
         assert 0 <= labels.min() and labels.max() < net.layout()["num_classes"]
     if row.selector == "small_loss":
-        assert state.sel_cfg.small_loss_keep_ratio is not None
-    assert (state.table is not None) == row.lagged
+        assert cell.cfg.selection.small_loss_keep_ratio is not None
+    assert (cell.table is not None) == row.lagged
     assert np.array_equal(data.clean_mask, data.true_labels == data.noisy_labels)
     assert test.clean_mask.all()
 
@@ -154,16 +153,16 @@ def test_gated_jump_reads_rows_of_the_window_the_latest_commit_closed(run):
     jump update reads was last produced in the jump_step iterations that
     end at the latest commit (and never produced before the first one)."""
     cfg, seed = run
-    state = CellRun(cfg, "jump_update", seed).state
-    table, commits, train_batch = state.table, [], schedule._train_batch
+    cell = CellRun(cfg, "jump_update", seed)
+    table, commits, train_batch = cell.table, [], schedule._train_batch
 
-    def checked(state, idx, lr, warm):
+    def checked(cell, idx, lr, warm):
         if table.commit_count > len(commits):  # the previous batch committed
-            commits.append(state.global_iter - 1)
+            commits.append(cell.global_iter - 1)
         read = table.active_produced_at[idx].copy()
-        out = train_batch(state, idx, lr, warm)
+        out = train_batch(cell, idx, lr, warm)
         if out[1] and commits:  # the gate was on
-            assert (commits[-1] - state.jump_step < read).all()
+            assert (commits[-1] - cell.schedule.jump_step < read).all()
             assert (read <= commits[-1]).all()
         elif out[1]:
             assert (read == -1).all()
@@ -171,7 +170,7 @@ def test_gated_jump_reads_rows_of_the_window_the_latest_commit_closed(run):
 
     with mock.patch.object(schedule, "_train_batch", checked):
         for epoch in range(cfg.train.epochs):
-            schedule.run_epoch(state, epoch)
+            schedule.run_epoch(cell, epoch)
     assert len(commits) + 1 >= table.commit_count > 0
 
 

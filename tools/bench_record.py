@@ -75,11 +75,11 @@ from noisylab import schedule
 from noisylab.config import parse_config
 from noisylab.experiment import CellRun
 cfg = parse_config(bench.make_config(sys.argv[2], bench.DEFAULT_SEED))
-state = CellRun(cfg, cfg.schedule.strategy, bench.DEFAULT_SEED).state
+cell = CellRun(cfg, cfg.schedule.strategy, bench.DEFAULT_SEED)
 batches, steps = schedule._batches, []
-def measured(state):
+def measured(cell):
     steady = None
-    for idx in batches(state):
+    for idx in batches(cell):
         if steady is None:
             steady = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -91,7 +91,7 @@ tracemalloc.start()
 peaks = []
 for epoch in range(warm + 2):  # the first commit ends epoch `warm`
     steps.clear()
-    schedule.run_epoch(state, epoch)
+    schedule.run_epoch(cell, epoch)
     peaks.append(max(steps) / 1e6)
 print(json.dumps({"warmup_step_heap_mb": peaks[warm - 1],
                   "gated_step_heap_mb": peaks[warm + 1]}))
