@@ -163,8 +163,8 @@ class CellRun:
 
 def plan_cells(cfg: ExperimentConfig, compare: bool) -> list:
     """The ``(label, strategy, effect_rate)`` cells that `compare`, or `train`,
-    runs over all seeds; refuses a plan that ignores a configured field, or
-    that writes two cells into one directory."""
+    runs over all seeds; refuses a plan that ignores a configured field
+    (``dump_selection`` included), or that writes two cells into one directory."""
     strategy = cfg.schedule.strategy
     if not compare:
         for name in ("strategies", "effect_rates"):
@@ -188,6 +188,9 @@ def plan_cells(cfg: ExperimentConfig, compare: bool) -> list:
         raise ConfigError("no cell reads schedule.effect_rate: none selects at that rate")
     if cfg.schedule.jump_step is not None and not any(row.lagged for row, _ in rows):
         raise ConfigError("no cell reads schedule.jump_step: none is lagged, so none commits")
+    if cfg.dump_selection and not any(row.selector == "variance" for row, _ in rows):
+        raise ConfigError("no cell writes a selection dump: dump_selection is set, "
+                          "but none selects by variance")
     return cells
 
 

@@ -9,14 +9,22 @@ Two identifiers are computed per sample and OR-combined:
 * classifier identifier: agreement between the temperature-softened
   classifier argmax and the (possibly noisy) training label.
 
-The small-loss ranking used by the baseline strategies also lives here.
+The small-loss ranking used by the baseline strategies also lives here, and
+so does the per-epoch decision dump.  The dump writes each float as Python's
+``repr`` would, without calling it per value: ``noisylab.decision_dump``
+finds every float's shortest round-trip digits exactly in numpy integer
+arithmetic (Ryu-style, Adams 2018), lays each row out as NUL-padded byte
+fields from small tables, and drops the NULs with ``translate``.  Values the
+integer path cannot prove go through ``repr`` itself: NaN, the infinities,
+the zeros, values outside [1e-7, 1e15) (negatives included), power-of-two
+mantissas and exact ties between two shortest candidates.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, atomic_write
+from .errors import ConfigError, NumericError
 from .model import bce_log_likelihood
 
 
@@ -97,22 +105,14 @@ def auto_keep_ratio(epsilon: float) -> float:
     return float(min(1.0, max(0.05, 1.0 - epsilon)))
 
 
-# A dump row's four 0/1 flag columns, indexed by det<<3 | cls<<2 | comb<<1 | clean.
-_FLAG_TAILS = ["".join(f",{bit}" for bit in f"{code:04b}") + "\n" for code in range(16)]
-
-
 def dump_decisions_csv(path, flags: BatchFlags, clean_mask) -> None:
     """Per-epoch dump of every selection decision, one row per sample in
     index order.
 
     Columns: sample_index, variance, bce_loss, det_flag, cls_flag,
-    combined_flag, is_truly_clean.
+    combined_flag, is_truly_clean.  The floats are Python's ``repr``, so
+    ``float(field)`` is the stored value; the flags are 0/1.
     """
-    codes = (flags.detection << 3) | (flags.classifier << 2) | (flags.combined << 1) | clean_mask
-    rows = zip(range(clean_mask.size), flags.variance.tolist(), flags.bce.tolist(),
-               map(_FLAG_TAILS.__getitem__, codes.tolist()))
-    with atomic_write(path) as fh:
-        fh.write("sample_index,variance,bce_loss,det_flag,cls_flag,"
-                 "combined_flag,is_truly_clean\n")
-        # %r gives repr(float), as csv.writer would write it.
-        fh.writelines(map("%d,%r,%r%s".__mod__, rows))
+    # Loaded at the first dump, so a run that writes none never compiles it.
+    from .decision_dump import write_decisions
+    write_decisions(path, flags, clean_mask)

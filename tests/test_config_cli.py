@@ -549,6 +549,15 @@ class TestCliTrain:
         assert f"no cell reads schedule.{field}" in only_error(capsys, "config")
         assert not (tmp_path / "out").exists()
 
+    # Only a variance-selecting cell has flags to dump, so the run would
+    # write no selection/ directory.
+    def test_dump_selection_no_cell_writes_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(
+            tmp_path / "out", schedule={"strategy": "cross_update"}))
+        assert main(["train", "--config", cfg, "--dump-selection"]) == 2
+        assert "no cell writes a selection dump" in only_error(capsys, "config")
+        assert not (tmp_path / "out").exists()
+
     # It would train the run without the map, under another config hash.
     @pytest.mark.parametrize("noise,detail", [
         ({"kind": "symmetric", "class_map": {"0": 1, "1": 0}},
@@ -770,6 +779,13 @@ class TestCliCompare:
         cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(tmp_path / "out", **extra))
         assert main(["compare", "--config", cfg]) == 2
         assert f"no cell reads schedule.{field}" in only_error(capsys, "config")
+        assert not (tmp_path / "out").exists()
+
+    def test_dump_selection_no_cell_writes_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(
+            tmp_path / "out", strategies=["standard", "cross_update"], dump_selection=True))
+        assert main(["compare", "--config", cfg]) == 2
+        assert "no cell writes a selection dump" in only_error(capsys, "config")
         assert not (tmp_path / "out").exists()
 
     # A jump step no lagged cell can reach, set or by default (one iteration

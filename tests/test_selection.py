@@ -2,17 +2,23 @@
 combination, the batch fast path against the scalar helpers, the
 small-loss baseline ranking, and the decision dump format."""
 
+import builtins
 import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (batch_variance_and_bce, classifier_identifier,
                      combine_identifiers, decompose_bce, detection_identifier,
                      dump_decisions_rows, intra_loss_variance, targets_for)
+from noisylab import decision_dump
 from noisylab.codebook import derive_codebook
+from noisylab.config import parse_config
 from noisylab.errors import ConfigError, NumericError
+from noisylab.experiment import CellRun
 from noisylab.model import Z_CLAMP
 from noisylab.selection import (BatchFlags, SelectionConfig, auto_keep_ratio, batch_flags,
                                 dump_decisions_csv, small_loss_select)
@@ -257,3 +263,115 @@ def test_dump_decisions_csv_bytes_match_row_writer(tmp_path, n):
     dump_decisions_csv(got, flags, clean)
     dump_decisions_rows(want, flags, clean)
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 100, 101, decision_dump._BLOCK - 1, decision_dump._BLOCK,
+                               decision_dump._BLOCK + 1, 2 * decision_dump._BLOCK + 1, 10_001])
+def test_dump_rows_across_blocks_and_index_widths(tmp_path, n):
+    """Row counts of one block, one block either side, and where the index
+    column gains a digit (10, 100 and 10,000 rows), against the row writer."""
+    rng = np.random.default_rng(n)
+    code = rng.integers(0, 16, n)
+    flags = BatchFlags(detection=code >> 3 & 1 == 1, classifier=code >> 2 & 1 == 1,
+                       combined=code >> 1 & 1 == 1,
+                       variance=rng.uniform(size=n) * 10.0 ** rng.integers(-9, 3, n),
+                       bce=rng.uniform(size=n))
+    clean = code & 1 == 1
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dump_decisions_csv(got, flags, clean)
+    dump_decisions_rows(want, flags, clean)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_dump_of_a_stepped_cell_matches_the_row_writer(tmp_path):
+    """A jump cell stepped with a dump asked for writes, for a warm-up epoch
+    and an epoch after its first commit, the bytes the row writer writes
+    from that epoch's flags."""
+    cfg = parse_config({"dataset": {"classes": 3, "dim": 4, "per_class": 30},
+                        "noise": {"kind": "symmetric", "epsilon": 0.3},
+                        "train": {"epochs": 5, "warmup_epochs": 2, "batch_size": 16,
+                                  "hidden_width": 8},
+                        "dump_selection": True})
+    cell = CellRun(cfg, "jump_update", 5, out_dir=tmp_path / "cell")
+    for epoch in range(4):  # the first commit ends epoch 2
+        cell.step()
+        if epoch in (0, 3):
+            want = tmp_path / f"want_{epoch}.csv"
+            dump_decisions_rows(want, cell.flags, cell.train.clean_mask)
+            got = tmp_path / "cell" / "selection" / f"epoch_{epoch:03d}.csv"
+            assert got.read_bytes() == want.read_bytes()
+    assert cell.records[2].commit_count == 1  # epoch 3 trains on committed flags
+
+
+def rendered(values) -> list:
+    """The dump's text for each float, as the renderer writes it."""
+    x = np.asarray(values, dtype=np.float64)
+    out = np.zeros((x.size, decision_dump._FIELD), np.uint8)
+    decision_dump._render_floats(x, out)
+    return out.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+
+
+def assert_renders_as_repr(values):
+    got, want = rendered(values), [repr(float(v)) for v in values]
+    wrong = [(g, w) for g, w in zip(got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+class TestFloatRenderer:
+    """The dump's floats are repr's text, byte for byte, for every float64."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_any_float_renders_as_repr(self, values):
+        assert_renders_as_repr(values)
+
+    def test_random_bit_patterns_in_the_fast_range(self):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(np.float64(1e-7).view(np.int64), np.float64(1e15).view(np.int64),
+                            100_000, dtype=np.int64)
+        assert_renders_as_repr(bits.view(np.float64))
+
+    def test_short_decimals(self):
+        rng = np.random.default_rng(12)
+        digits = rng.integers(1, 10 ** rng.integers(1, 18, 100_000), dtype=np.int64)
+        exps = rng.integers(-26, 16, 100_000)
+        assert_renders_as_repr([float(f"{d}e{e}") for d, e in zip(digits.tolist(),
+                                                                   exps.tolist())])
+
+    def test_integers(self):
+        rng = np.random.default_rng(13)
+        ints = rng.integers(1, 10 ** rng.integers(1, 17, 100_000), dtype=np.int64)
+        assert_renders_as_repr(ints.astype(np.float64))
+
+    def test_edges(self):
+        """Both sides of each fast-path limit and of repr's switch to exponent
+        notation, powers of two and of ten with their neighbours, values that
+        round up to a power of ten, and shortest forms of 1, 15, 16 and 17
+        digits at every scale."""
+        def around(x):
+            return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+        values = [v for x in (1e-7, 1e-4, 1e15, 1e16) for v in around(x)]
+        values += [v for j in range(-26, 52) for v in around(2.0 ** j)]
+        values += [v for j in range(-9, 17) for v in around(float(f"1e{j}"))]
+        values += [9.999999999999999e-05, 0.09999999999999999, 999999999999999.9,
+                   9.999999999999999e-08, 99999999999999.98]
+        values += [float(f"{m}e{e}") for m in ("1", "0.123456789012345", "0.1234567890123456",
+                                               "0.12345678901234568", "9.999999999999998")
+                   for e in range(-7, 16)]
+        assert_renders_as_repr(values)
+
+    def test_repr_reached_only_off_the_fast_path(self, monkeypatch):
+        """NaN, the infinities, the zeros, values outside [1e-7, 1e15),
+        power-of-two mantissas and exact ties go through repr; nothing else."""
+        called = []
+        monkeypatch.setattr(decision_dump, "repr", lambda v: called.append(v) or builtins.repr(v),
+                            raising=False)
+        proven = [1e-7, np.nextafter(1e15, 0.0), 0.1, 2.0 / 3.0, 9.999999999999999e-05,
+                  np.nextafter(1.0, 2.0), np.nextafter(0.5, 0.0), 123456.789, 1e14]
+        unproven = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5, np.nextafter(1e-7, 0.0),
+                    1e15, 1e300, 0.5, 1.0, 2.0 ** -20, 2.0 ** 40,
+                    1779674308265.7188]  # ...265.71875, as near ...7187 as ...7188
+        assert rendered(proven + unproven) == [repr(float(v)) for v in proven + unproven]
+        assert [repr(v) for v in called] == [repr(float(v)) for v in unproven]
