@@ -114,7 +114,7 @@ def _cmd_report(args) -> int:
             summary_path = path.parent / "summary.json"
             if summary_path.exists():
                 stored = json.loads(summary_path.read_text())
-                if abs(stored["last10_mean_acc"] - last10_mean(accs)) > 1e-9:
+                if not abs(stored["last10_mean_acc"] - last10_mean(accs)) <= 1e-9:  # NaN disagrees
                     line += "  [summary.json disagrees]"
         except (KeyError, TypeError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise DataIOError(f"malformed run artifacts in {path.parent}: "

@@ -171,9 +171,7 @@ def gen_blobs(classes: int, dim: int, n_per_class: int, spread: float,
                             true_labels=y[sel].copy(), noisy_labels=y[sel].copy(),
                             num_classes=classes,
                             split="test" if sel is test_idx else "train")
-    train = build(~test_idx)
-    test = build(test_idx)
-    return train, test
+    return build(~test_idx), build(test_idx)
 
 
 def _instance_flip_probs(ds: NoisyDataset, epsilon: float,

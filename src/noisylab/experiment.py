@@ -3,9 +3,9 @@
 Every run (one strategy, one seed) derives all of its randomness from its
 seed via fixed stream keys, so two runs with the same config
 and seed are bit-identical, and runs that share a seed share the same
-dataset, noise pattern, initial weights, and batch order regardless of
-strategy.  That pairing is what makes wall-time and accuracy comparisons
-between strategies meaningful.
+dataset (one split object, built once), noise pattern, initial weights and
+batch order regardless of strategy.  That pairing is what makes wall-time
+and accuracy comparisons between strategies meaningful.
 """
 
 import csv
@@ -37,6 +37,8 @@ STREAM_SHUFFLE = 4
 STREAM_GATE = 5
 STREAM_IDN = 6
 
+CELL_DIR = "{}-seed{}"  # a cell's directory under <out_dir>/<hash>/, by label and seed
+
 
 def _load_split(path, num_classes, split: str):
     ds = load_csv(path, num_classes=num_classes, split=split)
@@ -46,14 +48,13 @@ def _load_split(path, num_classes, split: str):
 
 
 def build_dataset(cfg: ExperimentConfig, seed: int):
-    """Construct (train, test) for a run, injecting noise when asked.
+    """A seed's ``(train, test)`` split, with noise injected when asked.
 
-    CSV datasets that already contain disagreeing label columns are used
-    as-is; injection only happens on clean training data with epsilon > 0.
-    An empty CSV split, a test split whose feature count differs from the
-    train split's, and a class map that does not fit the class count, even
-    one no draw reads, are refused.
-    """
+    CSV datasets that already contain disagreeing label columns are used as-is;
+    injection only happens on clean training data with epsilon > 0.  An empty
+    CSV split, a test split whose feature count differs from the train split's,
+    and a class map that does not fit the class count, even one no draw reads,
+    are refused."""
     ds_cfg, cmap = cfg.dataset, cfg.noise.class_map
     if ds_cfg.kind == "blobs":
         if cmap:  # refused before the draw: blobs know their class count
@@ -75,37 +76,44 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
     return train, test
 
 
+def jump_window(cfg: ExperimentConfig, n_samples: int) -> int:
+    """A lagged cell's commit window on ``n_samples`` training rows (by default the
+    iterations per epoch, at least 2), refused past the post-warm-up iterations."""
+    iters_per_epoch = math.ceil(n_samples / cfg.train.batch_size)
+    step = cfg.schedule.jump_step or max(2, iters_per_epoch)
+    post_iters = (cfg.train.epochs - cfg.train.warmup_epochs) * iters_per_epoch
+    if step > post_iters:
+        unset = "" if cfg.schedule.jump_step else " (default: iterations per epoch, at least 2)"
+        raise ConfigError(f"jump_step {step}{unset} exceeds this run's "
+                          f"post-warm-up iteration count, {post_iters}")
+    return step
+
+
 class CellRun:
     """One strategy x seed cell: everything its training mutates across epochs.
-    The constructor builds its data, codebook targets, net(s) and ``schedule``
-    (``cfg.schedule`` resolved), each from its own child stream of ``seed``,
-    and refuses a jump step the run cannot reach; :meth:`step` trains,
-    evaluates, records and dumps one epoch; :meth:`finish` writes the summary,
-    report and checkpoint to ``out_dir`` if given; :meth:`run` steps every
-    epoch, then finishes.  Cells stepped interleaved write what they write alone."""
+    It trains on the ``(train, test)`` split it is given and never writes it.  The
+    constructor builds its codebook targets, net(s) and ``schedule`` (``cfg.schedule``
+    resolved), each from its own child stream of ``seed``; :meth:`step` trains,
+    evaluates, records and dumps one epoch; :meth:`finish` writes the summary, report
+    and checkpoint to ``out_dir`` if given; :meth:`run` steps every epoch, then
+    finishes.  Cells stepped interleaved write what they write alone."""
 
-    def __init__(self, cfg: ExperimentConfig, strategy: str, seed: int,
+    def __init__(self, cfg: ExperimentConfig, strategy: str, seed: int, split,
                  effect_rate: float | None = None, out_dir=None):
         self.cfg, self.seed, self.sweep_rate = cfg, seed, effect_rate
-        self.train, self.test = build_dataset(cfg, seed)
+        self.train, self.test = split
         n, n_classes, train_cfg = self.train.n_samples, self.train.num_classes, cfg.train
         code_bits = train_cfg.code_bits or default_code_bits(n_classes)
         self.target_table = derive_codebook(code_bits, n_classes).targets  # (C, K), a row per class
-        self.iters_per_epoch = math.ceil(n / train_cfg.batch_size)
+        self.row = STRATEGY_ROWS[strategy]
         self.schedule = dataclasses.replace(
             cfg.schedule, strategy=strategy,
             effect_rate=cfg.schedule.effect_rate if effect_rate is None else effect_rate,
-            jump_step=cfg.schedule.jump_step or max(2, self.iters_per_epoch))
-        self.row = STRATEGY_ROWS[strategy]
+            jump_step=jump_window(cfg, n) if self.row.lagged else cfg.schedule.jump_step)
         self.nets = [DualHeadNet.create(self.train.features.shape[1], n_classes, code_bits,
                                         train_cfg.hidden_width, train_cfg.hidden_layers,
                                         train_cfg.temperature, rng_stream(seed, key))
                      for key in (STREAM_NET_A, STREAM_NET_B)[:self.row.nets]]
-        post_iters = (train_cfg.epochs - train_cfg.warmup_epochs) * self.iters_per_epoch
-        if self.row.lagged and self.schedule.jump_step > post_iters:
-            unset = "" if cfg.schedule.jump_step else " (default: iterations per epoch, at least 2)"
-            raise ConfigError(f"jump_step {self.schedule.jump_step}{unset} exceeds this run's "
-                              f"post-warm-up iteration count, {post_iters}")
         self.velocities = [np.zeros_like(net.flat) for net in self.nets]  # one SGD arena per net
         self.shuffle_rng = rng_stream(seed, STREAM_SHUFFLE)
         self.gate_rng = rng_stream(seed, STREAM_GATE)
@@ -162,9 +170,10 @@ class CellRun:
 
 
 def plan_cells(cfg: ExperimentConfig, compare: bool) -> list:
-    """The ``(label, strategy, effect_rate)`` cells that `compare`, or `train`,
-    runs over all seeds; refuses a plan that ignores a configured field
-    (``dump_selection`` included), or that writes two cells into one directory."""
+    """The ``(label, strategy, effect_rate)`` cells that `compare`, or `train`, runs
+    over all seeds; refuses a plan that ignores a configured field (``dump_selection``
+    included), or in which two cells write one ``<label>-seed<seed>`` directory
+    (a repeated seed, strategy or rate, or two rates whose labels print alike)."""
     strategy = cfg.schedule.strategy
     if not compare:
         for name in ("strategies", "effect_rates"):
@@ -178,10 +187,11 @@ def plan_cells(cfg: ExperimentConfig, compare: bool) -> list:
         if len(strategies) < 2:
             raise ConfigError("compare needs at least 2 strategies or an effect_rates list")
         cells = [(s, s, None) for s in strategies]
-    shared = [label for label, n in Counter(label for label, _, _ in cells).items() if n > 1]
-    if shared:  # as with a repeated entry, one cell would overwrite the other
-        raise ConfigError(f"two cells share the label {shared[0]!r} (a label prints a rate "
-                          "to 6 significant digits), so one would overwrite the other")
+    dirs = Counter(CELL_DIR.format(label, seed) for label, _, _ in cells for seed in cfg.seeds)
+    shared = [d for d, n in dirs.items() if n > 1]
+    if shared:
+        raise ConfigError(f"two cells would write one directory, {shared[0]!r}: an entry repeats, "
+                          "or two rates print alike (a label gives a rate to 6 significant digits)")
     rows = [(STRATEGY_ROWS[s], rate) for _, s, rate in cells]
     if cfg.schedule.effect_rate != ScheduleConfig.effect_rate and all(
             row.selector is None or rate is not None for row, rate in rows):
@@ -196,22 +206,17 @@ def plan_cells(cfg: ExperimentConfig, compare: bool) -> list:
 
 def _run_plan(cfg: ExperimentConfig, compare: bool):
     """``(base, cells)``: <out_dir>/<hash>/ and, for each cell of the plan, its
-    ``(label, strategy, CellRuns)`` run over all seeds into <base>/<label>-seed<seed>/."""
+    ``(label, strategy, CellRuns)`` run over all seeds into <base>/<label>-seed<seed>/.
+    Each seed's split is built once, before any cell, for all its cells; a lagged
+    window is checked on the first split (every seed's has as many rows)."""
     plan = plan_cells(cfg, compare)
+    splits = {seed: build_dataset(cfg, seed) for seed in cfg.seeds}
+    if any(STRATEGY_ROWS[strategy].lagged for _, strategy, _ in plan):
+        jump_window(cfg, splits[cfg.seeds[0]][0].n_samples)
     base = Path(cfg.out_dir) / config_hash(cfg)
-    early = {}  # (label, seed): the one cell built before its row runs
-
-    def build(label, strategy, rate, seed):
-        return early.pop((label, seed), None) or CellRun(cfg, strategy, seed, rate,
-                                                         base / f"{label}-seed{seed}")
-
-    # A cell's refusals do not depend on its seed, and depend on its row only
-    # through the jump-range check, which every lagged row makes alike.  So one
-    # cell built before any trains (the first lagged row's, else row 0's) refuses
-    # a bad plan; it runs in its row, and every other cell is built as it runs.
-    ahead = next((cell for cell in plan if STRATEGY_ROWS[cell[1]].lagged), plan[0])
-    early[ahead[0], cfg.seeds[0]] = build(*ahead, cfg.seeds[0])
-    return base, ((label, strategy, [build(label, strategy, rate, seed).run() for seed in cfg.seeds])
+    return base, ((label, strategy, [CellRun(cfg, strategy, seed, splits[seed], rate,
+                                             base / CELL_DIR.format(label, seed)).run()
+                                     for seed in cfg.seeds])
                   for label, strategy, rate in plan)
 
 

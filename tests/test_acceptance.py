@@ -18,7 +18,7 @@ import pytest
 from noisylab import schedule
 from noisylab.codebook import derive_codebook
 from noisylab.config import parse_config
-from noisylab.experiment import CellRun
+from noisylab.experiment import CellRun, build_dataset
 from noisylab.model import DualHeadNet
 from noisylab.numeric import rng_stream
 from noisylab.schedule import IdentifierTable
@@ -42,7 +42,7 @@ def last10(results, key):
 def eps04_battery():
     """Jump runs at the default 40% symmetric benchmark, 3 seeds."""
     cfg = parse_config({})
-    return cfg, {seed: CellRun(cfg, "jump_update", seed).run()
+    return cfg, {seed: CellRun(cfg, "jump_update", seed, build_dataset(cfg, seed)).run()
                  for seed in SEEDS}
 
 
@@ -57,7 +57,8 @@ def eps05_battery():
     cfg = parse_config({"noise": {"epsilon": 0.5}})
     runs = {}
     for seed in SEEDS:
-        cells = [CellRun(cfg, s, seed) for s in ("standard", "jump_update", "cross_update")]
+        split = build_dataset(cfg, seed)  # one split for the seed's cells, as compare builds it
+        cells = [CellRun(cfg, s, seed, split) for s in ("standard", "jump_update", "cross_update")]
         for epoch in range(cfg.train.epochs):
             turn = epoch % len(cells)
             for c in cells[turn:] + cells[:turn]:
@@ -72,11 +73,12 @@ def eps08_battery():
     cfg = parse_config({"noise": {"epsilon": 0.8}})
     runs = {}
     for seed in SEEDS:
-        runs[("jump_update", seed)] = CellRun(cfg, "jump_update", seed).run()
-        runs[("cross_update", seed)] = CellRun(cfg, "cross_update", seed).run()
+        split = build_dataset(cfg, seed)
+        runs[("jump_update", seed)] = CellRun(cfg, "jump_update", seed, split).run()
+        runs[("cross_update", seed)] = CellRun(cfg, "cross_update", seed, split).run()
         for rate in (1.0, 0.5, 0.3):
             runs[(f"self-r{rate:g}", seed)] = CellRun(
-                cfg, "self_update", seed, effect_rate=rate).run()
+                cfg, "self_update", seed, split, effect_rate=rate).run()
     return cfg, runs
 
 
@@ -176,10 +178,11 @@ def test_criterion_04_jump_bookkeeping_replay(monkeypatch):
     monkeypatch.setattr(IdentifierTable, "write", spy_write)
     monkeypatch.setattr(IdentifierTable, "commit", spy_commit)
     monkeypatch.setattr(schedule, "_update", spy_update)
-    res = CellRun(parse_config({}), "jump_update", 1).run()
+    cfg = parse_config({})
+    res = CellRun(cfg, "jump_update", 1, build_dataset(cfg, 1)).run()
     step = res.schedule.jump_step
-    ipe = res.iters_per_epoch
     n = res.train.n_samples
+    ipe = math.ceil(n / cfg.train.batch_size)
 
     pending = np.ones(n, dtype=bool)
     pending_prod = np.full(n, -1, dtype=np.int64)
@@ -357,12 +360,15 @@ GATED_TINY = {"dataset": {"classes": 4, "dim": 8, "per_class": 60},
 
 
 def test_stepped_cells_write_what_cells_run_alone_write(tmp_path):
-    """eps05_battery steps one seed's cells interleaved; each cell draws
-    only from its own streams, so that must not change what it writes."""
+    """eps05_battery steps one seed's cells interleaved on one shared split;
+    each cell draws only from its own streams and never writes the split, so
+    that must not change what it writes alone, on a split of its own."""
     cfg = parse_config(GATED_TINY)
     strategies = ("jump_update", "cross_update")
-    alone = [CellRun(cfg, s, 3, out_dir=tmp_path / "alone" / s).run() for s in strategies]
-    stepped = [CellRun(cfg, s, 3, out_dir=tmp_path / "stepped" / s) for s in strategies]
+    alone = [CellRun(cfg, s, 3, build_dataset(cfg, 3), out_dir=tmp_path / "alone" / s).run()
+             for s in strategies]
+    split = build_dataset(cfg, 3)
+    stepped = [CellRun(cfg, s, 3, split, out_dir=tmp_path / "stepped" / s) for s in strategies]
     for _ in range(cfg.train.epochs):
         for c in stepped:
             c.step()
@@ -388,7 +394,8 @@ def test_a_strategy_is_its_row(tmp_path, monkeypatch):
     for name in ("jump_update", "cross_update"):
         copy = f"{name}_copy"
         monkeypatch.setitem(schedule.STRATEGY_ROWS, copy, schedule.STRATEGY_ROWS[name])
-        original, copied = (CellRun(cfg, s, 3, out_dir=tmp_path / s).run() for s in (name, copy))
+        original, copied = (CellRun(cfg, s, 3, build_dataset(cfg, 3), out_dir=tmp_path / s).run()
+                            for s in (name, copy))
         assert copied.summary["strategy"] == copy
         assert len(copied.nets) == len(original.nets)
         assert (without_name(timeless_artifacts(copied.out_dir))
@@ -397,7 +404,8 @@ def test_a_strategy_is_its_row(tmp_path, monkeypatch):
 
 def test_criterion_10_double_run_determinism(tmp_path):
     cfg = parse_config({})
-    a, b = (timeless_artifacts(CellRun(cfg, "jump_update", 1, out_dir=tmp_path / d).run().out_dir)
+    a, b = (timeless_artifacts(CellRun(cfg, "jump_update", 1, build_dataset(cfg, 1),
+                                       out_dir=tmp_path / d).run().out_dir)
             for d in "ab")
     mismatches = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     ok = not mismatches

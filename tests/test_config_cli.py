@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import noisylab
@@ -746,16 +747,18 @@ class TestCliCompare:
 
     # A repeat runs one cell twice into one directory, and its rows then
     # read as seeds or cells that agree.  1 and 1.0 are one rate ("r1").
-    @pytest.mark.parametrize("field,values", [
-        ("seeds", [7, 3, 7]),
-        ("strategies", ["standard", "jump_update", "standard"]),
-        ("effect_rates", [1, 0.5, 1.0]),
+    @pytest.mark.parametrize("field,values,directory", [
+        ("seeds", [7, 3, 7], "standard-seed7"),
+        ("strategies", ["standard", "jump_update", "standard"], "standard-seed7"),
+        ("effect_rates", [1, 0.5, 1.0], "jump_update-r1-seed7"),
     ], ids=["seeds", "strategies", "effect_rates"])
-    def test_repeated_entry_exits_2_before_running(self, tmp_path, capsys, field, values):
+    def test_repeated_entry_exits_2_before_running(self, tmp_path, capsys, field, values,
+                                                   directory):
         cfg = write_json(tmp_path / "cfg.json",
                          tiny_train_payload(tmp_path / "out", **{field: values}))
         assert main(["compare", "--config", cfg]) == 2
-        assert only_error(capsys, "config").startswith(f"error[config]: {field} lists")
+        assert only_error(capsys, "config").startswith(
+            f"error[config]: two cells would write one directory, {directory!r}:")
         assert not (tmp_path / "out").exists()
 
     # Two distinct rates that print alike would write one cell directory
@@ -765,7 +768,10 @@ class TestCliCompare:
             tmp_path / "out", schedule={"strategy": "self_update"},
             effect_rates=[0.1234561, 0.1234562]))
         assert main(["compare", "--config", cfg]) == 2
-        assert "share the label 'self_update-r0.123456'" in only_error(capsys, "config")
+        assert only_error(capsys, "config") == (
+            "error[config]: two cells would write one directory, 'self_update-r0.123456-seed7': "
+            "an entry repeats, or two rates print alike (a label gives a rate to 6 significant "
+            "digits)")
         assert not (tmp_path / "out").exists()
 
     # Each sweep cell draws at its own rate, and only a lagged strategy
@@ -789,8 +795,9 @@ class TestCliCompare:
         assert not (tmp_path / "out").exists()
 
     # A jump step no lagged cell can reach, set or by default (one iteration
-    # per epoch, one post-warm-up epoch): the lagged cell refuses before the
-    # cells planned ahead of it train, so no cell directory is written.
+    # per epoch, one post-warm-up epoch): the plan refuses it on the first
+    # seed's split, before any cell is built, so no cell directory is written.
+    @pytest.mark.parametrize("command", ["compare", "train"])
     @pytest.mark.parametrize("extra,message", [
         ({"dataset": {"classes": 3, "dim": 4, "per_class": 30},
           "train": {"epochs": 4, "warmup_epochs": 2, "batch_size": 16, "hidden_width": 8},
@@ -801,38 +808,69 @@ class TestCliCompare:
          "post-warm-up iteration count, 1"),
     ], ids=["set", "default"])
     def test_unreachable_jump_step_exits_2_before_any_cell_trains(self, tmp_path, capsys,
-                                                                  extra, message):
+                                                                  monkeypatch, extra, message,
+                                                                  command):
+        def no_cell(*args):
+            raise AssertionError("a cell was built before the jump step was refused")
+
+        monkeypatch.setattr("noisylab.experiment.CellRun", no_cell)
         cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(tmp_path / "out", **extra))
-        assert main(["compare", "--config", cfg]) == 2
+        assert main([command, "--config", cfg]) == 2
         assert not list((tmp_path / "out").rglob("*-seed*"))
         assert only_error(capsys, "config") == f"error[config]: {message}"
 
-    # One cell is built before any trains: the first lagged row's, which makes
-    # the one refusal a row decides, else row 0's.  It is not built again when
-    # its row runs, and every other cell is built as it runs.
-    @pytest.mark.parametrize("extra,first", [
-        ({}, ["jump_update-seed7", "standard-seed7"]),
-        ({"effect_rates": [0.5, 1.0]}, ["jump_update-r0.5-seed7"]),
+    # Each seed's split is built once, before any cell, and every cell of the
+    # seed trains on it; each cell is built only when its row runs it.
+    @pytest.mark.parametrize("extra,labels", [
+        ({}, ["standard", "self_update", "cross_update", "jump_update"]),
+        ({"effect_rates": [0.5, 1.0]}, ["jump_update-r0.5", "jump_update-r1"]),
     ], ids=["strategies", "sweep"])
-    def test_compare_builds_one_cell_ahead(self, tmp_path, monkeypatch, extra, first):
-        built, before_first_step = [], []
+    def test_compare_builds_each_seed_split_once_and_each_cell_as_it_runs(
+            self, tmp_path, monkeypatch, extra, labels):
+        events, build_dataset = [], noisylab.experiment.build_dataset
+
+        def counted_build(cfg, seed):
+            events.append(("split", seed))
+            return build_dataset(cfg, seed)
 
         class CountedCellRun(noisylab.experiment.CellRun):
-            def __init__(self, *args):
-                built.append(Path(args[-1]).name)
-                super().__init__(*args)
+            def __init__(self, cfg, strategy, seed, split, *rest):
+                events.append(("built", Path(rest[-1]).name))
+                super().__init__(cfg, strategy, seed, split, *rest)
 
-            def step(self):
-                if not before_first_step:
-                    before_first_step.extend(built)
-                super().step()
+            def run(self):
+                events.append(("ran", self.out_dir.name))
+                return super().run()
 
+        monkeypatch.setattr("noisylab.experiment.build_dataset", counted_build)
         monkeypatch.setattr("noisylab.experiment.CellRun", CountedCellRun)
         cfg = write_json(tmp_path / "cfg.json",
                          tiny_train_payload(tmp_path / "out", seeds=[7, 8], **extra))
         assert main(["compare", "--config", cfg]) == 0
-        assert before_first_step == first
-        assert sorted(built) == sorted(p.name for p in (tmp_path / "out").glob("*/*-seed*"))
+        assert events == [("split", 7), ("split", 8)] + [
+            (event, f"{label}-seed{seed}")
+            for label in labels for seed in (7, 8) for event in ("built", "ran")]
+
+    # Every cell of a seed reads the one split the plan built for it.
+    def test_no_cell_writes_its_shared_split(self, tmp_path, monkeypatch):
+        splits, build_dataset = [], noisylab.experiment.build_dataset
+
+        def kept_build(cfg, seed):
+            split = build_dataset(cfg, seed)
+            splits.append((split, [[a.copy() for a in (ds.features, ds.true_labels,
+                                                       ds.noisy_labels)] for ds in split]))
+            return split
+
+        monkeypatch.setattr("noisylab.experiment.build_dataset", kept_build)
+        cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(
+            tmp_path / "out", seeds=[7, 8], dump_selection=True,
+            schedule={"effect_rate": 0.5}))
+        assert main(["compare", "--config", cfg]) == 0
+        assert len(splits) == 2
+        for split, before in splits:
+            for ds, arrays in zip(split, before):
+                for now, then in zip((ds.features, ds.true_labels, ds.noisy_labels), arrays):
+                    assert np.array_equal(now, then)
 
     def test_schedule_fields_one_cell_reads_are_accepted(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", tiny_train_payload(
@@ -870,6 +908,15 @@ class TestCliReport:
         stdout = capsys.readouterr().out
         assert "report: jump_update" in stdout
         assert "[summary.json disagrees]" not in stdout
+
+    # A NaN compares false with everything, so the check asks for agreement.
+    def test_nan_summary_disagrees(self, tmp_path, capsys):
+        cell = tmp_path / "out" / "abc" / "standard-seed1"
+        cell.mkdir(parents=True)
+        (cell / "epochs.jsonl").write_text('{"strategy": "standard", "test_acc": 0.5}\n')
+        (cell / "summary.json").write_text('{"last10_mean_acc": NaN}')
+        assert main(["report", "--run-dir", str(tmp_path / "out")]) == 0
+        assert "[summary.json disagrees]" in capsys.readouterr().out
 
     def test_missing_dir_exits_4(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path / "absent")]) == 4

@@ -27,7 +27,7 @@ from noisylab.cli import main
 from noisylab.codebook import default_code_bits, derive_codebook
 from noisylab.config import parse_config
 from noisylab.data import NOISE_KINDS
-from noisylab.experiment import CellRun
+from noisylab.experiment import CellRun, build_dataset
 from noisylab.model import Z_CLAMP, DualHeadNet, losses_and_grads_from_forward
 from noisylab.numeric import rng_stream
 from noisylab.schedule import STRATEGY_ROWS
@@ -113,7 +113,7 @@ def small_runs(draw):
 @given(small_runs())
 def test_cell_run_builds_what_the_loop_trusts(run):
     cfg, strategy, seed = run
-    cell = CellRun(cfg, strategy, seed)
+    cell = CellRun(cfg, strategy, seed, build_dataset(cfg, seed))
     data, test, net = cell.train, cell.test, cell.nets[0]
     row = STRATEGY_ROWS[strategy]
     assert cell.row == row and len(cell.nets) == row.nets
@@ -153,7 +153,7 @@ def test_gated_jump_reads_rows_of_the_window_the_latest_commit_closed(run):
     jump update reads was last produced in the jump_step iterations that
     end at the latest commit (and never produced before the first one)."""
     cfg, seed = run
-    cell = CellRun(cfg, "jump_update", seed)
+    cell = CellRun(cfg, "jump_update", seed, build_dataset(cfg, seed))
     table, commits, train_batch = cell.table, [], schedule._train_batch
 
     def checked(cell, idx, lr, warm):

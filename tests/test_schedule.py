@@ -3,6 +3,7 @@ the effect-rate gate, warm-up behavior, reduction cases that collapse each
 strategy onto standard training, and the jump schedule's skip/commit
 bookkeeping."""
 
+import math
 import re
 
 import numpy as np
@@ -12,7 +13,7 @@ from noisylab import schedule
 from noisylab.codebook import derive_codebook
 from noisylab.config import parse_config
 from noisylab.errors import ConfigError, NumericError
-from noisylab.experiment import CellRun
+from noisylab.experiment import CellRun, build_dataset
 from noisylab.model import DualHeadNet
 from noisylab.numeric import rng_stream
 from noisylab.schedule import (STRATEGY_ROWS, IdentifierTable, ScheduleConfig,
@@ -32,8 +33,12 @@ def make_cell(strategy, epochs=6, warmup=2, jump_step=None, effect_rate=1.0,
         "selection": {"tau": tau, "small_loss_keep_ratio": keep},
         "schedule": {"jump_step": jump_step},
     })
-    cell = CellRun(cfg, strategy, seed, effect_rate)
+    cell = CellRun(cfg, strategy, seed, build_dataset(cfg, seed), effect_rate)
     return cell, cell.train
+
+
+def iters_per_epoch(cell) -> int:
+    return math.ceil(cell.train.n_samples / cell.cfg.train.batch_size)
 
 
 def snapshot(net):
@@ -141,14 +146,14 @@ class RecordingRng:
 class TestGate:
     def test_rate_one_always_on(self):
         cell, _ = make_cell("self_update", effect_rate=1.0, epochs=42)
-        assert gate_counts(cell) == [cell.iters_per_epoch] * 40
+        assert gate_counts(cell) == [iters_per_epoch(cell)] * 40
 
     def test_empirical_rate_half(self):
         """Over 2,000 post-warm-up iterations the gate fires, epoch by epoch,
         exactly when a fresh gate stream's uniform draw is below 0.5."""
         cell, _ = make_cell("self_update", effect_rate=0.5, epochs=402)
         oracle = rng_stream(5, 5)
-        want = [sum(oracle.uniform() < 0.5 for _ in range(cell.iters_per_epoch))
+        want = [sum(oracle.uniform() < 0.5 for _ in range(iters_per_epoch(cell)))
                 for _ in range(400)]
         assert gate_counts(cell) == want
 
@@ -173,7 +178,7 @@ class TestGate:
         for epoch in range(cell.cfg.train.epochs):
             stats = run_epoch(cell, epoch)
             expected = 0 if epoch < cell.cfg.train.warmup_epochs else sum(
-                oracle.uniform() < 0.5 for _ in range(cell.iters_per_epoch))
+                oracle.uniform() < 0.5 for _ in range(iters_per_epoch(cell)))
             assert stats.gate_on == expected
         assert cell.gate_rng.bit_generator.state == oracle.bit_generator.state
 
@@ -187,7 +192,7 @@ class TestGate:
 class TestStartRun:
     def test_default_jump_step_is_iterations_per_epoch(self):
         cell, _ = make_cell("jump_update")
-        assert cell.iters_per_epoch == 5
+        assert iters_per_epoch(cell) == 5
         assert cell.schedule.jump_step == 5
 
     def test_jump_step_bounds_checked(self):
@@ -233,7 +238,7 @@ class TestWarmup:
         cell, noisy = make_cell(strategy)
         stats = run_epoch(cell, 0)
         assert stats.phase == "warmup"
-        assert cell.iters_per_epoch == 5
+        assert iters_per_epoch(cell) == 5
         assert stats.trained_samples == noisy.n_samples
         assert stats.skipped_batches == 0
         assert stats.gate_on == 0
@@ -299,7 +304,7 @@ class TestSelfUpdate:
         run_epoch(cell, 0)
         run_epoch(cell, 1)
         stats = run_epoch(cell, 2)
-        assert stats.gate_on == cell.iters_per_epoch
+        assert stats.gate_on == iters_per_epoch(cell)
         assert stats.trained_samples < noisy.n_samples
         # ceil(0.5 * batch) per batch: 8+8+8+8+4 of the 72 samples
         assert stats.trained_samples == 36
@@ -359,7 +364,7 @@ class TestCrossUpdate:
         for epoch in range(2, cell.cfg.train.epochs):
             active = cell.table.active.copy() if cell.table is not None else None
             start = len(calls)
-            assert run_epoch(cell, epoch).gate_on == cell.iters_per_epoch
+            assert run_epoch(cell, epoch).gate_on == iters_per_epoch(cell)
             for i, (which, mask, dlogits) in enumerate(calls[start:]):
                 idx = batches[start // nets + i // nets]
                 # the committed flags, or the net's own pick, or its peer's
@@ -396,7 +401,7 @@ class TestJumpUpdate:
         second = run_epoch(cell, 3)
         assert second.mean_lag is not None
         # flags applied in epoch 4 were produced in epoch 3: one epoch of lag
-        assert cell.iters_per_epoch <= second.mean_lag <= 2 * cell.iters_per_epoch
+        assert iters_per_epoch(cell) <= second.mean_lag <= 2 * iters_per_epoch(cell)
 
     def test_all_false_active_table_skips_every_batch(self):
         cell, _ = make_cell("jump_update", jump_step=20)
@@ -405,7 +410,7 @@ class TestJumpUpdate:
         cell.table.active[:] = False
         before = snapshot(cell.nets[0])
         stats = run_epoch(cell, 2)  # jump_step 20 defers any commit
-        assert stats.skipped_batches == cell.iters_per_epoch == 5
+        assert stats.skipped_batches == iters_per_epoch(cell) == 5
         assert stats.trained_samples == 0
         assert params_equal(snapshot(cell.nets[0]), before)
 

@@ -18,7 +18,7 @@ from noisylab import decision_dump
 from noisylab.codebook import derive_codebook
 from noisylab.config import parse_config
 from noisylab.errors import ConfigError, NumericError
-from noisylab.experiment import CellRun
+from noisylab.experiment import CellRun, build_dataset
 from noisylab.model import Z_CLAMP
 from noisylab.selection import (BatchFlags, SelectionConfig, auto_keep_ratio, batch_flags,
                                 dump_decisions_csv, small_loss_select)
@@ -292,7 +292,7 @@ def test_dump_of_a_stepped_cell_matches_the_row_writer(tmp_path):
                         "train": {"epochs": 5, "warmup_epochs": 2, "batch_size": 16,
                                   "hidden_width": 8},
                         "dump_selection": True})
-    cell = CellRun(cfg, "jump_update", 5, out_dir=tmp_path / "cell")
+    cell = CellRun(cfg, "jump_update", 5, build_dataset(cfg, 5), out_dir=tmp_path / "cell")
     for epoch in range(4):  # the first commit ends epoch 2
         cell.step()
         if epoch in (0, 3):

@@ -10,10 +10,11 @@ perfbench's own run length and seed:
   (the end-to-end metrics);
 * ``perfbench/run.py --trace 1`` on ``jump_dump`` (the per-layer split);
 * one in-process ``jump_wide`` run: ``experiment.CellRun(...).run()`` on
-  perfbench's ``jump_wide`` config and seed in a fresh interpreter, BLAS
-  pinned to one thread, storing the minor page faults taken during
-  ``run()`` and the process's ``ru_maxrss`` (how steady the training step's
-  heap is);
+  perfbench's ``jump_wide`` config and seed, on a split from
+  ``experiment.build_dataset``, in a fresh interpreter, BLAS pinned to one
+  thread, storing the minor page faults taken during the build and
+  ``run()`` and the process's ``ru_maxrss`` (how steady the training
+  step's heap is);
 * a second, separate in-process ``jump_wide`` pass under ``tracemalloc``
   (so the faults and ``ru_maxrss`` above are not its): each training
   step's heap high-water above the heap held when its epoch's first batch
@@ -56,10 +57,11 @@ spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
 bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 from noisylab.config import parse_config
-from noisylab.experiment import CellRun
+from noisylab.experiment import CellRun, build_dataset
 cfg = parse_config(bench.make_config(sys.argv[2], bench.DEFAULT_SEED))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-CellRun(cfg, cfg.schedule.strategy, bench.DEFAULT_SEED).run()
+seed = bench.DEFAULT_SEED
+CellRun(cfg, cfg.schedule.strategy, seed, build_dataset(cfg, seed)).run()
 usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({"minor_faults": usage.ru_minflt - before,
                   "ru_maxrss_mb": usage.ru_maxrss * 1024 / 1e6}))
@@ -73,9 +75,10 @@ bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 from noisylab import schedule
 from noisylab.config import parse_config
-from noisylab.experiment import CellRun
-cfg = parse_config(bench.make_config(sys.argv[2], bench.DEFAULT_SEED))
-cell = CellRun(cfg, cfg.schedule.strategy, bench.DEFAULT_SEED)
+from noisylab.experiment import CellRun, build_dataset
+seed = bench.DEFAULT_SEED
+cfg = parse_config(bench.make_config(sys.argv[2], seed))
+cell = CellRun(cfg, cfg.schedule.strategy, seed, build_dataset(cfg, seed))
 batches, steps = schedule._batches, []
 def measured(cell):
     steady = None

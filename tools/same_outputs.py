@@ -22,12 +22,19 @@ Runs, as fresh ``noisylab`` processes with BLAS pinned to one thread:
   covered;
 * ``compare`` over all four strategies with ``instance``, ``pairflip`` and
   ``asymmetric`` noise, so every noise model's label draws are covered;
+* ``compare`` over all four strategies on CSV splits that the tools below
+  write: the clean ``gen-data`` pair, into which the run injects its noise,
+  and the same test split beside an ``inject``-ed train split, whose noise
+  the run uses as it is.  The paths are relative to the work directory, so
+  the config hash, which covers them, is the same on every checkout;
 * ``train`` on each of the three benchmark workload configs
   (``perfbench/run.py``), seed 1, with ``--dump-selection`` where the
   workload uses it;
-* the standalone tools, in ``tools/``: ``codebook`` at the default and the
-  widest width, ``gen-data`` at 4 classes in 5 dimensions and at 12 in 10,
-  and an ``inject`` of each noise kind into the first generated train split.
+* the standalone tools, in ``tools/``, run first: ``codebook`` at the
+  default and the widest width, ``gen-data`` at 4 classes in 5 dimensions,
+  at 12 in 10 and at 20 in 8 (more classes than the next power of two above
+  the dimension, so the centers are the axis lattice), and an ``inject`` of
+  each noise kind into the first generated train split.
 
 It then prints ``sha256  relative/path`` for every file written, sorted by
 path.  Wall-time and memory fields are dropped before hashing: the
@@ -74,6 +81,14 @@ def _with_train(**knobs) -> dict:
     return dict(SMALL, train=dict(SMALL["train"], **knobs), strategies=ALL_STRATEGIES)
 
 
+def _on_csv(train_path: str) -> dict:
+    """SMALL over all four strategies on a CSV train split and the first
+    ``gen-data`` test split (paths relative to the work directory)."""
+    return dict(SMALL, strategies=ALL_STRATEGIES, dataset={
+        "kind": "csv", "classes": None, "train_path": train_path,
+        "test_path": "tools/test.csv"})
+
+
 def _with_noise(kind: str, **extra) -> dict:
     """SMALL over all four strategies under another noise model."""
     return dict(SMALL, noise=dict(SMALL["noise"], kind=kind, **extra),
@@ -100,6 +115,8 @@ RUNS = [
     ("noise_pairflip", "compare", _with_noise("pairflip")),
     ("noise_asymmetric", "compare",
      _with_noise("asymmetric", class_map={"0": 2, "1": 3, "2": 0, "3": 1})),
+    ("csv_clean", "compare", _on_csv("tools/train.csv")),
+    ("csv_injected", "compare", _on_csv("tools/inject_symmetric.csv")),
 ]
 
 ASYMMETRIC_MAP = '{"0": 2, "1": 3, "2": 0, "3": 1}'
@@ -107,7 +124,8 @@ ASYMMETRIC_MAP = '{"0": 2, "1": 3, "2": 0, "3": 1}'
 # Standalone tool invocations, run in this order in <work>/tools/: every
 # inject reads the train split the first gen-data writes.  The widest
 # codebook, and 12 class centers truncated to 10 dimensions (neither a power
-# of two), cover the Sylvester rows at the edges of their range.
+# of two), cover the Sylvester rows at the edges of their range; 20 classes
+# in 8 dimensions are past them, on the axis lattice.
 TOOL_RUNS = [
     ["codebook", "--classes", "6", "--out", "codebook.csv"],
     ["codebook", "--classes", "3", "--bits", "4096", "--out", "codebook_wide.csv"],
@@ -116,6 +134,8 @@ TOOL_RUNS = [
     ["gen-data", "--classes", "12", "--dim", "10", "--per-class", "5", "--spread", "0.5",
      "--center-scale", "2", "--seed", "3", "--train-out", "train_12x10.csv",
      "--test-out", "test_12x10.csv"],
+    ["gen-data", "--classes", "20", "--dim", "8", "--per-class", "5", "--seed", "5",
+     "--train-out", "train_20x8.csv", "--test-out", "test_20x8.csv"],
 ] + [["inject", "--input", "train.csv", "--out", f"inject_{kind}.csv", "--kind", kind,
       "--epsilon", "0.3", "--seed", "4"]
      + (["--class-map", ASYMMETRIC_MAP] if kind == "asymmetric" else [])
@@ -173,16 +193,16 @@ def run_all(root: Path, work: Path) -> None:
             sys.exit(f"{name}: noisylab {args[0]} exited {proc.returncode}: "
                      f"{proc.stderr.strip()}")
 
+    tools = work / "tools"
+    tools.mkdir()
+    for args in TOOL_RUNS:  # first: the CSV runs read their splits
+        noisylab("tools", args, tools)
     runs = [(name, cmd, cfg, False) for name, cmd, cfg in RUNS] + workload_runs()
     for name, cmd, cfg, dump in runs:
         cfg_path = work / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg))
         noisylab(name, [cmd, "--config", str(cfg_path), "--out-dir", str(work / name)]
                  + (["--dump-selection"] if dump else []), work)
-    tools = work / "tools"
-    tools.mkdir()
-    for args in TOOL_RUNS:
-        noisylab("tools", args, tools)
 
 
 def main(argv=None) -> int:
